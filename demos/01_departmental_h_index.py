@@ -59,4 +59,4 @@ for year in (2008, 2009):
 
 # a measurement-year series is non-decreasing: citations only accumulate
 series = h_series(corpus, "GB", window, "chemistry", "Alpha", list(range(2006, 2011)))
-print("h series 2006-2010:", series.values)
+print("h series 2006-2010:", series.h_by_year)

@@ -20,7 +20,6 @@ from refh.corpus import (
 )
 from refh.metrics import (
     GroupMetrics,
-    HIndexSeries,
     ScoreSet,
     citations_to_end_of,
     compute_h,
@@ -65,7 +64,6 @@ __all__ = [
     "CorrelationSeries",
     "DisciplineMap",
     "GroupMetrics",
-    "HIndexSeries",
     "InsufficientDataError",
     "Lognormal",
     "MovementReport",

@@ -13,7 +13,6 @@ import argparse
 import json
 import logging
 import os
-import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,7 +29,6 @@ from refh.corpus import (
 )
 from refh.metrics import (
     GroupMetrics,
-    HIndexSeries,
     group_metrics,
     score_profile,
     write_hseries_csv,
@@ -44,6 +42,7 @@ from refh.ranking import (
     with_movement,
 )
 from refh.stats import (
+    _H_LABEL,
     InsufficientDataError,
     correlation_series,
     correlation_table,
@@ -102,10 +101,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     years = None
     if preset:
         window, years = preset[0], list(preset[1])
-    if getattr(args, "window", None):
-        window = PublicationWindow.parse(args.window)
-    if getattr(args, "years", None):
-        years = parse_years(args.years)
+    window = getattr(args, "window", None) or window
+    years = getattr(args, "years", None) or years
     out = Path(getattr(args, "out", ".") or ".")
     return RunConfig(
         pubs=Path(args.pubs) if getattr(args, "pubs", None) else None,
@@ -180,19 +177,10 @@ def cmd_hindex(args: argparse.Namespace) -> int:
     _require(config, "window", "years", "discipline")
     corpus = _load_corpus(config)
     metrics = _metrics_for(config, corpus, config.years)
-    series = [
-        HIndexSeries(
-            institution=m.institution,
-            discipline=m.discipline,
-            window=m.window,
-            values=m.h_by_year,
-        )
-        for m in metrics
-    ]
     config.out.mkdir(parents=True, exist_ok=True)
     path = config.out / "hseries.csv"
-    write_hseries_csv(series, path)
-    log.info("wrote %s (%d institutions, %d years)", path, len(series), len(config.years))
+    write_hseries_csv(metrics, path)
+    log.info("wrote %s (%d institutions, %d years)", path, len(metrics), len(config.years))
     return 0
 
 
@@ -278,7 +266,7 @@ def _measure_values(
             for p in corpus.profiles
             if normalize_label(p.discipline) == wanted and p.nci is not None
         }
-    m = re.match(r"^h(?:_hat)?_(\d{4})$", measure)
+    m = _H_LABEL.match(measure)
     if m:
         year = int(m.group(1))
         metrics = _metrics_for(config, corpus, [year], window)
@@ -291,11 +279,11 @@ def cmd_rank(args: argparse.Namespace) -> int:
     _require(config, "discipline")
     corpus = _load_corpus(config)
 
-    def window_for(measure: str, flag_value: str | None) -> PublicationWindow | None:
+    def window_for(measure: str, flag_value: PublicationWindow | None) -> PublicationWindow | None:
         if not measure.startswith("h"):
             return None
         if flag_value:
-            return PublicationWindow.parse(flag_value)
+            return flag_value
         _require(config, "window")
         return config.window
 
@@ -348,7 +336,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         seed=args.seed,
         n_institutions=args.institutions,
         papers_per_institution=(int(papers[0]), int(papers[1])),
-        window=PublicationWindow.parse(args.window),
+        window=args.window,
         citation_model=parse_citation_model(args.model),
         accrual=args.accrual,
         quality_link=args.quality_link,
@@ -380,9 +368,11 @@ def _add_corpus_options(p: argparse.ArgumentParser, profiles_only: bool = False)
 def _add_run_options(p: argparse.ArgumentParser, with_years: bool = True) -> None:
     p.add_argument("--country", default="GB", help="country code filter (default GB)")
     p.add_argument("--discipline", help="discipline label")
-    p.add_argument("--window", help="publication window START:END")
+    p.add_argument("--window", type=PublicationWindow.parse, help="publication window START:END")
     if with_years:
-        p.add_argument("--years", help="measurement years, e.g. 2008..2014 or 2008,2010")
+        p.add_argument(
+            "--years", type=parse_years, help="measurement years, e.g. 2008..2014 or 2008,2010"
+        )
     p.add_argument(
         "--preset",
         choices=sorted(PRESETS),
@@ -441,6 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", help="baseline measure for movement markers")
     p.add_argument(
         "--baseline-window",
+        type=PublicationWindow.parse,
         help="publication window START:END for the baseline measure "
         "(defaults to --window; lets h_2008 baselines meet h_hat_2014 comparisons)",
     )
@@ -451,7 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--institutions", type=int, required=True)
     p.add_argument("--out", required=True, help="directory for the corpus CSVs and manifest.json")
     p.add_argument("--papers", default="20:40", help="papers per institution LO:HI (default 20:40)")
-    p.add_argument("--window", default="2001:2007", help="publication window START:END")
+    p.add_argument(
+        "--window", type=PublicationWindow.parse, default="2001:2007",
+        help="publication window START:END",
+    )
     p.add_argument(
         "--model",
         default="lognormal:1.8:0.6",

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -107,7 +108,8 @@ class PublicationRecord:
     ``citations_by_year`` maps citing calendar year to a positive count;
     zero counts are dropped on construction so that equal citation
     histories compare equal.  An empty or missing country is stored as
-    ``None`` and simply never matches a country filter.
+    ``None`` and simply never matches a country filter.  Affiliations are
+    stripped of surrounding whitespace and blank ones dropped.
     """
 
     pub_id: str
@@ -120,7 +122,7 @@ class PublicationRecord:
     def __post_init__(self):
         if not self.pub_id or not str(self.pub_id).strip():
             raise ValueError("pub_id must be a non-empty string")
-        object.__setattr__(self, "affiliations", frozenset(self.affiliations))
+        object.__setattr__(self, "affiliations", frozenset(a.strip() for a in self.affiliations) - {""})
         object.__setattr__(self, "categories", frozenset(self.categories))
         if not self.affiliations:
             raise ValueError(f"{self.pub_id}: affiliations must be non-empty")
@@ -282,13 +284,6 @@ class Corpus:
         """Sorted union of all affiliations across publications."""
         return tuple(sorted({a for r in self.publications for a in r.affiliations}))
 
-    def profile_for(self, institution: str, discipline: str) -> QualityProfile | None:
-        wanted = normalize_label(discipline)
-        for p in self.profiles:
-            if p.institution == institution and normalize_label(p.discipline) == wanted:
-                return p
-        return None
-
 
 def filter_documents(
     corpus: Corpus,
@@ -316,7 +311,7 @@ def filter_documents(
         and normalize_country(r.country) == wanted_country
         and window.contains(r.pub_year)
         and dmap.matches(r.categories)
-        and wanted_inst in {a.strip() for a in r.affiliations}
+        and wanted_inst in r.affiliations
     ]
 
 
@@ -407,10 +402,14 @@ def _get_float(
         violations.append(f"{where}: field {key!r}: missing value")
         return None
     try:
-        return float(str(raw).strip())
+        value = float(str(raw).strip())
     except ValueError:
         violations.append(f"{where}: field {key!r}: not a number: {raw!r}")
         return None
+    if not math.isfinite(value):
+        violations.append(f"{where}: field {key!r}: not a finite number: {raw!r}")
+        return None
+    return value
 
 
 def _get_list(row: dict, key: str) -> list[str]:

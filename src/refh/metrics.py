@@ -25,8 +25,8 @@ from refh.corpus import (
     PublicationRecord,
     PublicationWindow,
     QualityProfile,
-    filter_documents,
     normalize_country,
+    normalize_label,
 )
 
 HSERIES_HEADER = ["institution", "discipline", "window_start", "window_end", "measurement_year", "h"]
@@ -50,76 +50,16 @@ def compute_h(citation_counts: Iterable[int]) -> int:
     return h
 
 
-def departmental_h(
-    corpus: Corpus,
-    country: str,
-    window: PublicationWindow,
-    discipline: str,
-    institution: str,
-    measurement_year: int,
-) -> int:
-    """h-index of the filtered group, with citations counted to the end of
-    ``measurement_year - 1``."""
-    if measurement_year <= window.start_year:
-        raise ValueError(
-            f"measurement year {measurement_year} must come after "
-            f"window start {window.start_year}"
-        )
-    records = filter_documents(corpus, country, window, discipline, institution)
-    cutoff = measurement_year - 1
-    return compute_h(citations_to_end_of(r, cutoff) for r in records)
-
-
 @dataclass(frozen=True)
-class HIndexSeries:
-    """Per-measurement-year h values for one (institution, discipline) group.
+class GroupMetrics:
+    """Citation-side measures for one (institution, discipline) group: h by
+    measurement year, plus the externally supplied nci when a profile
+    carries one.
 
-    With a fixed window, citations only accumulate, so the series must be
+    With a fixed window, citations only accumulate, so h must be
     non-decreasing across consecutive measurement years; construction
     rejects a series violating that.
     """
-
-    institution: str
-    discipline: str
-    window: PublicationWindow
-    values: Mapping[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        values = {int(y): int(h) for y, h in self.values.items()}
-        for year, h in values.items():
-            if h < 0:
-                raise ValueError(f"negative h {h} at {year}")
-            if (year + 1) in values and values[year + 1] < h:
-                raise ValueError(
-                    f"{self.institution}: h must not decrease between consecutive "
-                    f"years ({year}: {h}, {year + 1}: {values[year + 1]})"
-                )
-        object.__setattr__(self, "values", dict(sorted(values.items())))
-
-
-def h_series(
-    corpus: Corpus,
-    country: str,
-    window: PublicationWindow,
-    discipline: str,
-    institution: str,
-    years: Sequence[int],
-) -> HIndexSeries:
-    """Departmental h per measurement year; ``years`` must be strictly ascending."""
-    years = list(years)
-    if any(b <= a for a, b in zip(years, years[1:])):
-        raise ValueError(f"measurement years must be strictly ascending, got {years}")
-    values = {
-        year: departmental_h(corpus, country, window, discipline, institution, year)
-        for year in years
-    }
-    return HIndexSeries(institution=institution, discipline=discipline, window=window, values=values)
-
-
-@dataclass(frozen=True)
-class GroupMetrics:
-    """Citation-side measures for one group: h by measurement year, plus the
-    externally supplied nci when a profile carries one."""
 
     institution: str
     discipline: str
@@ -128,7 +68,16 @@ class GroupMetrics:
     nci: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "h_by_year", dict(sorted(self.h_by_year.items())))
+        values = {int(y): int(h) for y, h in self.h_by_year.items()}
+        for year, h in values.items():
+            if h < 0:
+                raise ValueError(f"negative h {h} at {year}")
+            if (year + 1) in values and values[year + 1] < h:
+                raise ValueError(
+                    f"{self.institution}: h must not decrease between consecutive "
+                    f"years ({year}: {h}, {year + 1}: {values[year + 1]})"
+                )
+        object.__setattr__(self, "h_by_year", dict(sorted(values.items())))
 
 
 def matching_publications(
@@ -155,28 +104,75 @@ def group_metrics(
     years: Sequence[int],
 ) -> list[GroupMetrics]:
     """Per-institution h series for every institution with at least one
-    matching publication, in institution order.
+    matching publication, in institution order; the only place h is
+    evaluated.  ``years`` must be strictly ascending and after the window
+    start.  A multi-affiliation record counts fully for each institution.
 
     Institutions whose publications never pass the filter are omitted,
     mirroring how groups absent from a citation database drop out of
     published lists.
     """
-    matched = matching_publications(corpus, country, window, discipline)
-    roster = sorted({a for r in matched for a in r.affiliations})
-    out = []
-    for institution in roster:
-        series = h_series(corpus, country, window, discipline, institution, years)
-        profile = corpus.profile_for(institution, discipline)
-        out.append(
-            GroupMetrics(
-                institution=institution,
-                discipline=discipline,
-                window=window,
-                h_by_year=series.values,
-                nci=None if profile is None else profile.nci,
+    years = list(years)
+    if any(b <= a for a, b in zip(years, years[1:])):
+        raise ValueError(f"measurement years must be strictly ascending, got {years}")
+    for year in years:
+        if year <= window.start_year:
+            raise ValueError(
+                f"measurement year {year} must come after window start {window.start_year}"
             )
+    buckets: dict[str, list[PublicationRecord]] = {}
+    for r in matching_publications(corpus, country, window, discipline):
+        for institution in r.affiliations:
+            buckets.setdefault(institution, []).append(r)
+    wanted = normalize_label(discipline)
+    nci: dict[str, float | None] = {}
+    for p in corpus.profiles:
+        if normalize_label(p.discipline) == wanted:
+            nci.setdefault(p.institution, p.nci)
+    return [
+        GroupMetrics(
+            institution=institution,
+            discipline=discipline,
+            window=window,
+            h_by_year={
+                year: compute_h(citations_to_end_of(r, year - 1) for r in records)
+                for year in years
+            },
+            nci=nci.get(institution),
         )
-    return out
+        for institution, records in sorted(buckets.items())
+    ]
+
+
+def h_series(
+    corpus: Corpus,
+    country: str,
+    window: PublicationWindow,
+    discipline: str,
+    institution: str,
+    years: Sequence[int],
+) -> GroupMetrics:
+    """One institution's entry of :func:`group_metrics`; all-zero h (and no
+    nci) when the group has no matching publications."""
+    wanted = institution.strip()
+    for metrics in group_metrics(corpus, country, window, discipline, years):
+        if metrics.institution == wanted:
+            return metrics
+    return GroupMetrics(wanted, discipline, window, h_by_year=dict.fromkeys(years, 0))
+
+
+def departmental_h(
+    corpus: Corpus,
+    country: str,
+    window: PublicationWindow,
+    discipline: str,
+    institution: str,
+    measurement_year: int,
+) -> int:
+    """h-index of the filtered group, with citations counted to the end of
+    ``measurement_year - 1``."""
+    series = h_series(corpus, country, window, discipline, institution, [measurement_year])
+    return series.h_by_year[measurement_year]
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +180,13 @@ def group_metrics(
 # ---------------------------------------------------------------------------
 
 
+def _weighted_s(p4: float, p3: float, p2: float) -> float:
+    return p4 + (3.0 * p3) / 7.0 + p2 / 7.0
+
+
 def score_s(profile: QualityProfile) -> float:
     """Weighted profile score with weights 1, 3/7, 1/7 on 4*, 3*, 2*."""
-    return profile.p4 + (3.0 * profile.p3) / 7.0 + profile.p2 / 7.0
+    return _weighted_s(profile.p4, profile.p3, profile.p2)
 
 
 def score_s_prime(profile: QualityProfile) -> float:
@@ -198,7 +198,7 @@ def score_s_output(profile: QualityProfile) -> float | None:
     """``score_s`` on the output-only sub-profile; None when absent."""
     if not profile.has_output_profile:
         return None
-    return profile.p4_out + (3.0 * profile.p3_out) / 7.0 + profile.p2_out / 7.0
+    return _weighted_s(profile.p4_out, profile.p3_out, profile.p2_out)
 
 
 def strength(profile: QualityProfile) -> float:
@@ -246,11 +246,11 @@ def _fmt6(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def write_hseries_csv(series: Iterable[HIndexSeries], path: str | Path) -> None:
+def write_hseries_csv(series: Iterable[GroupMetrics], path: str | Path) -> None:
     """``hseries.csv``: one row per (institution, measurement year)."""
     rows = []
     for s in series:
-        for year, h in sorted(s.values.items()):
+        for year, h in sorted(s.h_by_year.items()):
             rows.append([s.institution, s.discipline, s.window.start_year, s.window.end_year, year, h])
     rows.sort(key=lambda r: (r[0], r[1], r[4]))
     with Path(path).open("w", newline="", encoding="utf-8") as fh:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -70,15 +71,20 @@ def rank_table(values: Mapping[str, float], measure: str, discipline: str = "") 
 
     Values are quantized to 6 decimals first, so ties are decided at the
     same precision the table is rendered at and a rendered table parses
-    back equal.
+    back equal.  Each rank is the position where its value first appears
+    in the sorted order.  Non-finite values are refused: NaN has no order.
     """
     if not values:
         raise ValueError("cannot rank an empty value map")
     quantized = {inst: round(float(v), VALUE_DECIMALS) for inst, v in values.items()}
+    for inst, v in quantized.items():
+        if not math.isfinite(v):
+            raise ValueError(f"cannot rank non-finite value {v} for {inst!r}")
     ordered = sorted(quantized.items(), key=lambda kv: (-kv[1], kv[0]))
-    entries = []
-    for institution, value in ordered:
-        rank = 1 + sum(1 for v in quantized.values() if v > value)
+    entries: list[RankEntry] = []
+    for position, (institution, value) in enumerate(ordered, start=1):
+        tied = entries and entries[-1].value == value
+        rank = entries[-1].rank if tied else position
         entries.append(RankEntry(rank=rank, institution=institution, value=value))
     return RankedTable(discipline=discipline, measure=measure, entries=tuple(entries))
 

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.stats import t as student_t
 
-from refh.metrics import GroupMetrics, ScoreSet
+from refh.metrics import GroupMetrics, ScoreSet, _fmt6
 
 ALPHA = 0.05
 
@@ -279,10 +279,6 @@ def correlation_series(
 # ---------------------------------------------------------------------------
 # Emission
 # ---------------------------------------------------------------------------
-
-
-def _fmt6(value: float) -> str:
-    return f"{value:.6f}"
 
 
 def _report_row(report: CorrelationReport) -> list[str]:

@@ -253,7 +253,7 @@ def test_criterion_7_monotone_h_evolution():
         )
         for inst in corpus.institutions():
             series = h_series(corpus, "GB", WINDOW, "synthetic", inst, years)
-            values = [series.values[y] for y in years]
+            values = [series.h_by_year[y] for y in years]
             series_checked += 1
             violations += values != sorted(values)
     _report(

@@ -69,6 +69,15 @@ class TestParsing:
             main(["rank"])  # missing required --measure
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--years", "abc"), ("--window", "2001-2007"), ("--window", "2007:2001"),
+    ])
+    def test_malformed_flag_exits_2(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["hindex", "--discipline", "chemistry", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
 
 class TestIngestCommand:
     def test_ok_summary(self, synth_dir, capsys):
@@ -158,6 +167,20 @@ class TestScoreCommand:
         )
         assert code == 1
         assert "profiles.csv:2" in err
+
+    @pytest.mark.parametrize("field, row", [
+        ("nci", "Alpha,chemistry,100,0,0,0,0,,,,,,1,nan"),
+        ("nci", "Alpha,chemistry,100,0,0,0,0,,,,,,1,-inf"),
+        ("staff_fte", "Alpha,chemistry,100,0,0,0,0,,,,,,inf,1.5"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, field, row):
+        paths = write_files(tmp_path, profiles=row)
+        code, _, err = run(
+            ["score", "--profiles", str(paths["profiles"]), "--out", str(tmp_path / "o")], capsys
+        )
+        assert code == 1
+        assert f"profiles.csv:2: field '{field}': not a finite number" in err
+        assert not (tmp_path / "o" / "scores.csv").exists()
 
 
 class TestCorrelateCommand:

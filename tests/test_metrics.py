@@ -5,7 +5,7 @@ import pytest
 
 from refh.corpus import Corpus, DisciplineMap, PublicationWindow
 from refh.metrics import (
-    HIndexSeries,
+    GroupMetrics,
     citations_to_end_of,
     compute_h,
     departmental_h,
@@ -148,12 +148,12 @@ class TestHSeries:
             discipline_maps=(chem_map,),
         )
         series = h_series(corpus, "GB", WINDOW, "chemistry", "Alpha", list(range(2008, 2015)))
-        assert list(series.values.values()) == [0] * 7
+        assert list(series.h_by_year.values()) == [0] * 7
 
     def test_single_year_matches_departmental_h(self):
         corpus = three_paper_corpus()
         series = h_series(corpus, "GB", WINDOW, "chemistry", "Alpha", [2008])
-        assert series.values == {
+        assert series.h_by_year == {
             2008: departmental_h(corpus, "GB", WINDOW, "chemistry", "Alpha", 2008)
         }
 
@@ -167,10 +167,10 @@ class TestHSeries:
         years = list(range(2008, 2015))
         for inst in corpus.institutions():
             series = h_series(corpus, "GB", WINDOW, "synthetic", inst, years)
-            values = [series.values[y] for y in years]
+            values = [series.h_by_year[y] for y in years]
             assert values == sorted(values)
             for y in years:
-                assert series.values[y] == departmental_h(
+                assert series.h_by_year[y] == departmental_h(
                     corpus, "GB", WINDOW, "synthetic", inst, y
                 )
 
@@ -180,7 +180,7 @@ class TestHSeries:
 
     def test_series_type_rejects_decreasing_values(self):
         with pytest.raises(ValueError, match="must not decrease"):
-            HIndexSeries("Alpha", "chemistry", WINDOW, {2008: 5, 2009: 4})
+            GroupMetrics("Alpha", "chemistry", WINDOW, {2008: 5, 2009: 4})
 
 
 def exact_s(bands):
@@ -282,12 +282,21 @@ class TestGroupMetrics:
         (m,) = group_metrics(corpus, "GB", WINDOW, "chemistry", [2008])
         assert m.nci == 1.5
 
+    def test_affiliation_whitespace_stripped_before_roster_and_profile_join(self, chem_map):
+        corpus = Corpus(
+            publications=(record("P1", 2003, affiliations=(" Alpha",)),),
+            profiles=(profile(nci=1.5),),
+            discipline_maps=(chem_map,),
+        )
+        metrics = group_metrics(corpus, "GB", WINDOW, "chemistry", [2008])
+        assert [(m.institution, m.nci) for m in metrics] == [("Alpha", 1.5)]
+
 
 class TestWriters:
     def test_hseries_csv(self, tmp_path):
         series = [
-            HIndexSeries("Beta", "chemistry", WINDOW, {2008: 1, 2009: 2}),
-            HIndexSeries("Alpha", "chemistry", WINDOW, {2008: 3}),
+            GroupMetrics("Beta", "chemistry", WINDOW, {2008: 1, 2009: 2}),
+            GroupMetrics("Alpha", "chemistry", WINDOW, {2008: 3}),
         ]
         path = tmp_path / "hseries.csv"
         write_hseries_csv(series, path)

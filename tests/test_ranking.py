@@ -50,6 +50,11 @@ class TestRankTable:
             for e in table.entries:
                 assert e.rank == 1 + sum(1 for v in values.values() if v > e.value)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            rank_table({"A": bad, "B": 1.467229, "C": 0.5}, "i")
+
     def test_rank_invariance_under_increasing_transform(self):
         rng = np.random.default_rng(32)
         values = {f"I{k}": float(rng.integers(0, 50)) for k in range(20)}

@@ -296,7 +296,8 @@ class TestCorrelationSeries:
         metrics = [
             GroupMetrics(
                 institution=i, discipline="chemistry", window=WINDOW,
-                h_by_year={y: int(rng.integers(0, 40)) for y in (2008, 2009, 2010)},
+                h_by_year=dict(zip((2008, 2009, 2010),
+                                   sorted(int(rng.integers(0, 40)) for _ in range(3)))),
                 nci=float(rng.uniform(0.5, 3.0)),
             )
             for i in insts
