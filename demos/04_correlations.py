@@ -35,8 +35,10 @@ years = list(range(2008, 2015))
 metrics = group_metrics(corpus, "GB", window, "synthetic", years)
 scores = [score_profile(p) for p in corpus.profiles]
 
-# one row per measure pair, like a published coefficient table
-pairs = [("s", "h_2008"), ("s_prime", "h_2008"), ("s_output", "h_2008"), ("s", "i")]
+# one row per measure pair, like a published coefficient table; the last
+# pair sets the two citation measures (h and the supplied nci) side by side
+pairs = [("s", "h_2008"), ("s_prime", "h_2008"), ("s_output", "h_2008"), ("s", "i"),
+         ("h_2008", "i")]
 print(f"{'pair':>22} {'n':>4} {'r':>8} {'rho':>8}  significant?")
 for report in correlation_table(scores, metrics, pairs):
     print(

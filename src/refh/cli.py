@@ -21,6 +21,7 @@ from refh.corpus import (
     Corpus,
     CorpusValidationError,
     PublicationWindow,
+    QualityProfile,
     UnknownDisciplineError,
     ingest_corpus,
     load_profiles,
@@ -29,6 +30,7 @@ from refh.corpus import (
 )
 from refh.metrics import (
     GroupMetrics,
+    ScoreSet,
     group_metrics,
     score_profile,
     write_hseries_csv,
@@ -42,11 +44,12 @@ from refh.ranking import (
     with_movement,
 )
 from refh.stats import (
-    _H_LABEL,
     InsufficientDataError,
     correlation_series,
     correlation_table,
+    h_label_year,
     joined_points,
+    measure_values,
     write_corr_series_csv,
     write_correlations_csv,
     write_fig_points_csv,
@@ -59,8 +62,6 @@ PRESETS = {
     "rae2008": (PublicationWindow(2001, 2007), list(range(2008, 2015))),
     "ref2014": (PublicationWindow(2008, 2013), [2014]),
 }
-
-SCORE_MEASURES = ("s", "s_prime", "s_output", "strength")
 
 
 @dataclass
@@ -82,14 +83,16 @@ def parse_years(text: str) -> list[int]:
     years: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            lo, hi = int(lo), int(hi)
-            if hi < lo:
-                raise ValueError(f"bad year range {part!r}")
-            years.extend(range(lo, hi + 1))
-        elif part:
-            years.append(int(part))
+        if not part:
+            continue
+        lo, sep, hi = part.partition("..")
+        try:
+            lo, hi = int(lo), int(hi if sep else lo)
+        except ValueError:
+            raise ValueError(f"measurement years must be YEAR or START..END, got {part!r}") from None
+        if hi < lo:
+            raise ValueError(f"bad year range {part!r}")
+        years.extend(range(lo, hi + 1))
     if not years:
         raise ValueError(f"no measurement years in {text!r}")
     return sorted(set(years))
@@ -157,6 +160,16 @@ def _metrics_for(
     return metrics
 
 
+def _in_discipline(profiles: tuple[QualityProfile, ...], discipline: str) -> tuple[QualityProfile, ...]:
+    wanted = normalize_label(discipline)
+    return tuple(p for p in profiles if normalize_label(p.discipline) == wanted)
+
+
+def _scores_for(config: RunConfig, corpus: Corpus) -> list[ScoreSet]:
+    """Scores of every profile in the run's discipline."""
+    return [score_profile(p) for p in _in_discipline(corpus.profiles, config.discipline)]
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -192,8 +205,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     if violations:
         raise CorpusValidationError(violations)
     if config.discipline:
-        wanted = normalize_label(config.discipline)
-        profiles = tuple(p for p in profiles if normalize_label(p.discipline) == wanted)
+        profiles = _in_discipline(profiles, config.discipline)
     config.out.mkdir(parents=True, exist_ok=True)
     path = config.out / "scores.csv"
     write_scores_csv(profiles, path)
@@ -223,12 +235,7 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     pairs = parse_pairs(args.pairs)
     corpus = _load_corpus(config)
     metrics = _metrics_for(config, corpus, config.years)
-    wanted = normalize_label(config.discipline)
-    scores = [
-        score_profile(p)
-        for p in corpus.profiles
-        if normalize_label(p.discipline) == wanted
-    ]
+    scores = _scores_for(config, corpus)
     reports = correlation_table(scores, metrics, pairs)
     series = [
         correlation_series(scores, metrics, x_label, config.years)
@@ -239,65 +246,33 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     config.out.mkdir(parents=True, exist_ok=True)
     write_correlations_csv(reports, config.out / "correlations.csv")
     write_corr_series_csv(series, config.out / "corr_series.csv")
-    write_fig_points_csv(
-        [(inst, x, y) for inst, x, y in first_points], config.out / "fig_points.csv"
-    )
+    write_fig_points_csv(first_points, config.out / "fig_points.csv")
     log.info("wrote correlations.csv, corr_series.csv, fig_points.csv under %s", config.out)
     return 0
-
-
-def _measure_values(
-    config: RunConfig, corpus: Corpus, measure: str, window: PublicationWindow | None
-) -> dict[str, float]:
-    """Value map for one measure label over the discipline's institutions."""
-    wanted = normalize_label(config.discipline)
-    if measure in SCORE_MEASURES:
-        values = {}
-        for p in corpus.profiles:
-            if normalize_label(p.discipline) != wanted:
-                continue
-            value = getattr(score_profile(p), measure)
-            if value is not None:
-                values[p.institution] = float(value)
-        return values
-    if measure == "i":
-        return {
-            p.institution: float(p.nci)
-            for p in corpus.profiles
-            if normalize_label(p.discipline) == wanted and p.nci is not None
-        }
-    m = _H_LABEL.match(measure)
-    if m:
-        year = int(m.group(1))
-        metrics = _metrics_for(config, corpus, [year], window)
-        return {g.institution: float(g.h_by_year[year]) for g in metrics}
-    raise ValueError(f"unknown measure label: {measure!r}")
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
     config = _config_from(args)
     _require(config, "discipline")
     corpus = _load_corpus(config)
+    scores = _scores_for(config, corpus)
 
-    def window_for(measure: str, flag_value: PublicationWindow | None) -> PublicationWindow | None:
-        if not measure.startswith("h"):
-            return None
-        if flag_value:
-            return flag_value
-        _require(config, "window")
-        return config.window
+    def values_for(measure: str, window: PublicationWindow | None, role: str) -> dict[str, float]:
+        metrics: list[GroupMetrics] = []
+        year = h_label_year(measure)
+        if year is not None:
+            if not window:
+                _require(config, "window")
+            metrics = _metrics_for(config, corpus, [year], window)
+        values = measure_values(measure, scores, metrics)
+        if not values:
+            raise ValueError(f"no values available for {role} {measure!r}")
+        return values
 
-    values = _measure_values(config, corpus, args.measure, window_for(args.measure, None))
-    if not values:
-        raise ValueError(f"no values available for measure {args.measure!r}")
-    table = rank_table(values, args.measure, config.discipline)
+    table = rank_table(values_for(args.measure, None, "measure"), args.measure, config.discipline)
     baseline = None
     if args.baseline:
-        baseline_values = _measure_values(
-            config, corpus, args.baseline, window_for(args.baseline, args.baseline_window)
-        )
-        if not baseline_values:
-            raise ValueError(f"no values available for baseline measure {args.baseline!r}")
+        baseline_values = values_for(args.baseline, args.baseline_window, "baseline measure")
         baseline = rank_table(baseline_values, args.baseline, config.discipline)
         table = with_movement(table, movement(baseline, table))
 
@@ -357,6 +332,17 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _flag_type(parse):
+    """argparse ``type=`` for ``parse``: its ValueError text becomes the usage
+    error message (exit 2) instead of argparse's generic "invalid value"."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 def _add_corpus_options(p: argparse.ArgumentParser, profiles_only: bool = False) -> None:
     p.add_argument("--profiles", help="profiles CSV/JSON file")
     if not profiles_only:
@@ -368,10 +354,13 @@ def _add_corpus_options(p: argparse.ArgumentParser, profiles_only: bool = False)
 def _add_run_options(p: argparse.ArgumentParser, with_years: bool = True) -> None:
     p.add_argument("--country", default="GB", help="country code filter (default GB)")
     p.add_argument("--discipline", help="discipline label")
-    p.add_argument("--window", type=PublicationWindow.parse, help="publication window START:END")
+    p.add_argument(
+        "--window", type=_flag_type(PublicationWindow.parse), help="publication window START:END"
+    )
     if with_years:
         p.add_argument(
-            "--years", type=parse_years, help="measurement years, e.g. 2008..2014 or 2008,2010"
+            "--years", type=_flag_type(parse_years),
+            help="measurement years, e.g. 2008..2014 or 2008,2010",
         )
     p.add_argument(
         "--preset",
@@ -431,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", help="baseline measure for movement markers")
     p.add_argument(
         "--baseline-window",
-        type=PublicationWindow.parse,
+        type=_flag_type(PublicationWindow.parse),
         help="publication window START:END for the baseline measure "
         "(defaults to --window; lets h_2008 baselines meet h_hat_2014 comparisons)",
     )
@@ -443,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="directory for the corpus CSVs and manifest.json")
     p.add_argument("--papers", default="20:40", help="papers per institution LO:HI (default 20:40)")
     p.add_argument(
-        "--window", type=PublicationWindow.parse, default="2001:2007",
+        "--window", type=_flag_type(PublicationWindow.parse), default="2001:2007",
         help="publication window START:END",
     )
     p.add_argument(

@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 PERCENT_SUM_TOL = 1e-9
 
@@ -260,7 +260,7 @@ class Corpus:
             seen_ids.add(r.pub_id)
         seen_profiles: set[tuple[str, str]] = set()
         for p in profs:
-            key = (p.institution, p.discipline)
+            key = (p.institution, normalize_label(p.discipline))
             if key in seen_profiles:
                 violations.append(f"duplicate profile for {p.institution}/{p.discipline}")
             seen_profiles.add(key)
@@ -585,6 +585,15 @@ def ingest_corpus(
 # ---------------------------------------------------------------------------
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    r"""Write a header and rows as UTF-8 CSV with ``\n`` line endings; every
+    corpus and analytics file is written through here."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _fmt(value) -> str:
     """Shortest exact decimal form; floats survive a write/read round trip."""
     if value is None:
@@ -610,43 +619,24 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
         "discipline_map": out / "discipline_map.csv",
     }
 
-    with paths["publications"].open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PUBLICATIONS_HEADER)
-        for r in corpus.publications:
-            writer.writerow(
-                [
-                    r.pub_id,
-                    r.pub_year,
-                    r.country or "",
-                    ";".join(sorted(r.affiliations)),
-                    ";".join(sorted(r.categories)),
-                ]
-            )
-
-    with paths["citations"].open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CITATIONS_HEADER)
-        for r in corpus.publications:
-            for year, count in sorted(r.citations_by_year.items()):
-                writer.writerow([r.pub_id, year, count])
-
-    with paths["profiles"].open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PROFILES_HEADER)
-        for p in corpus.profiles:
-            writer.writerow(
-                [p.institution, p.discipline]
-                + [_fmt(v) for v in p.percentages()]
-                + [_fmt(v) for v in (p.p4_out, p.p3_out, p.p2_out, p.p1_out, p.pu_out)]
-                + [_fmt(p.staff_fte), _fmt(p.nci)]
-            )
-
-    with paths["discipline_map"].open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DISCIPLINE_MAP_HEADER)
-        for m in corpus.discipline_maps:
-            for category in sorted(m.categories):
-                writer.writerow([m.discipline, category])
-
+    write_csv(paths["publications"], PUBLICATIONS_HEADER, (
+        [r.pub_id, r.pub_year, r.country or "",
+         ";".join(sorted(r.affiliations)), ";".join(sorted(r.categories))]
+        for r in corpus.publications
+    ))
+    write_csv(paths["citations"], CITATIONS_HEADER, (
+        [r.pub_id, year, count]
+        for r in corpus.publications
+        for year, count in sorted(r.citations_by_year.items())
+    ))
+    write_csv(paths["profiles"], PROFILES_HEADER, (
+        [p.institution, p.discipline]
+        + [_fmt(v) for v in p.percentages()]
+        + [_fmt(v) for v in (p.p4_out, p.p3_out, p.p2_out, p.p1_out, p.pu_out)]
+        + [_fmt(p.staff_fte), _fmt(p.nci)]
+        for p in corpus.profiles
+    ))
+    write_csv(paths["discipline_map"], DISCIPLINE_MAP_HEADER, (
+        [m.discipline, category] for m in corpus.discipline_maps for category in sorted(m.categories)
+    ))
     return paths

@@ -15,7 +15,6 @@ Quality scores come from graded profiles:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -26,7 +25,7 @@ from refh.corpus import (
     PublicationWindow,
     QualityProfile,
     normalize_country,
-    normalize_label,
+    write_csv,
 )
 
 HSERIES_HEADER = ["institution", "discipline", "window_start", "window_end", "measurement_year", "h"]
@@ -52,9 +51,8 @@ def compute_h(citation_counts: Iterable[int]) -> int:
 
 @dataclass(frozen=True)
 class GroupMetrics:
-    """Citation-side measures for one (institution, discipline) group: h by
-    measurement year, plus the externally supplied nci when a profile
-    carries one.
+    """Departmental h by measurement year for one (institution, discipline)
+    group.
 
     With a fixed window, citations only accumulate, so h must be
     non-decreasing across consecutive measurement years; construction
@@ -65,7 +63,6 @@ class GroupMetrics:
     discipline: str
     window: PublicationWindow
     h_by_year: Mapping[int, int] = field(default_factory=dict)
-    nci: float | None = None
 
     def __post_init__(self):
         values = {int(y): int(h) for y, h in self.h_by_year.items()}
@@ -124,11 +121,6 @@ def group_metrics(
     for r in matching_publications(corpus, country, window, discipline):
         for institution in r.affiliations:
             buckets.setdefault(institution, []).append(r)
-    wanted = normalize_label(discipline)
-    nci: dict[str, float | None] = {}
-    for p in corpus.profiles:
-        if normalize_label(p.discipline) == wanted:
-            nci.setdefault(p.institution, p.nci)
     return [
         GroupMetrics(
             institution=institution,
@@ -138,7 +130,6 @@ def group_metrics(
                 year: compute_h(citations_to_end_of(r, year - 1) for r in records)
                 for year in years
             },
-            nci=nci.get(institution),
         )
         for institution, records in sorted(buckets.items())
     ]
@@ -152,8 +143,8 @@ def h_series(
     institution: str,
     years: Sequence[int],
 ) -> GroupMetrics:
-    """One institution's entry of :func:`group_metrics`; all-zero h (and no
-    nci) when the group has no matching publications."""
+    """One institution's entry of :func:`group_metrics`; all-zero h when the
+    group has no matching publications."""
     wanted = institution.strip()
     for metrics in group_metrics(corpus, country, window, discipline, years):
         if metrics.institution == wanted:
@@ -210,7 +201,8 @@ def strength(profile: QualityProfile) -> float:
 
 @dataclass(frozen=True)
 class ScoreSet:
-    """All four profile-derived scores for one group."""
+    """The profile-side measures of one group: the four scores and the
+    supplied nci."""
 
     institution: str
     discipline: str
@@ -218,6 +210,7 @@ class ScoreSet:
     s_prime: float
     s_output: float | None = None
     strength: float | None = None
+    nci: float | None = None
 
     def __post_init__(self):
         for name in ("s", "s_prime", "s_output"):
@@ -234,6 +227,7 @@ def score_profile(profile: QualityProfile) -> ScoreSet:
         s_prime=score_s_prime(profile),
         s_output=score_s_output(profile),
         strength=strength(profile),
+        nci=profile.nci,
     )
 
 
@@ -253,29 +247,14 @@ def write_hseries_csv(series: Iterable[GroupMetrics], path: str | Path) -> None:
         for year, h in sorted(s.h_by_year.items()):
             rows.append([s.institution, s.discipline, s.window.start_year, s.window.end_year, year, h])
     rows.sort(key=lambda r: (r[0], r[1], r[4]))
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(HSERIES_HEADER)
-        writer.writerows(rows)
+    write_csv(path, HSERIES_HEADER, rows)
 
 
 def write_scores_csv(profiles: Iterable[QualityProfile], path: str | Path) -> None:
     """``scores.csv``: s, s_prime, s_output, strength, and nci per profile."""
-    rows = []
-    for p in sorted(profiles, key=lambda p: (p.institution, p.discipline)):
-        scores = score_profile(p)
-        rows.append(
-            [
-                p.institution,
-                p.discipline,
-                _fmt6(scores.s),
-                _fmt6(scores.s_prime),
-                _fmt6(scores.s_output),
-                _fmt6(scores.strength),
-                _fmt6(p.nci),
-            ]
-        )
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SCORES_HEADER)
-        writer.writerows(rows)
+    scores = (score_profile(p) for p in sorted(profiles, key=lambda p: (p.institution, p.discipline)))
+    write_csv(path, SCORES_HEADER, (
+        [s.institution, s.discipline, _fmt6(s.s), _fmt6(s.s_prime),
+         _fmt6(s.s_output), _fmt6(s.strength), _fmt6(s.nci)]
+        for s in scores
+    ))

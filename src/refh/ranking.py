@@ -59,12 +59,6 @@ class RankedTable:
                 raise ValueError(f"institution {e.institution!r} appears twice")
             seen.add(e.institution)
 
-    def rank_of(self, institution: str) -> int | None:
-        for e in self.entries:
-            if e.institution == institution:
-                return e.rank
-        return None
-
 
 def rank_table(values: Mapping[str, float], measure: str, discipline: str = "") -> RankedTable:
     """Competition-rank a value map.

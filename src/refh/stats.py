@@ -11,7 +11,6 @@ n-2 degrees of freedom for both coefficients, two-sided, at alpha = 0.05.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import re
@@ -22,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.stats import t as student_t
 
+from refh.corpus import normalize_label, write_csv
 from refh.metrics import GroupMetrics, ScoreSet, _fmt6
 
 ALPHA = 0.05
@@ -35,6 +35,9 @@ CORR_SERIES_HEADER = CORRELATIONS_HEADER + ["measurement_year"]
 FIG_POINTS_HEADER = ["x_value", "y_value", "institution"]
 
 _H_LABEL = re.compile(r"^h(?:_hat)?_(\d{4})$")
+# profile-side measure label -> ScoreSet field
+_PROFILE_MEASURES = {"s": "s", "s_prime": "s_prime", "s_output": "s_output",
+                     "strength": "strength", "i": "nci"}
 
 log = logging.getLogger(__name__)
 
@@ -47,6 +50,8 @@ def _as_vector(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains a non-finite value")
     return arr
 
 
@@ -160,26 +165,29 @@ class CorrelationSeries:
         object.__setattr__(self, "by_year", dict(sorted(self.by_year.items())))
 
 
-def _score_value(scores: ScoreSet, label: str) -> float | None:
-    if label == "s":
-        return scores.s
-    if label == "s_prime":
-        return scores.s_prime
-    if label == "s_output":
-        return scores.s_output
-    if label == "strength":
-        return scores.strength
-    raise ValueError(f"unknown measure label: {label!r}")
-
-
-def _metric_value(metrics: GroupMetrics, label: str) -> float | None:
-    if label == "i":
-        return metrics.nci
+def h_label_year(label: str) -> int | None:
+    """Measurement year of an ``h_YYYY`` / ``h_hat_YYYY`` label, else None."""
     m = _H_LABEL.match(label)
-    if m:
-        h = metrics.h_by_year.get(int(m.group(1)))
-        return None if h is None else float(h)
-    raise ValueError(f"unknown measure label: {label!r}")
+    return int(m.group(1)) if m else None
+
+
+def measure_values(
+    label: str, scores: Iterable[ScoreSet], metrics: Iterable[GroupMetrics]
+) -> dict[str, float]:
+    """``{institution: value}`` for one measure label; the only place labels
+    are resolved.
+
+    ``s``, ``s_prime``, ``s_output``, ``strength`` and ``i`` (the nci) are
+    read from ``scores``; ``h_YYYY`` and ``h_hat_YYYY`` from ``metrics``.
+    Groups without a value are left out.
+    """
+    if label in _PROFILE_MEASURES:
+        pairs = ((s.institution, getattr(s, _PROFILE_MEASURES[label])) for s in scores)
+    elif (year := h_label_year(label)) is not None:
+        pairs = ((g.institution, g.h_by_year.get(year)) for g in metrics)
+    else:
+        raise ValueError(f"unknown measure label: {label!r}")
+    return {inst: float(v) for inst, v in pairs if v is not None}
 
 
 def joined_points(
@@ -188,24 +196,23 @@ def joined_points(
     x_label: str,
     y_label: str,
 ) -> tuple[list[tuple[str, float, float]], int]:
-    """Join scores and metrics on (institution, discipline) for one pair.
+    """Join scores and metrics on institution for one pair.
 
-    Returns (points, dropped) where points are (institution, x, y) rows for
-    groups carrying both values and dropped counts the groups present on
-    both sides but missing either value.
+    The join universe is the institutions with both a score set and
+    metrics; all of them must belong to one discipline.  Returns (points,
+    dropped) where points are (institution, x, y) rows, in institution
+    order, for the members carrying both values and dropped counts the
+    other members.
     """
-    score_map = {(s.institution, s.discipline): s for s in scores}
-    metric_map = {(m.institution, m.discipline): m for m in metrics}
-    points: list[tuple[str, float, float]] = []
-    dropped = 0
-    for key in sorted(score_map.keys() & metric_map.keys()):
-        x = _score_value(score_map[key], x_label)
-        y = _metric_value(metric_map[key], y_label)
-        if x is None or y is None:
-            dropped += 1
-            continue
-        points.append((key[0], float(x), float(y)))
-    return points, dropped
+    scores, metrics = list(scores), list(metrics)
+    disciplines = {normalize_label(g.discipline) for g in [*scores, *metrics]}
+    if len(disciplines) > 1:
+        raise ValueError(f"scores and metrics span more than one discipline: {sorted(disciplines)}")
+    xs = measure_values(x_label, scores, metrics)
+    ys = measure_values(y_label, scores, metrics)
+    universe = sorted({s.institution for s in scores} & {g.institution for g in metrics})
+    points = [(inst, xs[inst], ys[inst]) for inst in universe if inst in xs and inst in ys]
+    return points, len(universe) - len(points)
 
 
 def correlation_table(
@@ -237,10 +244,9 @@ def correlation_table(
         rho = spearman(xs, ys)
         p_r, sig_r = significance(r, len(points), "pearson")
         p_rho, sig_rho = significance(rho, len(points), "spearman")
-        disciplines = {s.discipline for s in scores} | {m.discipline for m in metrics}
         reports.append(
             CorrelationReport(
-                discipline=disciplines.pop() if len(disciplines) == 1 else "all",
+                discipline=metrics[0].discipline,
                 measure_x=x_label,
                 measure_y=y_label,
                 n=len(points),
@@ -271,7 +277,8 @@ def correlation_series(
         for year in years
     }
     baseline = None
-    if any(m.nci is not None for m in metrics):
+    roster = {m.institution for m in metrics}
+    if any(s.nci is not None and s.institution in roster for s in scores):
         baseline = correlation_table(scores, metrics, [(x_label, "i")])[0]
     return CorrelationSeries(measure_x=x_label, baseline=baseline, by_year=by_year)
 
@@ -297,29 +304,19 @@ def _report_row(report: CorrelationReport) -> list[str]:
 
 
 def write_correlations_csv(reports: Iterable[CorrelationReport], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CORRELATIONS_HEADER)
-        for report in reports:
-            writer.writerow(_report_row(report))
+    write_csv(path, CORRELATIONS_HEADER, (_report_row(report) for report in reports))
 
 
 def write_corr_series_csv(series: Iterable[CorrelationSeries], path: str | Path) -> None:
     """Per-year rows plus one year-less baseline row per series when present."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CORR_SERIES_HEADER)
-        for s in series:
-            if s.baseline is not None:
-                writer.writerow(_report_row(s.baseline) + [""])
-            for year, report in sorted(s.by_year.items()):
-                writer.writerow(_report_row(report) + [str(year)])
+    rows = []
+    for s in series:
+        if s.baseline is not None:
+            rows.append(_report_row(s.baseline) + [""])
+        rows.extend(_report_row(report) + [str(year)] for year, report in sorted(s.by_year.items()))
+    write_csv(path, CORR_SERIES_HEADER, rows)
 
 
 def write_fig_points_csv(points: Iterable[tuple[str, float, float]], path: str | Path) -> None:
     """Scatter-plot export: one (x, y) point per institution."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FIG_POINTS_HEADER)
-        for institution, x, y in points:
-            writer.writerow([_fmt6(x), _fmt6(y), institution])
+    write_csv(path, FIG_POINTS_HEADER, ([_fmt6(x), _fmt6(y), inst] for inst, x, y in points))

@@ -69,6 +69,12 @@ class TestParsing:
             main(["rank"])  # missing required --measure
         assert exc.value.code == 2
 
+    FLAG_MESSAGES = {
+        "abc": "measurement years must be YEAR or START..END, got 'abc'",
+        "2001-2007": "window must be START:END, got '2001-2007'",
+        "2007:2001": "window start 2007 after end 2001",
+    }
+
     @pytest.mark.parametrize("flag, value", [
         ("--years", "abc"), ("--window", "2001-2007"), ("--window", "2007:2001"),
     ])
@@ -76,7 +82,7 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             main(["hindex", "--discipline", "chemistry", flag, value])
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        assert f"argument {flag}: {self.FLAG_MESSAGES[value]}" in capsys.readouterr().err
 
 
 class TestIngestCommand:
@@ -295,6 +301,53 @@ class TestCorrelateCommand:
         ], capsys)
         assert code == 1
         assert "(s, i)" in err
+
+    def correlate(self, synth_dir, out, pairs, discipline="synthetic"):
+        return main([
+            "correlate", *corpus_args(synth_paths(synth_dir)),
+            "--discipline", discipline, "--preset", "rae2008",
+            "--pairs", pairs, "--out", str(out),
+        ])
+
+    def test_discipline_flag_matches_case_insensitively(self, synth_dir, tmp_path):
+        assert self.correlate(synth_dir, tmp_path / "lower", "s:h_2008,s:i") == 0
+        assert self.correlate(synth_dir, tmp_path / "upper", "s:h_2008,s:i", "Synthetic") == 0
+        for name in ("correlations.csv", "corr_series.csv"):
+            lower = (tmp_path / "lower" / name).read_text().splitlines()
+            upper = (tmp_path / "upper" / name).read_text().splitlines()
+            assert len(upper) == len(lower) > 1
+            assert upper[0] == lower[0]
+            for got, want in zip(upper[1:], lower[1:]):
+                assert want.startswith("synthetic,")
+                assert got == "Synthetic," + want[len("synthetic,"):]
+        assert (tmp_path / "upper" / "fig_points.csv").read_bytes() == (
+            tmp_path / "lower" / "fig_points.csv"
+        ).read_bytes()
+
+    def test_any_label_on_either_side_of_a_pair(self, synth_dir, tmp_path):
+        out = tmp_path / "o"
+        assert self.correlate(synth_dir, out, "h_2008:i,i:s") == 0
+        rows = list(csv.DictReader(io.StringIO((out / "correlations.csv").read_text())))
+        assert [(r["x"], r["y"]) for r in rows] == [("h_2008", "i"), ("i", "s")]
+
+    @pytest.mark.parametrize("label", ["s", "s_prime", "s_output", "strength", "i", "h_2008"])
+    def test_pair_values_equal_rank_values(self, synth_dir, tmp_path, label):
+        """correlate and rank resolve a label to the same per-institution values."""
+        assert self.correlate(synth_dir, tmp_path / "c", f"{label}:h_2008") == 0
+        assert main([
+            "rank", *corpus_args(synth_paths(synth_dir)),
+            "--discipline", "synthetic", "--preset", "rae2008",
+            "--measure", label, "--out", str(tmp_path / "r"),
+        ]) == 0
+        points = list(csv.DictReader(io.StringIO((tmp_path / "c" / "fig_points.csv").read_text())))
+        ranked = list(csv.DictReader(
+            io.StringIO((tmp_path / "r" / f"rank_synthetic_{label}.csv").read_text())
+        ))
+        values = {r["institution"]: r["value"] for r in ranked}
+        assert len(points) >= 3
+        assert {p["institution"]: p["x_value"] for p in points} == {
+            p["institution"]: values[p["institution"]] for p in points
+        }
 
 
 def golden_corpus_files(tmp_path, baseline_rows, comparison_rows):

@@ -92,6 +92,11 @@ class TestCorpusConstruction:
         with pytest.raises(CorpusValidationError, match="duplicate profile"):
             Corpus(profiles=(profile(), profile()))
 
+    def test_duplicate_profile_differing_only_in_discipline_case_rejected(self):
+        # the same key rule as load_profiles: (institution, normalized discipline)
+        with pytest.raises(CorpusValidationError, match="duplicate profile for Alpha/"):
+            Corpus(profiles=(profile(discipline="Chemistry"), profile(discipline="chemistry")))
+
     def test_canonical_order_makes_equal_corpora(self, chem_map):
         a = Corpus(publications=(record("P1"), record("P2")), discipline_maps=(chem_map,))
         b = Corpus(publications=(record("P2"), record("P1")), discipline_maps=(chem_map,))

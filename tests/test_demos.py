@@ -17,3 +17,4 @@ def test_demo_runs(script, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("refh-demo-*")), "demo left its temporary directory behind"

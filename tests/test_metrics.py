@@ -19,6 +19,7 @@ from refh.metrics import (
     write_hseries_csv,
     write_scores_csv,
 )
+from refh.stats import joined_points
 from refh.synth import Lognormal, SynthConfig, generate, oracle_h
 
 from conftest import profile, record
@@ -279,8 +280,10 @@ class TestGroupMetrics:
             profiles=(profile(nci=1.5),),
             discipline_maps=(chem_map,),
         )
-        (m,) = group_metrics(corpus, "GB", WINDOW, "chemistry", [2008])
-        assert m.nci == 1.5
+        metrics = group_metrics(corpus, "GB", WINDOW, "chemistry", [2008])
+        scores = [score_profile(p) for p in corpus.profiles]
+        points, _ = joined_points(scores, metrics, "i", "h_2008")
+        assert [(inst, x) for inst, x, _ in points] == [("Alpha", 1.5)]
 
     def test_affiliation_whitespace_stripped_before_roster_and_profile_join(self, chem_map):
         corpus = Corpus(
@@ -289,7 +292,10 @@ class TestGroupMetrics:
             discipline_maps=(chem_map,),
         )
         metrics = group_metrics(corpus, "GB", WINDOW, "chemistry", [2008])
-        assert [(m.institution, m.nci) for m in metrics] == [("Alpha", 1.5)]
+        assert [m.institution for m in metrics] == ["Alpha"]
+        scores = [score_profile(p) for p in corpus.profiles]
+        points, _ = joined_points(scores, metrics, "i", "h_2008")
+        assert [(inst, x) for inst, x, _ in points] == [("Alpha", 1.5)]
 
 
 class TestWriters:

@@ -12,6 +12,7 @@ from refh.stats import (
     correlation_table,
     fractional_ranks,
     joined_points,
+    measure_values,
     pearson,
     significance,
     spearman,
@@ -84,6 +85,22 @@ class TestPearson:
         for _ in range(100):
             x = rng.normal(size=10)
             assert abs(pearson(x, 3.0 * x + 1.0)) <= 1.0
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_pearson_and_spearman_refuse(self, bad):
+        # a NaN once slipped through min(1.0, nan) and came back as r = 1
+        with pytest.raises(ValueError, match="non-finite"):
+            pearson([1, 2, bad, 4], [1, 2, 3, 4])
+        with pytest.raises(ValueError, match="non-finite"):
+            pearson([1, 2, 3, 4], [1, 2, bad, 4])
+        with pytest.raises(ValueError, match="non-finite"):
+            spearman([1, 2, bad, 4], [1, 2, 3, 4])
+
+    def test_fractional_ranks_refuse(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            fractional_ranks([1.0, math.nan, 2.0])
 
 
 class TestFractionalRanks:
@@ -204,22 +221,22 @@ class TestSignificance:
             significance(0.5, 10, kind="kendall")
 
 
-def make_scores(values, discipline="chemistry"):
+def make_scores(values, discipline="chemistry", nci=None):
     return [
         ScoreSet(institution=inst, discipline=discipline, s=v, s_prime=v / 2,
-                 s_output=None, strength=v * 10)
+                 s_output=None, strength=v * 10,
+                 nci=None if nci is None else nci.get(inst))
         for inst, v in values.items()
     ]
 
 
-def make_metrics(h_values, discipline="chemistry", nci=None, years=(2008,)):
+def make_metrics(h_values, discipline="chemistry", years=(2008,)):
     return [
         GroupMetrics(
             institution=inst,
             discipline=discipline,
             window=WINDOW,
             h_by_year={y: int(v) + k for k, y in enumerate(sorted(years))},
-            nci=None if nci is None else nci.get(inst),
         )
         for inst, v in h_values.items()
     ]
@@ -258,9 +275,9 @@ class TestCorrelationTable:
             correlation_table(scores, metrics, [("s_output", "h_2008")])
 
     def test_rows_missing_either_side_are_dropped_and_counted(self):
-        scores = make_scores({"A": 1.0, "B": 2.0, "C": 3.0, "D": 4.0})
-        metrics = make_metrics({"A": 1, "B": 2, "C": 3, "D": 4},
-                               nci={"A": 1.0, "B": 2.0, "C": 3.0})
+        scores = make_scores({"A": 1.0, "B": 2.0, "C": 3.0, "D": 4.0},
+                             nci={"A": 1.0, "B": 2.0, "C": 3.0})
+        metrics = make_metrics({"A": 1, "B": 2, "C": 3, "D": 4})
         (report,) = correlation_table(scores, metrics, [("s", "i")])
         assert report.n == 3
         assert report.n_dropped == 1
@@ -272,6 +289,53 @@ class TestCorrelationTable:
             correlation_table(scores, metrics, [("sigma", "h_2008")])
         with pytest.raises(ValueError, match="unknown measure"):
             correlation_table(scores, metrics, [("s", "g_2008")])
+
+
+class TestMeasureValues:
+    def test_profile_labels_read_scores_and_h_labels_read_metrics(self):
+        scores = make_scores({"A": 10.0, "B": 20.0}, nci={"A": 1.5})
+        metrics = make_metrics({"A": 3, "C": 5}, years=(2008, 2009))
+        assert measure_values("s", scores, metrics) == {"A": 10.0, "B": 20.0}
+        assert measure_values("s_prime", scores, metrics) == {"A": 5.0, "B": 10.0}
+        assert measure_values("strength", scores, metrics) == {"A": 100.0, "B": 200.0}
+        assert measure_values("s_output", scores, metrics) == {}
+        assert measure_values("i", scores, metrics) == {"A": 1.5}
+        assert measure_values("h_2009", scores, metrics) == {"A": 4.0, "C": 6.0}
+        assert measure_values("h_hat_2008", scores, metrics) == {"A": 3.0, "C": 5.0}
+        assert measure_values("h_2014", scores, metrics) == {}
+
+    @pytest.mark.parametrize("label", ["nci", "h_08", "h2008", "S", ""])
+    def test_unknown_label(self, label):
+        with pytest.raises(ValueError, match="unknown measure label"):
+            measure_values(label, [], [])
+
+
+class TestJoin:
+    def test_either_side_takes_any_label(self):
+        scores = make_scores({"A": 1.0, "B": 2.0, "C": 3.0, "D": 4.0},
+                             nci={"A": 0.5, "B": 0.7, "C": 0.6})
+        metrics = make_metrics({"A": 1, "B": 2, "C": 3})
+        points, dropped = joined_points(scores, metrics, "h_2008", "i")
+        assert points == [("A", 1.0, 0.5), ("B", 2.0, 0.7), ("C", 3.0, 0.6)]
+        assert dropped == 0  # D has no metrics: outside the join universe
+        points, dropped = joined_points(scores, metrics, "s", "s_prime")
+        assert points == [("A", 1.0, 0.5), ("B", 2.0, 1.0), ("C", 3.0, 1.5)]
+
+    def test_join_ignores_discipline_case_and_reports_metrics_discipline(self):
+        scores = make_scores({"A": 1.0, "B": 2.0, "C": 3.0}, discipline="chemistry")
+        metrics = make_metrics({"A": 1, "B": 3, "C": 2}, discipline="Chemistry")
+        (report,) = correlation_table(scores, metrics, [("s", "h_2008")])
+        assert report.n == 3
+        assert report.discipline == "Chemistry"
+
+    def test_more_than_one_discipline_rejected(self):
+        scores = make_scores({"A": 1.0, "B": 2.0, "C": 3.0}, discipline="chemistry")
+        metrics = make_metrics({"A": 1, "B": 3, "C": 2}, discipline="physics")
+        with pytest.raises(ValueError, match="more than one discipline"):
+            joined_points(scores, metrics, "s", "h_2008")
+        with pytest.raises(ValueError, match="more than one discipline"):
+            correlation_table(scores + make_scores({"D": 4.0}, discipline="physics"),
+                              make_metrics({"A": 1, "B": 3, "C": 2}), [("s", "h_2008")])
 
 
 class TestCorrelationSeries:
@@ -292,13 +356,17 @@ class TestCorrelationSeries:
     def test_recomposition_matches_per_year_table_calls(self):
         rng = np.random.default_rng(55)
         insts = [f"I{k}" for k in range(12)]
-        scores = make_scores({i: float(rng.uniform(0, 100)) for i in insts})
+        svals = {i: float(rng.uniform(0, 100)) for i in insts}
+        # per institution: three h draws, then the nci draw
+        draws = {
+            i: (sorted(int(rng.integers(0, 40)) for _ in range(3)), float(rng.uniform(0.5, 3.0)))
+            for i in insts
+        }
+        scores = make_scores(svals, nci={i: nci for i, (_, nci) in draws.items()})
         metrics = [
             GroupMetrics(
                 institution=i, discipline="chemistry", window=WINDOW,
-                h_by_year=dict(zip((2008, 2009, 2010),
-                                   sorted(int(rng.integers(0, 40)) for _ in range(3)))),
-                nci=float(rng.uniform(0.5, 3.0)),
+                h_by_year=dict(zip((2008, 2009, 2010), draws[i][0])),
             )
             for i in insts
         ]
@@ -338,8 +406,8 @@ class TestReportInvariants:
 
 class TestWriters:
     def test_csv_headers_and_shape(self, tmp_path):
-        scores = make_scores({"A": 1.0, "B": 2.0, "C": 3.0})
-        metrics = make_metrics({"A": 1, "B": 2, "C": 3}, nci={"A": 1.0, "B": 2.0, "C": 3.0})
+        scores = make_scores({"A": 1.0, "B": 2.0, "C": 3.0}, nci={"A": 1.0, "B": 2.0, "C": 3.0})
+        metrics = make_metrics({"A": 1, "B": 2, "C": 3})
         reports = correlation_table(scores, metrics, [("s", "h_2008"), ("s", "i")])
         write_correlations_csv(reports, tmp_path / "correlations.csv")
         lines = (tmp_path / "correlations.csv").read_text().splitlines()
