@@ -31,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 PERCENT_SUM_TOL = 1e-9
 
@@ -177,7 +177,8 @@ class QualityProfile:
     the output-only sub-profile (all five present or all absent).
     ``staff_fte`` is the submitted staff count and must be positive.
     ``nci`` is an externally supplied normalized citation impact; it is
-    ingested, never computed.
+    ingested, never computed.  ``institution`` is stripped of surrounding
+    whitespace, as affiliations are, and must not be blank.
     """
 
     institution: str
@@ -196,6 +197,9 @@ class QualityProfile:
     nci: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "institution", self.institution.strip())
+        if not self.institution:
+            raise ValueError(f"profile for {self.discipline!r}: institution must be non-empty")
         who = f"{self.institution}/{self.discipline}"
         self._check_bands(who, self.percentages())
         outs = (self.p4_out, self.p3_out, self.p2_out, self.p1_out, self.pu_out)
@@ -320,105 +324,102 @@ def filter_documents(
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path: Path, header: list[str]) -> tuple[list[tuple[int, dict]], list[str]]:
-    """Read CSV or JSON rows as (line_number, field_dict) pairs.
+def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator[tuple[int, tuple]]:
+    """Yield CSV or JSON rows as (line_number, cells) pairs, cells in header order.
 
-    CSV field values come back as stripped strings; JSON values keep their
-    native types (lists stay lists, numbers stay numbers, null becomes
-    ``None``).  The header must match ``header`` exactly for CSV; JSON
-    objects may omit optional keys.
+    CSV cells come back as stripped strings; JSON values keep their native
+    types (lists stay lists, numbers stay numbers) and a missing key or
+    null becomes ``None``.  The header must match ``header`` exactly for
+    CSV; JSON objects may omit optional keys.  Violations of the file's
+    shape are added to ``violations`` once the rows are exhausted, ahead of
+    any the caller added while reading them.
     """
-    violations: list[str] = []
-    rows: list[tuple[int, dict]] = []
+    start, shape = len(violations), []
     if path.suffix.lower() == ".json":
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
-            return [], [f"{path.name}: invalid JSON: {exc}"]
+            violations.append(f"{path.name}: invalid JSON: {exc}")
+            return
         if not isinstance(data, list):
-            return [], [f"{path.name}: expected a JSON list of objects"]
+            violations.append(f"{path.name}: expected a JSON list of objects")
+            return
         for i, obj in enumerate(data, start=1):
             if not isinstance(obj, dict):
-                violations.append(f"{path.name}:{i}: expected an object")
-                continue
-            unknown = set(obj) - set(header)
-            if unknown:
-                violations.append(
-                    f"{path.name}:{i}: unknown field(s) {sorted(unknown)}"
-                )
-                continue
-            rows.append((i, obj))
-        return rows, violations
+                shape.append(f"{path.name}:{i}: expected an object")
+            elif unknown := set(obj) - set(header):
+                shape.append(f"{path.name}:{i}: unknown field(s) {sorted(unknown)}")
+            else:
+                yield i, tuple(map(obj.get, header))
+        violations[start:start] = shape
+        return
 
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            got_header = next(reader)
-        except StopIteration:
-            return [], [f"{path.name}: empty file, expected header {','.join(header)}"]
+        got_header = next(reader, None)
+        if got_header is None:
+            violations.append(f"{path.name}: empty file, expected header {','.join(header)}")
+            return
         if [h.strip() for h in got_header] != header:
-            return [], [
+            violations.append(
                 f"{path.name}:1: bad header {','.join(got_header)!r}, "
                 f"expected {','.join(header)!r}"
-            ]
+            )
+            return
         for line_no, raw in enumerate(reader, start=2):
-            if not raw or all(not cell.strip() for cell in raw):
+            cells = tuple(map(str.strip, raw))
+            if not any(cells):
                 continue
-            if len(raw) != len(header):
-                violations.append(
-                    f"{path.name}:{line_no}: expected {len(header)} fields, got {len(raw)}"
-                )
+            if len(cells) != len(header):
+                shape.append(f"{path.name}:{line_no}: expected {len(header)} fields, got {len(cells)}")
                 continue
-            rows.append((line_no, {h: cell.strip() for h, cell in zip(header, raw)}))
-    return rows, violations
+            yield line_no, cells
+    violations[start:start] = shape
 
 
-def _get_str(row: dict, key: str) -> str:
-    value = row.get(key)
-    if value is None:
-        return ""
-    return str(value).strip()
+def _flag(violations: list[str], where: tuple[str, int], message: str) -> None:
+    """Record one violation at ``where`` = (file name, line number)."""
+    violations.append(f"{where[0]}:{where[1]}: {message}")
 
 
-def _get_int(row: dict, key: str, where: str, violations: list[str]) -> int | None:
-    raw = row.get(key)
-    if raw is None or (isinstance(raw, str) and not raw.strip()):
-        violations.append(f"{where}: field {key!r}: missing value")
+def _get_str(raw) -> str:
+    return "" if raw is None else str(raw).strip()
+
+
+def _get_int(raw, key: str, where: tuple[str, int], violations: list[str]) -> int | None:
+    text = _get_str(raw)
+    if not text:
+        _flag(violations, where, f"field {key!r}: missing value")
         return None
     try:
-        return int(str(raw).strip())
+        return int(text)
     except ValueError:
-        violations.append(f"{where}: field {key!r}: not an integer: {raw!r}")
+        _flag(violations, where, f"field {key!r}: not an integer: {raw!r}")
         return None
 
 
 def _get_float(
-    row: dict, key: str, where: str, violations: list[str], optional: bool = False
+    raw, key: str, where: tuple[str, int], violations: list[str], optional: bool = False
 ) -> float | None:
-    raw = row.get(key)
-    if raw is None or (isinstance(raw, str) and not raw.strip()):
-        if optional:
-            return None
-        violations.append(f"{where}: field {key!r}: missing value")
+    text = _get_str(raw)
+    if not text:
+        if not optional:
+            _flag(violations, where, f"field {key!r}: missing value")
         return None
     try:
-        value = float(str(raw).strip())
+        value = float(text)
     except ValueError:
-        violations.append(f"{where}: field {key!r}: not a number: {raw!r}")
+        _flag(violations, where, f"field {key!r}: not a number: {raw!r}")
         return None
     if not math.isfinite(value):
-        violations.append(f"{where}: field {key!r}: not a finite number: {raw!r}")
+        _flag(violations, where, f"field {key!r}: not a finite number: {raw!r}")
         return None
     return value
 
 
-def _get_list(row: dict, key: str) -> list[str]:
-    raw = row.get(key, "")
-    if isinstance(raw, list):
-        items = [str(v).strip() for v in raw]
-    else:
-        items = [part.strip() for part in str(raw).split(";")]
-    return [v for v in items if v]
+def _get_list(raw) -> list[str]:
+    parts = raw if isinstance(raw, list) else _get_str(raw).split(";")
+    return [v for v in (str(p).strip() for p in parts) if v]
 
 
 def load_publications(
@@ -426,111 +427,93 @@ def load_publications(
 ) -> tuple[tuple[PublicationRecord, ...], list[str]]:
     """Parse the publication and citation files into records plus violations."""
     pub_path, cite_path = Path(pub_file), Path(citation_file)
-    rows, violations = _read_rows(pub_path, PUBLICATIONS_HEADER)
-    parsed: dict[str, dict] = {}
-    for line_no, row in rows:
-        where = f"{pub_path.name}:{line_no}"
-        pub_id = _get_str(row, "pub_id")
+    pub_name, cite_name = pub_path.name, cite_path.name
+    violations: list[str] = []
+    # pub_id -> (line_no, pub_year, country, affiliations, categories, citations)
+    parsed: dict[str, tuple] = {}
+    for line_no, (pub_id, pub_year, country, affiliations, categories) in _read_rows(
+        pub_path, PUBLICATIONS_HEADER, violations
+    ):
+        where = (pub_name, line_no)
+        pub_id = _get_str(pub_id)
         if not pub_id:
-            violations.append(f"{where}: field 'pub_id': missing value")
+            _flag(violations, where, "field 'pub_id': missing value")
             continue
         if pub_id in parsed:
-            violations.append(f"{where}: duplicate pub_id {pub_id!r}")
+            _flag(violations, where, f"duplicate pub_id {pub_id!r}")
             continue
-        pub_year = _get_int(row, "pub_year", where, violations)
+        pub_year = _get_int(pub_year, "pub_year", where, violations)
         if pub_year is None:
             continue
-        parsed[pub_id] = {
-            "where": where,
-            "pub_year": pub_year,
-            "country": _get_str(row, "country") or None,
-            "affiliations": _get_list(row, "affiliations"),
-            "categories": _get_list(row, "categories"),
-            "citations": {},
-        }
+        parsed[pub_id] = (
+            line_no, pub_year, _get_str(country) or None,
+            _get_list(affiliations), _get_list(categories), {},
+        )
 
-    cite_rows, cite_violations = _read_rows(cite_path, CITATIONS_HEADER)
-    violations.extend(cite_violations)
-    for line_no, row in cite_rows:
-        where = f"{cite_path.name}:{line_no}"
-        pub_id = _get_str(row, "pub_id")
-        if pub_id not in parsed:
-            violations.append(f"{where}: unknown pub_id {pub_id!r}")
+    for line_no, (pub_id, citing_year, count) in _read_rows(cite_path, CITATIONS_HEADER, violations):
+        where = (cite_name, line_no)
+        pub_id = _get_str(pub_id)
+        entry = parsed.get(pub_id)
+        if entry is None:
+            _flag(violations, where, f"unknown pub_id {pub_id!r}")
             continue
-        citing_year = _get_int(row, "citing_year", where, violations)
-        count = _get_int(row, "count", where, violations)
+        citing_year = _get_int(citing_year, "citing_year", where, violations)
+        count = _get_int(count, "count", where, violations)
         if citing_year is None or count is None:
             continue
-        entry = parsed[pub_id]
+        pub_year, citations = entry[1], entry[5]
         if count < 0:
-            violations.append(f"{where}: {pub_id}: negative citation count {count}")
+            _flag(violations, where, f"{pub_id}: negative citation count {count}")
             continue
-        if citing_year < entry["pub_year"]:
-            violations.append(
-                f"{where}: {pub_id}: citing year {citing_year} precedes "
-                f"publication year {entry['pub_year']}"
+        if citing_year < pub_year:
+            _flag(
+                violations, where,
+                f"{pub_id}: citing year {citing_year} precedes publication year {pub_year}",
             )
             continue
-        entry["citations"][citing_year] = entry["citations"].get(citing_year, 0) + count
+        citations[citing_year] = citations.get(citing_year, 0) + count
 
     records = []
-    for pub_id, entry in parsed.items():
+    for pub_id, (line_no, pub_year, country, affiliations, categories, citations) in parsed.items():
         try:
-            records.append(
-                PublicationRecord(
-                    pub_id=pub_id,
-                    pub_year=entry["pub_year"],
-                    country=entry["country"],
-                    affiliations=frozenset(entry["affiliations"]),
-                    categories=frozenset(entry["categories"]),
-                    citations_by_year=entry["citations"],
-                )
-            )
+            records.append(PublicationRecord(
+                pub_id, pub_year, country, frozenset(affiliations), frozenset(categories), citations
+            ))
         except ValueError as exc:
-            violations.append(f"{entry['where']}: {exc}")
+            _flag(violations, (pub_name, line_no), str(exc))
     return tuple(records), violations
+
+
+_OPTIONAL_PROFILE_FIELDS = frozenset(["p4_out", "p3_out", "p2_out", "p1_out", "pu_out", "nci"])
 
 
 def load_profiles(profile_file: str | Path) -> tuple[tuple[QualityProfile, ...], list[str]]:
     """Parse the profile file; raises nothing, returns (profiles, violations)."""
     path = Path(profile_file)
-    rows, violations = _read_rows(path, PROFILES_HEADER)
+    violations: list[str] = []
     profiles = []
     seen: set[tuple[str, str]] = set()
-    for line_no, row in rows:
-        where = f"{path.name}:{line_no}"
-        institution = _get_str(row, "institution")
-        discipline = _get_str(row, "discipline")
+    for line_no, (institution, discipline, *cells) in _read_rows(path, PROFILES_HEADER, violations):
+        where = (path.name, line_no)
+        institution, discipline = _get_str(institution), _get_str(discipline)
         if not institution or not discipline:
-            violations.append(f"{where}: institution and discipline are required")
+            _flag(violations, where, "institution and discipline are required")
             continue
         key = (institution, normalize_label(discipline))
         if key in seen:
-            violations.append(f"{where}: duplicate profile for {institution}/{discipline}")
+            _flag(violations, where, f"duplicate profile for {institution}/{discipline}")
             continue
-        bands = [_get_float(row, k, where, violations) for k in ("p4", "p3", "p2", "p1", "pu")]
-        outs = [
-            _get_float(row, k, where, violations, optional=True)
-            for k in ("p4_out", "p3_out", "p2_out", "p1_out", "pu_out")
-        ]
-        staff_fte = _get_float(row, "staff_fte", where, violations)
-        nci = _get_float(row, "nci", where, violations, optional=True)
-        if any(b is None for b in bands) or staff_fte is None:
+        # the remaining columns are named after QualityProfile's fields
+        numbers = {
+            k: _get_float(raw, k, where, violations, optional=k in _OPTIONAL_PROFILE_FIELDS)
+            for k, raw in zip(PROFILES_HEADER[2:], cells)
+        }
+        if any(v is None for k, v in numbers.items() if k not in _OPTIONAL_PROFILE_FIELDS):
             continue
         try:
-            profiles.append(
-                QualityProfile(
-                    institution=institution,
-                    discipline=discipline,
-                    p4=bands[0], p3=bands[1], p2=bands[2], p1=bands[3], pu=bands[4],
-                    staff_fte=staff_fte,
-                    p4_out=outs[0], p3_out=outs[1], p2_out=outs[2],
-                    p1_out=outs[3], pu_out=outs[4],
-                    nci=nci,
-                )
-            )
+            profiles.append(QualityProfile(institution=institution, discipline=discipline, **numbers))
         except ValueError as exc:
-            violations.append(f"{where}: profile sum/shape error: {exc}")
+            _flag(violations, where, f"profile sum/shape error: {exc}")
         else:
             seen.add(key)
     return tuple(profiles), violations
@@ -538,15 +521,13 @@ def load_profiles(profile_file: str | Path) -> tuple[tuple[QualityProfile, ...],
 
 def load_discipline_maps(map_file: str | Path) -> tuple[tuple[DisciplineMap, ...], list[str]]:
     path = Path(map_file)
-    rows, violations = _read_rows(path, DISCIPLINE_MAP_HEADER)
+    violations: list[str] = []
     categories: dict[str, set[str]] = {}
     labels: dict[str, str] = {}
-    for line_no, row in rows:
-        where = f"{path.name}:{line_no}"
-        discipline = _get_str(row, "discipline")
-        category = _get_str(row, "category")
+    for line_no, cells in _read_rows(path, DISCIPLINE_MAP_HEADER, violations):
+        discipline, category = map(_get_str, cells)
         if not discipline or not category:
-            violations.append(f"{where}: discipline and category are required")
+            _flag(violations, (path.name, line_no), "discipline and category are required")
             continue
         key = normalize_label(discipline)
         labels.setdefault(key, discipline)

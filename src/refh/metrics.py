@@ -93,22 +93,15 @@ def matching_publications(
     ]
 
 
-def group_metrics(
-    corpus: Corpus,
-    country: str,
-    window: PublicationWindow,
+def _bucket_metrics(
+    buckets: Mapping[str, list[PublicationRecord]],
     discipline: str,
+    window: PublicationWindow,
     years: Sequence[int],
 ) -> list[GroupMetrics]:
-    """Per-institution h series for every institution with at least one
-    matching publication, in institution order; the only place h is
-    evaluated.  ``years`` must be strictly ascending and after the window
-    start.  A multi-affiliation record counts fully for each institution.
-
-    Institutions whose publications never pass the filter are omitted,
-    mirroring how groups absent from a citation database drop out of
-    published lists.
-    """
+    """The h series of each institution's bucket of matching records, in
+    institution order; the only place h is evaluated.  ``years`` must be
+    strictly ascending and after the window start."""
     years = list(years)
     if any(b <= a for a, b in zip(years, years[1:])):
         raise ValueError(f"measurement years must be strictly ascending, got {years}")
@@ -117,10 +110,6 @@ def group_metrics(
             raise ValueError(
                 f"measurement year {year} must come after window start {window.start_year}"
             )
-    buckets: dict[str, list[PublicationRecord]] = {}
-    for r in matching_publications(corpus, country, window, discipline):
-        for institution in r.affiliations:
-            buckets.setdefault(institution, []).append(r)
     return [
         GroupMetrics(
             institution=institution,
@@ -135,6 +124,28 @@ def group_metrics(
     ]
 
 
+def group_metrics(
+    corpus: Corpus,
+    country: str,
+    window: PublicationWindow,
+    discipline: str,
+    years: Sequence[int],
+) -> list[GroupMetrics]:
+    """Per-institution h series for every institution with at least one
+    matching publication, in institution order.  A multi-affiliation record
+    counts fully for each institution.
+
+    Institutions whose publications never pass the filter are omitted,
+    mirroring how groups absent from a citation database drop out of
+    published lists.
+    """
+    buckets: dict[str, list[PublicationRecord]] = {}
+    for r in matching_publications(corpus, country, window, discipline):
+        for institution in r.affiliations:
+            buckets.setdefault(institution, []).append(r)
+    return _bucket_metrics(buckets, discipline, window, years)
+
+
 def h_series(
     corpus: Corpus,
     country: str,
@@ -143,13 +154,13 @@ def h_series(
     institution: str,
     years: Sequence[int],
 ) -> GroupMetrics:
-    """One institution's entry of :func:`group_metrics`; all-zero h when the
-    group has no matching publications."""
+    """One institution's entry of :func:`group_metrics`, evaluated over that
+    institution's records only; all-zero h when the group has no matching
+    publications."""
     wanted = institution.strip()
-    for metrics in group_metrics(corpus, country, window, discipline, years):
-        if metrics.institution == wanted:
-            return metrics
-    return GroupMetrics(wanted, discipline, window, h_by_year=dict.fromkeys(years, 0))
+    records = [r for r in matching_publications(corpus, country, window, discipline)
+               if wanted in r.affiliations]
+    return _bucket_metrics({wanted: records}, discipline, window, years)[0]
 
 
 def departmental_h(

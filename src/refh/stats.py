@@ -19,7 +19,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from refh.corpus import normalize_label, write_csv
 from refh.metrics import GroupMetrics, ScoreSet, _fmt6
@@ -118,9 +117,13 @@ def significance(r: float, n: int, kind: str = "pearson") -> tuple[float, bool]:
         raise ValueError(f"correlation {r} outside [-1, 1]")
     if abs(r) == 1.0:
         return 0.0, True
+    # imported here so only commands that compute a p-value load it;
+    # stdtr(df, -|t|) is the Student-t upper tail at |t|
+    from scipy.special import stdtr
+
     df = n - 2
     t_stat = r * math.sqrt(df / (1.0 - r * r))
-    p = 2.0 * float(student_t.sf(abs(t_stat), df))
+    p = 2.0 * float(stdtr(df, -abs(t_stat)))
     p = max(0.0, min(1.0, p))
     return p, p < ALPHA
 

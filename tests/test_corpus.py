@@ -12,6 +12,7 @@ from refh.corpus import (
     UnknownDisciplineError,
     filter_documents,
     ingest_corpus,
+    load_publications,
     write_corpus,
 )
 from refh.synth import Lognormal, SynthConfig, generate
@@ -229,6 +230,34 @@ class TestIngest:
             jdir / "profiles.json", jdir / "discipline_map.json",
         )
         assert from_csv == from_json
+
+    @pytest.mark.parametrize("affiliations", [None, "MISSING"])
+    def test_json_null_list_field_is_missing(self, tmp_path, affiliations):
+        # a null affiliations list once became the institution "None"
+        pub = {"pub_id": "P1", "pub_year": 2003, "country": "GB", "categories": ["Chemistry"]}
+        if affiliations != "MISSING":
+            pub["affiliations"] = affiliations
+        (tmp_path / "publications.json").write_text(json.dumps([pub]), encoding="utf-8")
+        (tmp_path / "citations.json").write_text("[]", encoding="utf-8")
+        records, violations = load_publications(
+            tmp_path / "publications.json", tmp_path / "citations.json"
+        )
+        assert records == ()
+        assert violations == ["publications.json:1: P1: affiliations must be non-empty"]
+
+    def test_shape_violations_precede_row_violations(self, tmp_path):
+        paths = write_files(
+            tmp_path,
+            publications="P1,abc,GB,Alpha,Chemistry\nP2,2003,GB\nP3,2003,GB,Alpha,Chemistry",
+            citations="P9,2004,1\nP3,2004",
+        )
+        _, violations = load_publications(paths["publications"], paths["citations"])
+        assert violations == [
+            "publications.csv:3: expected 5 fields, got 3",
+            "publications.csv:2: field 'pub_year': not an integer: 'abc'",
+            "citations.csv:3: expected 3 fields, got 2",
+            "citations.csv:2: unknown pub_id 'P9'",
+        ]
 
 
 class TestFilterDocuments:

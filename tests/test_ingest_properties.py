@@ -1,0 +1,182 @@
+"""Metamorphic ingest properties and the CLI's import footprint.
+
+Rewriting a corpus file without changing its meaning (reordering rows,
+splitting a citation count, padding cells) must give an equal corpus and
+byte-identical command outputs; cutting a file short must give exit 0 or a
+``file:line`` error, never a traceback.
+"""
+
+import csv
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from refh.cli import main
+from refh.corpus import ingest_corpus
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = ("publications.csv", "citations.csv", "profiles.csv", "discipline_map.csv")
+COMMANDS = {
+    "hindex": ["--discipline", "synthetic", "--preset", "rae2008"],
+    "correlate": ["--discipline", "synthetic", "--preset", "rae2008",
+                  "--pairs", "s:h_2008,s_prime:h_2010,s:i"],
+    "rank": ["--discipline", "synthetic", "--window", "2001:2007",
+             "--measure", "h_2014", "--baseline", "h_2008"],
+}
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    out = tmp_path_factory.mktemp("base")
+    assert main(["synth", "--seed", "11", "--institutions", "12", "--papers", "8:16",
+                 "--out", str(out)]) == 0
+    return out
+
+
+def corpus_args(d):
+    return ["--pubs", str(d / FILES[0]), "--cites", str(d / FILES[1]),
+            "--profiles", str(d / FILES[2]), "--map", str(d / FILES[3])]
+
+
+def load(d):
+    return ingest_corpus(*(d / name for name in FILES))
+
+
+def read_rows(path):
+    with path.open(newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def write_rows(path, rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    path.write_text(buf.getvalue(), encoding="utf-8")
+
+
+def copy_corpus(src, dst):
+    dst.mkdir()
+    for name in FILES:
+        (dst / name).write_bytes((src / name).read_bytes())
+    return dst
+
+
+def outputs(d, out):
+    """Every output file of hindex, correlate and rank, by relative path."""
+    for command, flags in COMMANDS.items():
+        assert main([command, *corpus_args(d), *flags, "--out", str(out / command)]) == 0
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def assert_same_meaning(base, variant, tmp_path):
+    assert load(variant) == load(base)
+    expected = outputs(base, tmp_path / "out-base")
+    assert expected
+    assert outputs(variant, tmp_path / "out-variant") == expected
+
+
+def test_shuffled_publication_and_citation_rows(base, tmp_path):
+    rng = np.random.default_rng(101)
+    variant = copy_corpus(base, tmp_path / "shuffled")
+    for name in FILES[:2]:
+        header, *body = read_rows(variant / name)
+        write_rows(variant / name, [header] + [body[i] for i in rng.permutation(len(body))])
+    assert (variant / FILES[1]).read_bytes() != (base / FILES[1]).read_bytes()
+    assert_same_meaning(base, variant, tmp_path)
+
+
+def test_split_citation_rows(base, tmp_path):
+    rng = np.random.default_rng(102)
+    variant = copy_corpus(base, tmp_path / "split")
+    header, *body = read_rows(variant / FILES[1])
+    splittable = [i for i, (_, _, count) in enumerate(body) if int(count) >= 2]
+    chosen = set(rng.choice(splittable, size=min(25, len(splittable)), replace=False).tolist())
+    rows = [header]
+    for i, (pub_id, year, count) in enumerate(body):
+        if i in chosen:
+            first = int(rng.integers(1, int(count)))
+            rows += [[pub_id, year, str(first)], [pub_id, year, str(int(count) - first)]]
+        else:
+            rows.append([pub_id, year, count])
+    write_rows(variant / FILES[1], rows)
+    assert len(rows) == len(body) + 1 + len(chosen)
+    assert_same_meaning(base, variant, tmp_path)
+
+
+def test_padded_cells(base, tmp_path):
+    rng = np.random.default_rng(103)
+    variant = copy_corpus(base, tmp_path / "padded")
+    for name in FILES:
+        rows = read_rows(variant / name)
+        write_rows(variant / name, [
+            [" " * int(rng.integers(1, 4)) + cell + " " * int(rng.integers(1, 4)) for cell in row]
+            for row in rows
+        ])
+    assert_same_meaning(base, variant, tmp_path)
+
+
+LOCATED = re.compile(r"^(refh: )?(publications|citations|profiles|discipline_map)\.csv:\d+: ")
+
+
+@pytest.mark.parametrize("name", FILES[:2])
+def test_truncated_file_gives_located_error_or_success(base, tmp_path, name, capsys):
+    rng = np.random.default_rng(104 + FILES.index(name))
+    size = (base / name).stat().st_size
+    codes = set()
+    for k, offset in enumerate(sorted(rng.integers(1, size, size=12).tolist())):
+        variant = copy_corpus(base, tmp_path / f"cut{k}")
+        (variant / name).write_bytes((base / name).read_bytes()[:offset])
+        code = main(["ingest", *corpus_args(variant)])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (offset, code)
+        codes.add(code)
+        if code == 1:
+            lines = err.splitlines()
+            assert lines and all(LOCATED.match(line) for line in lines), (offset, err)
+        assert "Traceback" not in err
+    assert 1 in codes
+
+
+FOOTPRINT = """
+import json
+import sys
+from refh.cli import main
+corpus = sys.argv[1]
+args = ["--pubs", corpus + "/publications.csv", "--cites", corpus + "/citations.csv",
+        "--profiles", corpus + "/profiles.csv", "--map", corpus + "/discipline_map.csv"]
+runs = [
+    ["synth", "--seed", "5", "--institutions", "6", "--out", sys.argv[2]],
+    ["ingest", *args],
+    ["hindex", *args, "--discipline", "synthetic", "--preset", "rae2008", "--out", sys.argv[2]],
+    ["score", "--profiles", corpus + "/profiles.csv", "--out", sys.argv[2]],
+    ["rank", *args, "--discipline", "synthetic", "--measure", "strength", "--baseline", "i",
+     "--format", "markdown", "--out", sys.argv[2]],
+    ["correlate", *args, "--discipline", "synthetic", "--preset", "rae2008",
+     "--pairs", "s:h_2008", "--out", sys.argv[2]],
+]
+seen = []
+for argv in runs:
+    code = main(argv)
+    scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    seen.append([argv[0], code, scipy])
+print(json.dumps(seen))
+"""
+
+
+def test_only_correlate_imports_scipy(base, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, str(base), str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *others, correlate = json.loads(proc.stdout.splitlines()[-1])
+    assert others == [[command, 0, []] for command in ("synth", "ingest", "hindex", "score", "rank")]
+    # the check can see scipy: correlate computes p-values and loads it
+    assert correlate[:2] == ["correlate", 0] and "scipy.special" in correlate[2]

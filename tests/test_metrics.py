@@ -297,6 +297,40 @@ class TestGroupMetrics:
         points, _ = joined_points(scores, metrics, "i", "h_2008")
         assert [(inst, x) for inst, x, _ in points] == [("Alpha", 1.5)]
 
+    def test_profile_institution_whitespace_stripped_before_join(self, chem_map):
+        corpus = Corpus(
+            publications=(record("P1", 2003, affiliations=("Alpha",)),),
+            profiles=(profile(institution="Alpha ", nci=1.5),),
+            discipline_maps=(chem_map,),
+        )
+        assert corpus.profiles[0].institution == "Alpha"
+        metrics = group_metrics(corpus, "GB", WINDOW, "chemistry", [2008])
+        scores = [score_profile(p) for p in corpus.profiles]
+        assert joined_points(scores, metrics, "i", "h_2008") == ([("Alpha", 1.5, 0.0)], 0)
+
+    @pytest.mark.parametrize("blank", ["", "  "])
+    def test_blank_profile_institution_rejected(self, blank):
+        with pytest.raises(ValueError, match="institution must be non-empty"):
+            profile(institution=blank)
+
+
+class TestHSeriesMatchesGroupMetrics:
+    def test_each_institution_equals_its_group_metrics_entry(self):
+        cfg = SynthConfig(
+            seed=5, n_institutions=12, papers_per_institution=(4, 10),
+            window=WINDOW, citation_model=Lognormal(1.5, 0.6),
+            accrual=0.4, quality_link=0.5,
+        )
+        corpus = generate(cfg)
+        years = list(range(2008, 2015))
+        grouped = group_metrics(corpus, "GB", WINDOW, "synthetic", years)
+        assert len(grouped) > 1
+        for metrics in grouped:
+            assert h_series(corpus, "GB", WINDOW, "synthetic", metrics.institution, years) == metrics
+            assert h_series(corpus, "GB", WINDOW, "synthetic", f" {metrics.institution} ", years) == metrics
+        absent = h_series(corpus, "GB", WINDOW, "synthetic", "No Such HEI", years)
+        assert absent.h_by_year == dict.fromkeys(years, 0)
+
 
 class TestWriters:
     def test_hseries_csv(self, tmp_path):

@@ -209,6 +209,19 @@ class TestSignificance:
         ps = [significance(0.4, n)[0] for n in (5, 10, 20, 40, 80)]
         assert ps == sorted(ps, reverse=True)
 
+    def test_equals_scipy_stats_t_sf_exactly(self):
+        from scipy.stats import t as student_t
+
+        rng = np.random.default_rng(12)
+        ns = [*range(3, 200), 500, 1_000, 4_000, 10_000, 100_000]
+        edges = [0.0, 1e-12, -1e-12, 0.9999999, -0.9999999]
+        for n in ns:
+            rs = [*edges, *rng.uniform(-1.0, 1.0, size=300).tolist()]
+            ts = [r * math.sqrt((n - 2) / (1.0 - r * r)) for r in rs]
+            tails = student_t.sf(np.abs(ts), n - 2)
+            for r, tail in zip(rs, tails.tolist()):
+                assert significance(r, n)[0] == max(0.0, min(1.0, 2.0 * tail)), (r, n)
+
     def test_spearman_kind_uses_same_approximation(self):
         assert significance(0.5, 12, "spearman") == significance(0.5, 12, "pearson")
 
