@@ -98,6 +98,15 @@ def parse_years(text: str) -> list[int]:
     return sorted(set(years))
 
 
+def parse_papers(text: str) -> tuple[int, int]:
+    """Parse ``LO:HI`` papers per institution."""
+    lo, _, hi = text.partition(":")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"papers per institution must be LO:HI, got {text!r}") from None
+
+
 def _config_from(args: argparse.Namespace) -> RunConfig:
     preset = PRESETS.get(getattr(args, "preset", None) or "")
     window = None
@@ -304,15 +313,12 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    papers = args.papers.split(":")
-    if len(papers) != 2:
-        raise ValueError(f"--papers must be LO:HI, got {args.papers!r}")
     config = SynthConfig(
         seed=args.seed,
         n_institutions=args.institutions,
-        papers_per_institution=(int(papers[0]), int(papers[1])),
+        papers_per_institution=args.papers,
         window=args.window,
-        citation_model=parse_citation_model(args.model),
+        citation_model=args.model,
         accrual=args.accrual,
         quality_link=args.quality_link,
     )
@@ -430,13 +436,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--institutions", type=int, required=True)
     p.add_argument("--out", required=True, help="directory for the corpus CSVs and manifest.json")
-    p.add_argument("--papers", default="20:40", help="papers per institution LO:HI (default 20:40)")
+    p.add_argument(
+        "--papers", type=_flag_type(parse_papers), default="20:40",
+        help="papers per institution LO:HI (default 20:40)",
+    )
     p.add_argument(
         "--window", type=_flag_type(PublicationWindow.parse), default="2001:2007",
         help="publication window START:END",
     )
     p.add_argument(
         "--model",
+        type=_flag_type(parse_citation_model),
         default="lognormal:1.8:0.6",
         help="citation model KIND:A:B (lognormal:MU:SIGMA or power_law:ALPHA:XMIN)",
     )

@@ -329,7 +329,8 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
 
     CSV cells come back as stripped strings; JSON values keep their native
     types (lists stay lists, numbers stay numbers) and a missing key or
-    null becomes ``None``.  The header must match ``header`` exactly for
+    null becomes ``None``.  CSV line numbers are physical lines, and a
+    record that spans lines (a quoted cell holding a line break) is refused.  The header must match ``header`` exactly for
     CSV; JSON objects may omit optional keys.  Violations of the file's
     shape are added to ``violations`` once the rows are exhausted, ahead of
     any the caller added while reading them.
@@ -366,7 +367,15 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
                 f"expected {','.join(header)!r}"
             )
             return
-        for line_no, raw in enumerate(reader, start=2):
+        # number records by physical line; a record spans more than one
+        # only when a quoted cell holds a line break, which no field may
+        end = reader.line_num
+        for raw in reader:
+            line_no, end = end + 1, reader.line_num
+            if end != line_no:
+                shape.append(f"{path.name}:{line_no}: record spans lines {line_no}-{end}; "
+                             f"a cell contains a line break")
+                continue
             cells = tuple(map(str.strip, raw))
             if not any(cells):
                 continue

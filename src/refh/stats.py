@@ -18,8 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from refh.corpus import normalize_label, write_csv
 from refh.metrics import GroupMetrics, ScoreSet, _fmt6
 
@@ -46,6 +44,9 @@ class InsufficientDataError(ValueError):
 
 
 def _as_vector(x, name: str) -> np.ndarray:
+    # imported here, as in significance, so only correlate loads numpy
+    import numpy as np
+
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
@@ -75,6 +76,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 def fractional_ranks(x: Sequence[float]) -> np.ndarray:
     """Ranks 1..n with tied values sharing the mean of their positions."""
+    import numpy as np
+
     a = _as_vector(x, "x")
     n = a.size
     if n == 0:
@@ -193,6 +196,22 @@ def measure_values(
     return {inst: float(v) for inst, v in pairs if v is not None}
 
 
+def _universe(scores: list[ScoreSet], metrics: list[GroupMetrics]) -> list[str]:
+    """Sorted institutions with both a score set and metrics; all of the
+    input must belong to one discipline."""
+    disciplines = {normalize_label(g.discipline) for g in [*scores, *metrics]}
+    if len(disciplines) > 1:
+        raise ValueError(f"scores and metrics span more than one discipline: {sorted(disciplines)}")
+    return sorted({s.institution for s in scores} & {g.institution for g in metrics})
+
+
+def _pair(
+    universe: list[str], xs: Mapping[str, float], ys: Mapping[str, float]
+) -> tuple[list[tuple[str, float, float]], int]:
+    points = [(inst, xs[inst], ys[inst]) for inst in universe if inst in xs and inst in ys]
+    return points, len(universe) - len(points)
+
+
 def joined_points(
     scores: Iterable[ScoreSet],
     metrics: Iterable[GroupMetrics],
@@ -208,14 +227,47 @@ def joined_points(
     other members.
     """
     scores, metrics = list(scores), list(metrics)
-    disciplines = {normalize_label(g.discipline) for g in [*scores, *metrics]}
-    if len(disciplines) > 1:
-        raise ValueError(f"scores and metrics span more than one discipline: {sorted(disciplines)}")
-    xs = measure_values(x_label, scores, metrics)
-    ys = measure_values(y_label, scores, metrics)
-    universe = sorted({s.institution for s in scores} & {g.institution for g in metrics})
-    points = [(inst, xs[inst], ys[inst]) for inst in universe if inst in xs and inst in ys]
-    return points, len(universe) - len(points)
+    universe = _universe(scores, metrics)
+    return _pair(
+        universe, measure_values(x_label, scores, metrics), measure_values(y_label, scores, metrics)
+    )
+
+
+def _report(
+    metrics: list[GroupMetrics],
+    x_label: str,
+    y_label: str,
+    points: list[tuple[str, float, float]],
+    dropped: int,
+) -> CorrelationReport:
+    """Correlate one pair's joined points; fewer than 3 raises
+    :class:`InsufficientDataError` naming the pair."""
+    if len(points) < 3:
+        raise InsufficientDataError(
+            f"pair ({x_label}, {y_label}): only {len(points)} complete "
+            f"joined pairs ({dropped} dropped); need at least 3"
+        )
+    if dropped:
+        log.info("pair (%s, %s): dropped %d incomplete rows", x_label, y_label, dropped)
+    xs = [p[1] for p in points]
+    ys = [p[2] for p in points]
+    r = pearson(xs, ys)
+    rho = spearman(xs, ys)
+    p_r, sig_r = significance(r, len(points), "pearson")
+    p_rho, sig_rho = significance(rho, len(points), "spearman")
+    return CorrelationReport(
+        discipline=metrics[0].discipline,
+        measure_x=x_label,
+        measure_y=y_label,
+        n=len(points),
+        pearson_r=r,
+        spearman_rho=rho,
+        p_pearson=p_r,
+        p_spearman=p_rho,
+        significant_pearson=sig_r,
+        significant_spearman=sig_rho,
+        n_dropped=dropped,
+    )
 
 
 def correlation_table(
@@ -231,38 +283,10 @@ def correlation_table(
     """
     scores = list(scores)
     metrics = list(metrics)
-    reports = []
-    for x_label, y_label in pairs:
-        points, dropped = joined_points(scores, metrics, x_label, y_label)
-        if len(points) < 3:
-            raise InsufficientDataError(
-                f"pair ({x_label}, {y_label}): only {len(points)} complete "
-                f"joined pairs ({dropped} dropped); need at least 3"
-            )
-        if dropped:
-            log.info("pair (%s, %s): dropped %d incomplete rows", x_label, y_label, dropped)
-        xs = [p[1] for p in points]
-        ys = [p[2] for p in points]
-        r = pearson(xs, ys)
-        rho = spearman(xs, ys)
-        p_r, sig_r = significance(r, len(points), "pearson")
-        p_rho, sig_rho = significance(rho, len(points), "spearman")
-        reports.append(
-            CorrelationReport(
-                discipline=metrics[0].discipline,
-                measure_x=x_label,
-                measure_y=y_label,
-                n=len(points),
-                pearson_r=r,
-                spearman_rho=rho,
-                p_pearson=p_r,
-                p_spearman=p_rho,
-                significant_pearson=sig_r,
-                significant_spearman=sig_rho,
-                n_dropped=dropped,
-            )
-        )
-    return reports
+    return [
+        _report(metrics, x_label, y_label, *joined_points(scores, metrics, x_label, y_label))
+        for x_label, y_label in pairs
+    ]
 
 
 def correlation_series(
@@ -272,17 +296,24 @@ def correlation_series(
     years: Sequence[int],
 ) -> CorrelationSeries:
     """Correlate ``x_label`` against h for each measurement year in ``years``,
-    plus against nci once, when any group carries one."""
+    plus against nci once, when any group carries one.
+
+    The join universe and the x values are resolved once for the series.
+    """
     scores = list(scores)
     metrics = list(metrics)
-    by_year = {
-        year: correlation_table(scores, metrics, [(x_label, f"h_{year}")])[0]
-        for year in years
-    }
+    universe = _universe(scores, metrics)
+    xs = measure_values(x_label, scores, metrics)
+
+    def report(y_label: str) -> CorrelationReport:
+        ys = measure_values(y_label, scores, metrics)
+        return _report(metrics, x_label, y_label, *_pair(universe, xs, ys))
+
+    by_year = {year: report(f"h_{year}") for year in years}
     baseline = None
     roster = {m.institution for m in metrics}
     if any(s.nci is not None and s.institution in roster for s in scores):
-        baseline = correlation_table(scores, metrics, [(x_label, "i")])[0]
+        baseline = report("i")
     return CorrelationSeries(measure_x=x_label, baseline=baseline, by_year=by_year)
 
 

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from refh.corpus import (
     Corpus,
     DisciplineMap,
@@ -161,6 +159,8 @@ def _grid_profile(mix: float) -> tuple[float, ...]:
 
 
 def _accrual_weights(accrual: float) -> np.ndarray:
+    import numpy as np
+
     t = np.arange(_ACCRUAL_HORIZON)
     w = accrual * (1.0 - accrual) ** t
     return w / w.sum()
@@ -168,6 +168,9 @@ def _accrual_weights(accrual: float) -> np.ndarray:
 
 def generate(config: SynthConfig) -> Corpus:
     """Generate a corpus; the same config always yields the same corpus."""
+    # imported here so that only synth, not every command, loads numpy
+    import numpy as np
+
     rng = np.random.default_rng(config.seed)
     window = config.window
     weights = _accrual_weights(config.accrual)

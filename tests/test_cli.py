@@ -84,6 +84,25 @@ class TestParsing:
         assert exc.value.code == 2
         assert f"argument {flag}: {self.FLAG_MESSAGES[value]}" in capsys.readouterr().err
 
+    SYNTH_FLAG_MESSAGES = {
+        "5:x": "papers per institution must be LO:HI, got '5:x'",
+        "20-40": "papers per institution must be LO:HI, got '20-40'",
+        "bogus:1:2": "unknown citation model kind 'bogus'",
+        "lognormal:1.8": "citation model must be KIND:A:B, got 'lognormal:1.8'",
+        "lognormal:1.8:0": "invalid lognormal parameters mu=1.8, sigma=0.0",
+    }
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--papers", "5:x"), ("--papers", "20-40"), ("--model", "bogus:1:2"),
+        ("--model", "lognormal:1.8"), ("--model", "lognormal:1.8:0"),
+    ])
+    def test_malformed_synth_flag_exits_2(self, flag, value, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--seed", "1", "--institutions", "3", "--out", str(tmp_path), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {self.SYNTH_FLAG_MESSAGES[value]}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestIngestCommand:
     def test_ok_summary(self, synth_dir, capsys):

@@ -260,6 +260,36 @@ class TestIngest:
         ]
 
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_record_spanning_lines_refused_and_later_lines_physical(self, tmp_path, eol):
+        paths = write_files(tmp_path)
+        header = "pub_id,pub_year,country,affiliations,categories"
+        paths["publications"].write_bytes(eol.join([
+            header, 'P1,2003,GB,"Alpha', 'Beta",Chemistry', "P2,20x3,GB,Alpha,Chemistry", "",
+        ]).encode())
+        paths["citations"].write_bytes(eol.join([
+            "pub_id,citing_year,count", '"P', '', '2",2004,1', "P404,2004,1", "",
+        ]).encode())
+        records, violations = load_publications(paths["publications"], paths["citations"])
+        assert records == ()
+        assert violations == [
+            "publications.csv:2: record spans lines 2-3; a cell contains a line break",
+            "publications.csv:4: field 'pub_year': not an integer: '20x3'",
+            "citations.csv:2: record spans lines 2-4; a cell contains a line break",
+            "citations.csv:5: unknown pub_id 'P404'",
+        ]
+
+    def test_profile_spanning_lines_is_a_located_error(self, tmp_path):
+        paths = write_files(
+            tmp_path, profiles='"Alpha\nBeta",chemistry,25,25,25,25,0,,,,,,10,1.25',
+            dmap="chemistry,Chemistry",
+        )
+        with pytest.raises(CorpusValidationError, match=r"profiles\.csv:2: record spans lines 2-3"):
+            ingest_corpus(
+                paths["publications"], paths["citations"], paths["profiles"], paths["discipline_map"]
+            )
+
+
 class TestFilterDocuments:
     def test_window_boundary_excludes_2000(self, small_corpus):
         got = filter_documents(small_corpus, "GB", WINDOW, "chemistry", "Alpha")

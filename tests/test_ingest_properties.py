@@ -180,3 +180,35 @@ def test_only_correlate_imports_scipy(base, tmp_path):
     assert others == [[command, 0, []] for command in ("synth", "ingest", "hindex", "score", "rank")]
     # the check can see scipy: correlate computes p-values and loads it
     assert correlate[:2] == ["correlate", 0] and "scipy.special" in correlate[2]
+
+
+ONE_COMMAND = """
+import json
+import sys
+from refh.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("command, loads_numpy", [
+    ("ingest", False), ("hindex", False), ("score", False), ("rank", False),
+    ("correlate", True), ("synth", True),
+])
+def test_only_synth_and_correlate_import_numpy(base, tmp_path, command, loads_numpy):
+    # one fresh interpreter per command: a command run earlier in the same
+    # process would leave numpy in sys.modules for the ones after it
+    argv = {
+        "ingest": ["ingest", *corpus_args(base)],
+        "score": ["score", "--profiles", str(base / FILES[2])],
+        "synth": ["synth", "--seed", "5", "--institutions", "6"],
+    }.get(command) or [command, *corpus_args(base), *COMMANDS[command]]
+    if command != "ingest":
+        argv += ["--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", ONE_COMMAND, *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, loads_numpy]

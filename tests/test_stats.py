@@ -390,6 +390,26 @@ class TestCorrelationSeries:
         (expected_baseline,) = correlation_table(scores, metrics, [("s", "i")])
         assert series.baseline == expected_baseline
 
+    def test_x_resolved_once_per_series(self, monkeypatch):
+        import refh.stats
+
+        labels = []
+
+        def counting(label, scores, metrics):
+            labels.append(label)
+            return measure_values(label, scores, metrics)
+
+        monkeypatch.setattr(refh.stats, "measure_values", counting)
+        svals = {f"I{k}": float(k) for k in range(1, 7)}
+        metrics = [
+            GroupMetrics(institution=i, discipline="chemistry", window=WINDOW,
+                         h_by_year={2008: int(v), 2009: int(v) + 1, 2010: int(v) + 2})
+            for i, v in svals.items()
+        ]
+        nci = {i: 7.0 - v for i, v in svals.items()}
+        correlation_series(make_scores(svals, nci=nci), metrics, "s", [2008, 2009, 2010])
+        assert sorted(labels) == ["h_2008", "h_2009", "h_2010", "i", "s"]
+
     def test_single_year(self):
         scores = make_scores({"A": 1.0, "B": 2.0, "C": 3.0})
         metrics = make_metrics({"A": 3, "B": 1, "C": 2})
