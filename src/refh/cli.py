@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from refh.corpus import (
@@ -64,20 +63,6 @@ PRESETS = {
 }
 
 
-@dataclass
-class RunConfig:
-    pubs: Path | None
-    cites: Path | None
-    profiles: Path | None
-    map: Path | None
-    country: str
-    discipline: str | None
-    window: PublicationWindow | None
-    years: list[int] | None
-    out: Path
-    format: str
-
-
 def parse_years(text: str) -> list[int]:
     """Parse ``2008..2014`` / ``2008,2010`` / mixtures of both."""
     years: list[int] = []
@@ -107,64 +92,18 @@ def parse_papers(text: str) -> tuple[int, int]:
         raise ValueError(f"papers per institution must be LO:HI, got {text!r}") from None
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    preset = PRESETS.get(getattr(args, "preset", None) or "")
-    window = None
-    years = None
-    if preset:
-        window, years = preset[0], list(preset[1])
-    window = getattr(args, "window", None) or window
-    years = getattr(args, "years", None) or years
-    out = Path(getattr(args, "out", ".") or ".")
-    return RunConfig(
-        pubs=Path(args.pubs) if getattr(args, "pubs", None) else None,
-        cites=Path(args.cites) if getattr(args, "cites", None) else None,
-        profiles=Path(args.profiles) if getattr(args, "profiles", None) else None,
-        map=Path(args.map) if getattr(args, "map", None) else None,
-        country=getattr(args, "country", "GB"),
-        discipline=getattr(args, "discipline", None),
-        window=window,
-        years=years,
-        out=out,
-        format=getattr(args, "format", "csv"),
-    )
-
-
-def _load_corpus(config: RunConfig) -> Corpus:
-    missing = [
-        name
-        for name, path in (
-            ("--pubs", config.pubs),
-            ("--cites", config.cites),
-            ("--profiles", config.profiles),
-            ("--map", config.map),
-        )
-        if path is None
-    ]
-    if missing:
-        raise ValueError(f"missing corpus file option(s): {', '.join(missing)}")
-    return ingest_corpus(config.pubs, config.cites, config.profiles, config.map)
-
-
-def _require(config: RunConfig, *fields: str) -> None:
-    human = {"window": "--window (or --preset)", "years": "--years (or --preset)", "discipline": "--discipline"}
-    missing = [human[f] for f in fields if getattr(config, f) in (None, [])]
-    if missing:
-        raise ValueError(f"missing required option(s): {', '.join(missing)}")
+def _load_corpus(args: argparse.Namespace) -> Corpus:
+    return ingest_corpus(args.pubs, args.cites, args.profiles, args.map)
 
 
 def _metrics_for(
-    config: RunConfig,
-    corpus: Corpus,
-    years: list[int],
-    window: PublicationWindow | None = None,
+    args: argparse.Namespace, corpus: Corpus, years: list[int], window: PublicationWindow
 ) -> list[GroupMetrics]:
-    window = window or config.window
-    metrics = group_metrics(corpus, config.country, window, config.discipline, years)
+    metrics = group_metrics(corpus, args.country, window, args.discipline, years)
     if not metrics:
         raise ValueError(
-            f"no matching publications for country={config.country} "
-            f"window={window} discipline={config.discipline}"
+            f"no matching publications for country={args.country} "
+            f"window={window} discipline={args.discipline}"
         )
     return metrics
 
@@ -174,9 +113,9 @@ def _in_discipline(profiles: tuple[QualityProfile, ...], discipline: str) -> tup
     return tuple(p for p in profiles if normalize_label(p.discipline) == wanted)
 
 
-def _scores_for(config: RunConfig, corpus: Corpus) -> list[ScoreSet]:
+def _scores_for(args: argparse.Namespace, corpus: Corpus) -> list[ScoreSet]:
     """Scores of every profile in the run's discipline."""
-    return [score_profile(p) for p in _in_discipline(corpus.profiles, config.discipline)]
+    return [score_profile(p) for p in _in_discipline(corpus.profiles, args.discipline)]
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +124,7 @@ def _scores_for(config: RunConfig, corpus: Corpus) -> list[ScoreSet]:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    corpus = _load_corpus(config)
+    corpus = _load_corpus(args)
     print(
         f"corpus OK: {len(corpus.publications)} publications, "
         f"{len(corpus.profiles)} profiles, {len(corpus.discipline_maps)} discipline maps"
@@ -195,28 +133,23 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_hindex(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    _require(config, "window", "years", "discipline")
-    corpus = _load_corpus(config)
-    metrics = _metrics_for(config, corpus, config.years)
-    config.out.mkdir(parents=True, exist_ok=True)
-    path = config.out / "hseries.csv"
+    corpus = _load_corpus(args)
+    metrics = _metrics_for(args, corpus, args.years, args.window)
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / "hseries.csv"
     write_hseries_csv(metrics, path)
-    log.info("wrote %s (%d institutions, %d years)", path, len(metrics), len(config.years))
+    log.info("wrote %s (%d institutions, %d years)", path, len(metrics), len(args.years))
     return 0
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    if config.profiles is None:
-        raise ValueError("missing required option: --profiles")
-    profiles, violations = load_profiles(config.profiles)
+    profiles, violations = load_profiles(args.profiles)
     if violations:
         raise CorpusValidationError(violations)
-    if config.discipline:
-        profiles = _in_discipline(profiles, config.discipline)
-    config.out.mkdir(parents=True, exist_ok=True)
-    path = config.out / "scores.csv"
+    if args.discipline:
+        profiles = _in_discipline(profiles, args.discipline)
+    args.out.mkdir(parents=True, exist_ok=True)
+    path = args.out / "scores.csv"
     write_scores_csv(profiles, path)
     log.info("wrote %s (%d profiles)", path, len(profiles))
     return 0
@@ -239,63 +172,56 @@ def parse_pairs(text: str) -> list[tuple[str, str]]:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    _require(config, "window", "years", "discipline")
-    pairs = parse_pairs(args.pairs)
-    corpus = _load_corpus(config)
-    metrics = _metrics_for(config, corpus, config.years)
-    scores = _scores_for(config, corpus)
-    reports = correlation_table(scores, metrics, pairs)
+    corpus = _load_corpus(args)
+    metrics = _metrics_for(args, corpus, args.years, args.window)
+    scores = _scores_for(args, corpus)
+    reports = correlation_table(scores, metrics, args.pairs)
     series = [
-        correlation_series(scores, metrics, x_label, config.years)
-        for x_label in dict.fromkeys(x for x, _ in pairs)
+        correlation_series(scores, metrics, x_label, args.years)
+        for x_label in dict.fromkeys(x for x, _ in args.pairs)
     ]
-    first_points, _ = joined_points(scores, metrics, pairs[0][0], pairs[0][1])
+    first_points, _ = joined_points(scores, metrics, *args.pairs[0])
 
-    config.out.mkdir(parents=True, exist_ok=True)
-    write_correlations_csv(reports, config.out / "correlations.csv")
-    write_corr_series_csv(series, config.out / "corr_series.csv")
-    write_fig_points_csv(first_points, config.out / "fig_points.csv")
-    log.info("wrote correlations.csv, corr_series.csv, fig_points.csv under %s", config.out)
+    args.out.mkdir(parents=True, exist_ok=True)
+    write_correlations_csv(reports, args.out / "correlations.csv")
+    write_corr_series_csv(series, args.out / "corr_series.csv")
+    write_fig_points_csv(first_points, args.out / "fig_points.csv")
+    log.info("wrote correlations.csv, corr_series.csv, fig_points.csv under %s", args.out)
     return 0
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    config = _config_from(args)
-    _require(config, "discipline")
-    corpus = _load_corpus(config)
-    scores = _scores_for(config, corpus)
+    corpus = _load_corpus(args)
+    scores = _scores_for(args, corpus)
 
     def values_for(measure: str, window: PublicationWindow | None, role: str) -> dict[str, float]:
         metrics: list[GroupMetrics] = []
         year = h_label_year(measure)
         if year is not None:
-            if not window:
-                _require(config, "window")
-            metrics = _metrics_for(config, corpus, [year], window)
+            metrics = _metrics_for(args, corpus, [year], window)
         values = measure_values(measure, scores, metrics)
         if not values:
             raise ValueError(f"no values available for {role} {measure!r}")
         return values
 
-    table = rank_table(values_for(args.measure, None, "measure"), args.measure, config.discipline)
+    table = rank_table(values_for(args.measure, args.window, "measure"), args.measure, args.discipline)
     baseline = None
     if args.baseline:
         baseline_values = values_for(args.baseline, args.baseline_window, "baseline measure")
-        baseline = rank_table(baseline_values, args.baseline, config.discipline)
+        baseline = rank_table(baseline_values, args.baseline, args.discipline)
         table = with_movement(table, movement(baseline, table))
 
-    config.out.mkdir(parents=True, exist_ok=True)
+    args.out.mkdir(parents=True, exist_ok=True)
     safe_measure = args.measure.replace(":", "_")
-    if config.format == "markdown":
-        path = config.out / f"rank_{config.discipline}_{safe_measure}.md"
+    if args.format == "markdown":
+        path = args.out / f"rank_{args.discipline}_{safe_measure}.md"
         if baseline is not None:
             text = render_comparison_markdown(baseline, table)
         else:
             text = render_table(table, "markdown")
         path.write_text(text, encoding="utf-8")
-    elif config.format == "json":
-        path = config.out / f"rank_{config.discipline}_{safe_measure}.json"
+    elif args.format == "json":
+        path = args.out / f"rank_{args.discipline}_{safe_measure}.json"
         payload = {
             "discipline": table.discipline,
             "measure": table.measure,
@@ -306,28 +232,18 @@ def cmd_rank(args: argparse.Namespace) -> int:
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     else:
-        path = config.out / f"rank_{config.discipline}_{safe_measure}.csv"
+        path = args.out / f"rank_{args.discipline}_{safe_measure}.csv"
         path.write_text(render_table(table, "csv"), encoding="utf-8")
     log.info("wrote %s (%d entries)", path, len(table.entries))
     return 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = SynthConfig(
-        seed=args.seed,
-        n_institutions=args.institutions,
-        papers_per_institution=args.papers,
-        window=args.window,
-        citation_model=args.model,
-        accrual=args.accrual,
-        quality_link=args.quality_link,
-    )
-    corpus = generate(config)
-    out = Path(args.out)
-    paths = write_corpus(corpus, out)
-    manifest = out / "manifest.json"
+    corpus = generate(args.config)
+    paths = write_corpus(corpus, args.out)
+    manifest = args.out / "manifest.json"
     manifest.write_text(
-        json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(args.config.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     log.info("wrote %s and %d corpus files", manifest, len(paths))
     return 0
@@ -350,23 +266,23 @@ def _flag_type(parse):
 
 
 def _add_corpus_options(p: argparse.ArgumentParser, profiles_only: bool = False) -> None:
-    p.add_argument("--profiles", help="profiles CSV/JSON file")
+    p.add_argument("--profiles", required=True, type=Path, help="profiles CSV/JSON file")
     if not profiles_only:
-        p.add_argument("--pubs", help="publications CSV/JSON file")
-        p.add_argument("--cites", help="citations CSV/JSON file")
-        p.add_argument("--map", help="discipline map CSV/JSON file")
+        p.add_argument("--pubs", required=True, type=Path, help="publications CSV/JSON file")
+        p.add_argument("--cites", required=True, type=Path, help="citations CSV/JSON file")
+        p.add_argument("--map", required=True, type=Path, help="discipline map CSV/JSON file")
 
 
 def _add_run_options(p: argparse.ArgumentParser, with_years: bool = True) -> None:
     p.add_argument("--country", default="GB", help="country code filter (default GB)")
-    p.add_argument("--discipline", help="discipline label")
+    p.add_argument("--discipline", required=True, help="discipline label")
     p.add_argument(
         "--window", type=_flag_type(PublicationWindow.parse), help="publication window START:END"
     )
     if with_years:
         p.add_argument(
             "--years", type=_flag_type(parse_years),
-            help="measurement years, e.g. 2008..2014 or 2008,2010",
+            help="measurement years, e.g. 2008..2014 or 2008,2010 (contiguous for correlate)",
         )
     p.add_argument(
         "--preset",
@@ -376,9 +292,57 @@ def _add_run_options(p: argparse.ArgumentParser, with_years: bool = True) -> Non
     )
 
 
-def _add_output_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=".", help="output directory (default .)")
-    p.add_argument("--format", choices=["csv", "markdown", "json"], default="csv")
+def _add_out_option(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", type=Path, default=".", help="output directory (default .)")
+
+
+# Post-parse steps: each applies --preset or a rule that spans flags, and a
+# ValueError it raises is reported as a usage error of its subcommand.
+
+
+def _resolve_hindex(args: argparse.Namespace) -> None:
+    if args.preset:
+        window, years = PRESETS[args.preset]
+        args.window = args.window or window
+        args.years = args.years or list(years)
+    missing = [flag for flag, value in (("--window", args.window), ("--years", args.years))
+               if value is None]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)} (or --preset)")
+
+
+def _resolve_correlate(args: argparse.Namespace) -> None:
+    _resolve_hindex(args)
+    if args.years != list(range(args.years[0], args.years[-1] + 1)):
+        raise ValueError(
+            f"argument --years: correlate needs contiguous measurement years, got {args.years}"
+        )
+
+
+def _resolve_rank(args: argparse.Namespace) -> None:
+    if args.preset:
+        args.window = args.window or PRESETS[args.preset][0]
+    args.baseline_window = args.baseline_window or args.window
+    for flag, label, window in (
+        ("--measure", args.measure, args.window),
+        ("--baseline", args.baseline, args.baseline_window),
+    ):
+        if label and window is None and h_label_year(label) is not None:
+            raise ValueError(
+                f"argument {flag}: {label} needs a publication window (--window or --preset)"
+            )
+
+
+def _resolve_synth(args: argparse.Namespace) -> None:
+    args.config = SynthConfig(
+        seed=args.seed,
+        n_institutions=args.institutions,
+        papers_per_institution=args.papers,
+        window=args.window,
+        citation_model=args.model,
+        accrual=args.accrual,
+        quality_link=args.quality_link,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,40 +352,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate corpus files and report totals")
-    _add_corpus_options(p)
-    p.set_defaults(func=cmd_ingest)
+    def command(name, func, resolve=None, **kwargs) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(func=func, resolve=resolve, parser=p)
+        return p
 
-    p = sub.add_parser("hindex", help="write per-institution h-index series (hseries.csv)")
+    p = command("ingest", cmd_ingest, help="validate corpus files and report totals")
+    _add_corpus_options(p)
+
+    p = command(
+        "hindex", cmd_hindex, _resolve_hindex,
+        help="write per-institution h-index series (hseries.csv)",
+    )
     _add_corpus_options(p)
     _add_run_options(p)
-    _add_output_options(p)
-    p.set_defaults(func=cmd_hindex)
+    _add_out_option(p)
 
-    p = sub.add_parser("score", help="write quality scores per profile (scores.csv)")
+    p = command("score", cmd_score, help="write quality scores per profile (scores.csv)")
     _add_corpus_options(p, profiles_only=True)
     p.add_argument("--discipline", help="restrict to one discipline")
-    _add_output_options(p)
-    p.set_defaults(func=cmd_score)
+    _add_out_option(p)
 
-    p = sub.add_parser(
-        "correlate",
+    p = command(
+        "correlate", cmd_correlate, _resolve_correlate,
         help="write correlations.csv, corr_series.csv, fig_points.csv for measure pairs",
     )
     _add_corpus_options(p)
     _add_run_options(p)
-    _add_output_options(p)
+    _add_out_option(p)
     p.add_argument(
         "--pairs",
         required=True,
+        type=_flag_type(parse_pairs),
         help="comma-separated X:Y measure pairs, e.g. s:h_2008,s_prime:h_2008,s:i",
     )
-    p.set_defaults(func=cmd_correlate)
 
-    p = sub.add_parser("rank", help="write a competition-ranked table for one measure")
+    p = command(
+        "rank", cmd_rank, _resolve_rank, help="write a competition-ranked table for one measure"
+    )
     _add_corpus_options(p)
     _add_run_options(p, with_years=False)
-    _add_output_options(p)
+    _add_out_option(p)
+    p.add_argument("--format", choices=["csv", "markdown", "json"], default="csv")
     p.add_argument("--measure", required=True, help="s | s_prime | s_output | strength | i | h_YYYY | h_hat_YYYY")
     p.add_argument("--baseline", help="baseline measure for movement markers")
     p.add_argument(
@@ -430,12 +402,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="publication window START:END for the baseline measure "
         "(defaults to --window; lets h_2008 baselines meet h_hat_2014 comparisons)",
     )
-    p.set_defaults(func=cmd_rank)
 
-    p = sub.add_parser("synth", help="generate a deterministic synthetic corpus")
+    p = command(
+        "synth", cmd_synth, _resolve_synth, help="generate a deterministic synthetic corpus"
+    )
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--institutions", type=int, required=True)
-    p.add_argument("--out", required=True, help="directory for the corpus CSVs and manifest.json")
+    p.add_argument(
+        "--out", required=True, type=Path, help="directory for the corpus CSVs and manifest.json"
+    )
     p.add_argument(
         "--papers", type=_flag_type(parse_papers), default="20:40",
         help="papers per institution LO:HI (default 20:40)",
@@ -452,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--accrual", type=float, default=0.35, help="per-year citation accrual decay in (0,1)")
     p.add_argument("--quality-link", type=float, default=0.7, help="quality coupling in [0,1]")
-    p.set_defaults(func=cmd_synth)
 
     return parser
 
@@ -463,8 +437,12 @@ def main(argv: list[str] | None = None) -> int:
         level=getattr(logging, level, logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    if args.resolve:
+        try:
+            args.resolve(args)
+        except ValueError as exc:
+            args.parser.error(str(exc))
     try:
         return args.func(args)
     except (CorpusValidationError, InsufficientDataError, UnknownDisciplineError,

@@ -205,8 +205,6 @@ def score_s_output(profile: QualityProfile) -> float | None:
 
 def strength(profile: QualityProfile) -> float:
     """Overall strength: quality score times submitted staff count."""
-    if not profile.staff_fte > 0:
-        raise ValueError(f"staff_fte must be positive, got {profile.staff_fte}")
     return score_s(profile) * profile.staff_fte
 
 

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
+from refh.metrics import _fmt6
+
 RANK_TABLE_HEADER = ["rank", "institution", "value", "movement"]
 
 MOVEMENT_TOKENS = ("up", "down", "none", "new")
@@ -151,10 +153,6 @@ def with_movement(table: RankedTable, report: MovementReport) -> RankedTable:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_value_csv(value: float | None) -> str:
-    return "" if value is None else f"{value:.6f}"
-
-
 def _fmt_value_markdown(value: float | None) -> str:
     if value is None:
         return ""
@@ -169,7 +167,7 @@ def render_table(table: RankedTable, format: str = "csv") -> str:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(RANK_TABLE_HEADER)
         for e in table.entries:
-            writer.writerow([e.rank, e.institution, _fmt_value_csv(e.value), e.movement])
+            writer.writerow([e.rank, e.institution, _fmt6(e.value), e.movement])
         return buf.getvalue()
     if format == "markdown":
         lines = [

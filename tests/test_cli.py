@@ -47,6 +47,84 @@ def synth_paths(out):
     }
 
 
+RAE2008 = ["--discipline", "synthetic", "--preset", "rae2008"]
+
+
+def without(flag, argv):
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+# name -> (argv from the corpus flags and the output directory, what stderr must say)
+USAGE_ERRORS = {
+    "ingest without --map": (
+        lambda c, out: ["ingest", *without("--map", c)],
+        "refh ingest: error: the following arguments are required: --map"),
+    "hindex without --pubs": (
+        lambda c, out: ["hindex", *without("--pubs", c), *RAE2008, "--out", out],
+        "refh hindex: error: the following arguments are required: --pubs"),
+    "correlate without --cites": (
+        lambda c, out: ["correlate", *without("--cites", c), *RAE2008, "--pairs", "s:i", "--out", out],
+        "refh correlate: error: the following arguments are required: --cites"),
+    "score without --profiles": (
+        lambda c, out: ["score", "--out", out],
+        "refh score: error: the following arguments are required: --profiles"),
+    "hindex without --discipline": (
+        lambda c, out: ["hindex", *c, "--preset", "rae2008", "--out", out],
+        "refh hindex: error: the following arguments are required: --discipline"),
+    "correlate without --discipline": (
+        lambda c, out: ["correlate", *c, "--preset", "rae2008", "--pairs", "s:i", "--out", out],
+        "refh correlate: error: the following arguments are required: --discipline"),
+    "rank without --discipline": (
+        lambda c, out: ["rank", *c, "--measure", "s", "--out", out],
+        "refh rank: error: the following arguments are required: --discipline"),
+    "hindex without window or years": (
+        lambda c, out: ["hindex", *c, "--discipline", "synthetic", "--out", out],
+        "refh hindex: error: the following arguments are required: --window, --years (or --preset)"),
+    "correlate without years": (
+        lambda c, out: ["correlate", *c, "--discipline", "synthetic", "--window", "2001:2007",
+                        "--pairs", "s:i", "--out", out],
+        "refh correlate: error: the following arguments are required: --years (or --preset)"),
+    "rank h measure without window": (
+        lambda c, out: ["rank", *c, "--discipline", "synthetic", "--measure", "h_2008", "--out", out],
+        "refh rank: error: argument --measure: h_2008 needs a publication window"),
+    "rank h baseline without window": (
+        lambda c, out: ["rank", *c, "--discipline", "synthetic", "--measure", "s",
+                        "--baseline", "h_2008", "--out", out],
+        "refh rank: error: argument --baseline: h_2008 needs a publication window"),
+    "hindex --format": (
+        lambda c, out: ["hindex", *c, *RAE2008, "--format", "csv", "--out", out],
+        "refh: error: unrecognized arguments: --format csv"),
+    "score --format": (
+        lambda c, out: ["score", "--profiles", c[c.index("--profiles") + 1], "--format", "csv",
+                        "--out", out],
+        "refh: error: unrecognized arguments: --format csv"),
+    "correlate --format": (
+        lambda c, out: ["correlate", *c, *RAE2008, "--pairs", "s:i", "--format", "csv", "--out", out],
+        "refh: error: unrecognized arguments: --format csv"),
+    "correlate malformed --pairs": (
+        lambda c, out: ["correlate", *c, *RAE2008, "--pairs", "s-h_2008", "--out", out],
+        "refh correlate: error: argument --pairs: pair must be X:Y, got 's-h_2008'"),
+    "correlate non-contiguous --years": (
+        lambda c, out: ["correlate", *c, "--discipline", "synthetic", "--window", "2001:2007",
+                        "--years", "2008,2010", "--pairs", "s:i", "--out", out],
+        "refh correlate: error: argument --years: correlate needs contiguous measurement years, got [2008, 2010]"),
+    # the range messages are SynthConfig's, so they name its fields
+    "synth --papers 5:3": (
+        lambda c, out: ["synth", "--seed", "1", "--institutions", "3", "--papers", "5:3", "--out", out],
+        "refh synth: error: bad papers_per_institution range (5, 3)"),
+    "synth --institutions 0": (
+        lambda c, out: ["synth", "--seed", "1", "--institutions", "0", "--out", out],
+        "refh synth: error: need at least one institution"),
+    "synth --accrual 1.5": (
+        lambda c, out: ["synth", "--seed", "1", "--institutions", "3", "--accrual", "1.5", "--out", out],
+        "refh synth: error: accrual must be in (0, 1), got 1.5"),
+    "synth --quality-link 2": (
+        lambda c, out: ["synth", "--seed", "1", "--institutions", "3", "--quality-link", "2", "--out", out],
+        "refh synth: error: quality_link must be in [0, 1], got 2.0"),
+}
+
+
 class TestParsing:
     def test_parse_years_range(self):
         assert parse_years("2008..2014") == list(range(2008, 2015))
@@ -102,6 +180,16 @@ class TestParsing:
         assert exc.value.code == 2
         assert f"argument {flag}: {self.SYNTH_FLAG_MESSAGES[value]}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("case", list(USAGE_ERRORS))
+    def test_usage_error_exits_2_and_writes_nothing(self, case, synth_dir, tmp_path, capsys):
+        build, message = USAGE_ERRORS[case]
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(build(corpus_args(synth_paths(synth_dir)), str(out)))
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestIngestCommand:

@@ -2,8 +2,9 @@
 
 Rewriting a corpus file without changing its meaning (reordering rows,
 splitting a citation count, padding cells) must give an equal corpus and
-byte-identical command outputs; cutting a file short must give exit 0 or a
-``file:line`` error, never a traceback.
+byte-identical command outputs; renaming an institution must only rename
+it in the outputs; one more citation row must never lower an h; cutting a
+file short must give exit 0 or a ``file:line`` error, never a traceback.
 """
 
 import csv
@@ -119,6 +120,66 @@ def test_padded_cells(base, tmp_path):
             for row in rows
         ])
     assert_same_meaning(base, variant, tmp_path)
+
+
+def test_renamed_institution_is_only_renamed_in_outputs(base, tmp_path):
+    old, new = "HEI003", "Zeta University"  # sorts last, so it moves within any tie
+    variant = copy_corpus(base, tmp_path / "renamed")
+    header, *body = read_rows(variant / FILES[0])
+    write_rows(variant / FILES[0], [header] + [
+        [*row[:3], ";".join(new if a == old else a for a in row[3].split(";")), row[4]]
+        for row in body
+    ])
+    header, *body = read_rows(variant / FILES[2])
+    write_rows(variant / FILES[2], [header] + [[new if r[0] == old else r[0], *r[1:]] for r in body])
+
+    def all_outputs(d, out):
+        assert main(["score", "--profiles", str(d / FILES[2]), "--out", str(out / "score")]) == 0
+        return outputs(d, out)
+
+    expected, got = all_outputs(base, tmp_path / "out-base"), all_outputs(variant, tmp_path / "out-variant")
+    assert got.keys() == expected.keys()
+    renamed = 0
+    for name, data in expected.items():
+        header, *rows = csv.reader(io.StringIO(data.decode()))
+        if "institution" in header:
+            col = header.index("institution")
+            renamed += sum(row[col] == old for row in rows)
+            rows = [[new if i == col and cell == old else cell for i, cell in enumerate(row)] for row in rows]
+        # as multisets of rows: a rename may reorder rows within a tie
+        assert sorted(csv.reader(io.StringIO(got[name].decode()))) == sorted([header, *rows]), name
+    assert renamed >= 5
+
+
+def h_by_group(d, out):
+    assert main(["hindex", *corpus_args(d), *COMMANDS["hindex"], "--out", str(out)]) == 0
+    rows = csv.DictReader(io.StringIO((out / "hseries.csv").read_text(encoding="utf-8")))
+    return {(r["institution"], r["measurement_year"]): int(r["h"]) for r in rows}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_added_citation_row_never_lowers_h(base, tmp_path, seed):
+    rng = np.random.default_rng(200 + seed)
+    variant = copy_corpus(base, tmp_path / "cited")
+    header, *citations = read_rows(variant / FILES[1])
+    total = {}
+    for pub_id, _, count in citations:
+        total[pub_id] = total.get(pub_id, 0) + int(count)
+    # the less-cited half of hindex's country (GB), so the new row can reach an h-core
+    pubs = sorted((r for r in read_rows(variant / FILES[0])[1:] if r[2] == "GB"),
+                  key=lambda r: (total.get(r[0], 0), r[0]))
+    pub_id, pub_year, _, affiliations, _ = pubs[int(rng.integers(len(pubs) // 2))]
+    row = [pub_id, pub_year, str(int(rng.integers(1, 40)))]
+    write_rows(variant / FILES[1], [header, *citations, row])
+    before = h_by_group(base, tmp_path / "before")
+    after = h_by_group(variant, tmp_path / "after")
+    assert after.keys() == before.keys()
+    assert after != before
+    for (institution, year), h in before.items():
+        if institution in affiliations.split(";"):
+            assert after[institution, year] >= h, (row, institution, year)
+        else:
+            assert after[institution, year] == h, (row, institution, year)
 
 
 LOCATED = re.compile(r"^(refh: )?(publications|citations|profiles|discipline_map)\.csv:\d+: ")
