@@ -148,6 +148,8 @@ def cmd_score(args: argparse.Namespace) -> int:
         raise CorpusValidationError(violations)
     if args.discipline:
         profiles = _in_discipline(profiles, args.discipline)
+        if not profiles:
+            raise ValueError(f"no profiles for discipline {args.discipline!r}")
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "scores.csv"
     write_scores_csv(profiles, path)

@@ -1,4 +1,4 @@
-"""Citation-corpus data model, file ingestion, and document filtering.
+"""Citation-corpus data model and file ingestion.
 
 A :class:`Corpus` bundles three collections: publication records carrying
 per-year citation counts, graded quality profiles for (institution,
@@ -101,7 +101,7 @@ class PublicationWindow:
         return cls(start, end)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PublicationRecord:
     """One publication with its per-citing-year citation counts.
 
@@ -110,6 +110,11 @@ class PublicationRecord:
     histories compare equal.  An empty or missing country is stored as
     ``None`` and simply never matches a country filter.  Affiliations are
     stripped of surrounding whitespace and blank ones dropped.
+
+    A record built in the library is checked and normalised here, in
+    ``__post_init__``.  File input is checked by :func:`load_publications`,
+    which reports each violation at its ``file:line`` and builds records
+    with :meth:`_loaded`, without running these checks a second time.
     """
 
     pub_id: str
@@ -124,10 +129,8 @@ class PublicationRecord:
             raise ValueError("pub_id must be a non-empty string")
         object.__setattr__(self, "affiliations", frozenset(a.strip() for a in self.affiliations) - {""})
         object.__setattr__(self, "categories", frozenset(self.categories))
-        if not self.affiliations:
-            raise ValueError(f"{self.pub_id}: affiliations must be non-empty")
-        if not self.categories:
-            raise ValueError(f"{self.pub_id}: categories must be non-empty")
+        if problem := _empty_list(self.pub_id, self.affiliations, self.categories):
+            raise ValueError(problem)
         country = self.country.strip() if isinstance(self.country, str) else self.country
         object.__setattr__(self, "country", country or None)
         cleaned: dict[int, int] = {}
@@ -145,6 +148,28 @@ class PublicationRecord:
             if count:
                 cleaned[year] = cleaned.get(year, 0) + count
         object.__setattr__(self, "citations_by_year", dict(sorted(cleaned.items())))
+
+    @classmethod
+    def _loaded(cls, pub_id, pub_year, country, affiliations, categories, citations_by_year):
+        """A record from values that :func:`load_publications` has already
+        checked and normalised."""
+        record, set_field = object.__new__(cls), object.__setattr__
+        set_field(record, "pub_id", pub_id)
+        set_field(record, "pub_year", pub_year)
+        set_field(record, "country", country)
+        set_field(record, "affiliations", affiliations)
+        set_field(record, "categories", categories)
+        set_field(record, "citations_by_year", citations_by_year)
+        return record
+
+
+def _empty_list(pub_id: str, affiliations: frozenset[str], categories: frozenset[str]) -> str | None:
+    """The violation of a record with no affiliations or no categories."""
+    if not affiliations:
+        return f"{pub_id}: affiliations must be non-empty"
+    if not categories:
+        return f"{pub_id}: categories must be non-empty"
+    return None
 
 
 @dataclass(frozen=True)
@@ -289,36 +314,6 @@ class Corpus:
         return tuple(sorted({a for r in self.publications for a in r.affiliations}))
 
 
-def filter_documents(
-    corpus: Corpus,
-    country: str,
-    window: PublicationWindow,
-    discipline: str,
-    institution: str,
-) -> list[PublicationRecord]:
-    """Select the records matching all four filter steps.
-
-    A record passes when (i) its country equals ``country``, (ii) its
-    publication year lies inside ``window``, (iii) it carries at least one
-    category of the discipline's map, and (iv) ``institution`` is among its
-    affiliations.  A multi-affiliation record is returned for each of its
-    institutions when queried; there is no fractional credit.  Records
-    without a country never match.  The result is sorted by pub_id.
-    """
-    dmap = corpus.discipline_map(discipline)
-    wanted_country = normalize_country(country)
-    wanted_inst = institution.strip()
-    return [
-        r
-        for r in corpus.publications
-        if r.country is not None
-        and normalize_country(r.country) == wanted_country
-        and window.contains(r.pub_year)
-        and dmap.matches(r.categories)
-        and wanted_inst in r.affiliations
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Ingestion
 # ---------------------------------------------------------------------------
@@ -327,13 +322,14 @@ def filter_documents(
 def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator[tuple[int, tuple]]:
     """Yield CSV or JSON rows as (line_number, cells) pairs, cells in header order.
 
-    CSV cells come back as stripped strings; JSON values keep their native
-    types (lists stay lists, numbers stay numbers) and a missing key or
-    null becomes ``None``.  CSV line numbers are physical lines, and a
-    record that spans lines (a quoted cell holding a line break) is refused.  The header must match ``header`` exactly for
-    CSV; JSON objects may omit optional keys.  Violations of the file's
-    shape are added to ``violations`` once the rows are exhausted, ahead of
-    any the caller added while reading them.
+    CSV cells come back as stripped strings, the only place they are
+    stripped; JSON values keep their native types (lists stay lists,
+    numbers stay numbers) and a missing key or null becomes ``None``.  CSV
+    line numbers are physical lines, and a record that spans lines (a
+    quoted cell holding a line break) is refused.  The header must match
+    ``header`` exactly for CSV; JSON objects may omit optional keys.
+    Violations of the file's shape are added to ``violations`` once the
+    rows are exhausted, ahead of any the caller added while reading them.
     """
     start, shape = len(violations), []
     if path.suffix.lower() == ".json":
@@ -392,6 +388,8 @@ def _flag(violations: list[str], where: tuple[str, int], message: str) -> None:
 
 
 def _get_str(raw) -> str:
+    """A cell as a stripped string: a no-op on a CSV cell, which arrives
+    stripped; a JSON value may be padded or not a string at all."""
     return "" if raw is None else str(raw).strip()
 
 
@@ -431,13 +429,29 @@ def _get_list(raw) -> list[str]:
     return [v for v in (str(p).strip() for p in parts) if v]
 
 
+def _get_set(raw, interned: dict) -> frozenset[str]:
+    """``_get_list`` as a frozenset, one shared instance per distinct cell."""
+    key = raw if isinstance(raw, str) else tuple(_get_list(raw))
+    value = interned.get(key)
+    if value is None:
+        value = interned[key] = frozenset(_get_list(raw))
+    return value
+
+
 def load_publications(
     pub_file: str | Path, citation_file: str | Path
 ) -> tuple[tuple[PublicationRecord, ...], list[str]]:
-    """Parse the publication and citation files into records plus violations."""
+    """Parse the publication and citation files into records plus violations.
+
+    This is the validator for file input: it applies every rule of
+    ``PublicationRecord.__post_init__``, each at the offending ``file:line``,
+    and then builds the records without running that method.  Equal
+    affiliation or category cells share one frozenset.
+    """
     pub_path, cite_path = Path(pub_file), Path(citation_file)
     pub_name, cite_name = pub_path.name, cite_path.name
     violations: list[str] = []
+    interned: dict = {}
     # pub_id -> (line_no, pub_year, country, affiliations, categories, citations)
     parsed: dict[str, tuple] = {}
     for line_no, (pub_id, pub_year, country, affiliations, categories) in _read_rows(
@@ -456,7 +470,7 @@ def load_publications(
             continue
         parsed[pub_id] = (
             line_no, pub_year, _get_str(country) or None,
-            _get_list(affiliations), _get_list(categories), {},
+            _get_set(affiliations, interned), _get_set(categories, interned), {},
         )
 
     for line_no, (pub_id, citing_year, count) in _read_rows(cite_path, CITATIONS_HEADER, violations):
@@ -480,16 +494,17 @@ def load_publications(
                 f"{pub_id}: citing year {citing_year} precedes publication year {pub_year}",
             )
             continue
-        citations[citing_year] = citations.get(citing_year, 0) + count
+        if count:
+            citations[citing_year] = citations.get(citing_year, 0) + count
 
     records = []
     for pub_id, (line_no, pub_year, country, affiliations, categories, citations) in parsed.items():
-        try:
-            records.append(PublicationRecord(
-                pub_id, pub_year, country, frozenset(affiliations), frozenset(categories), citations
-            ))
-        except ValueError as exc:
-            _flag(violations, (pub_name, line_no), str(exc))
+        if problem := _empty_list(pub_id, affiliations, categories):
+            _flag(violations, (pub_name, line_no), problem)
+            continue
+        records.append(PublicationRecord._loaded(
+            pub_id, pub_year, country, affiliations, categories, dict(sorted(citations.items()))
+        ))
     return tuple(records), violations
 
 

@@ -16,6 +16,7 @@ Quality scores come from graded profiles:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -80,16 +81,23 @@ class GroupMetrics:
 def matching_publications(
     corpus: Corpus, country: str, window: PublicationWindow, discipline: str
 ) -> list[PublicationRecord]:
-    """Records matching country, window, and discipline for any institution."""
+    """Records matching country, window, and discipline for any institution.
+
+    Each distinct country string and category set is normalised and
+    matched once per call; loaded records share them (see
+    :func:`refh.corpus.load_publications`).
+    """
     dmap = corpus.discipline_map(discipline)
     wanted = normalize_country(country)
+    in_country = cache(lambda c: normalize_country(c) == wanted)
+    in_discipline = cache(dmap.matches)
     return [
         r
         for r in corpus.publications
         if r.country is not None
-        and normalize_country(r.country) == wanted
+        and in_country(r.country)
         and window.contains(r.pub_year)
-        and dmap.matches(r.categories)
+        and in_discipline(r.categories)
     ]
 
 

@@ -5,10 +5,10 @@ import pytest
 
 import golden_tables as gt
 from refh.cli import main, parse_pairs, parse_years
-from refh.corpus import PublicationWindow, filter_documents, ingest_corpus
-from refh.synth import oracle_h
+from refh.corpus import PublicationWindow, ingest_corpus
 
 from conftest import write_files
+from oracles import filter_documents, oracle_h
 
 
 def run(argv, capsys=None):
@@ -294,6 +294,16 @@ class TestScoreCommand:
         assert code == 1
         assert f"profiles.csv:2: field '{field}': not a finite number" in err
         assert not (tmp_path / "o" / "scores.csv").exists()
+
+    def test_unknown_discipline_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        paths = write_files(tmp_path, profiles="Alpha,chemistry,100,0,0,0,0,,,,,,1,")
+        code, out, err = run(["score", "--profiles", str(paths["profiles"]),
+                              "--discipline", "nonexistent", "--out", str(tmp_path / "o")], capsys)
+        assert (code, out, err) == (1, "", "refh: no profiles for discipline 'nonexistent'\n")
+        assert not (tmp_path / "o").exists()
+        # the label still matches case-insensitively
+        assert main(["score", "--profiles", str(paths["profiles"]),
+                     "--discipline", "Chemistry", "--out", str(tmp_path / "o")]) == 0
 
 
 class TestCorrelateCommand:

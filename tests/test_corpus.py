@@ -10,7 +10,6 @@ from refh.corpus import (
     PublicationWindow,
     QualityProfile,
     UnknownDisciplineError,
-    filter_documents,
     ingest_corpus,
     load_publications,
     write_corpus,
@@ -18,6 +17,7 @@ from refh.corpus import (
 from refh.synth import Lognormal, SynthConfig, generate
 
 from conftest import profile, record, write_files
+from oracles import filter_documents
 
 WINDOW = PublicationWindow(2001, 2007)
 

@@ -5,6 +5,9 @@ splitting a citation count, padding cells) must give an equal corpus and
 byte-identical command outputs; renaming an institution must only rename
 it in the outputs; one more citation row must never lower an h; cutting a
 file short must give exit 0 or a ``file:line`` error, never a traceback.
+A malformed corpus gives one exact violation list, in order, from CSV and
+JSON alike; the loader checks file input itself, and library-built records
+keep their own checks.
 """
 
 import csv
@@ -20,7 +23,20 @@ import numpy as np
 import pytest
 
 from refh.cli import main
-from refh.corpus import ingest_corpus
+from refh.corpus import (
+    CITATIONS_HEADER,
+    PUBLICATIONS_HEADER,
+    PublicationRecord,
+    PublicationWindow,
+    ingest_corpus,
+    load_publications,
+    write_corpus,
+)
+from refh.metrics import matching_publications
+from refh.synth import Lognormal, SynthConfig, generate
+
+from conftest import record
+from oracles import filter_documents
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = ("publications.csv", "citations.csv", "profiles.csv", "discipline_map.csv")
@@ -273,3 +289,182 @@ def test_only_synth_and_correlate_import_numpy(base, tmp_path, command, loads_nu
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, loads_numpy]
+
+
+# ---------------------------------------------------------------------------
+# Malformed corpora: the exact violation list, in order, for CSV and JSON
+# ---------------------------------------------------------------------------
+
+
+def pub(pub_id, year="2003", affiliations="Alpha", categories="Chemistry", country="GB"):
+    return [pub_id, year, country, affiliations, categories]
+
+
+def write_table(path, header, rows):
+    """CSV cells as given; JSON objects with digit strings as JSON integers,
+    other values as given, and a row that is not a list written as is."""
+    if path.suffix == ".csv":
+        write_rows(path, [header, *rows])
+        return
+    native = lambda v: int(v) if isinstance(v, str) and re.fullmatch(r"-?\d+", v) else v
+    path.write_text(json.dumps([
+        dict(zip(header, map(native, row))) if isinstance(row, list) else row for row in rows
+    ]), encoding="utf-8")
+
+
+BOTH, CSV_ONLY, JSON_ONLY = ("csv", "json"), ("csv",), ("json",)
+
+# (formats, publication rows, citation rows, expected violations as
+# (file, data row, message), expected citations_by_year of the loaded records)
+MALFORMED = {
+    "unknown_pub_id_with_bad_year": (
+        BOTH, [pub("P1")], [["P9", "20x3", "1"], ["P1", "2004", "2"]],
+        [("citations", 1, "unknown pub_id 'P9'")],
+        {"P1": {2004: 2}},
+    ),
+    "negative_count_and_early_citing_year": (
+        BOTH, [pub("P1")], [["P1", "2004", "-2"], ["P1", "2001", "3"], ["P1", "2005", "1"]],
+        [("citations", 1, "P1: negative citation count -2"),
+         ("citations", 2, "P1: citing year 2001 precedes publication year 2003")],
+        {"P1": {2005: 1}},
+    ),
+    "zero_count_dropped": (
+        BOTH, [pub("P1")], [["P1", "2004", "0"], ["P1", "2005", "2"], ["P1", "2005", "0"]],
+        [],
+        {"P1": {2005: 2}},
+    ),
+    "blank_affiliations_or_categories": (
+        BOTH,
+        [pub("P1", affiliations=" ; "), pub("P2", categories=";"),
+         pub("P3", affiliations=" ", categories=" "), pub("P4", year="20x3"), pub("P5")],
+        [["P1", "2002", "1"], ["P2", "2004", "1"], ["P5", "2004", "1"]],
+        [("publications", 4, "field 'pub_year': not an integer: '20x3'"),
+         ("citations", 1, "P1: citing year 2002 precedes publication year 2003"),
+         ("publications", 1, "P1: affiliations must be non-empty"),
+         ("publications", 2, "P2: categories must be non-empty"),
+         ("publications", 3, "P3: affiliations must be non-empty")],
+        {"P5": {2004: 1}},
+    ),
+    "duplicate_pub_id_and_missing_values": (
+        BOTH, [pub("P1"), pub("P1", year="2004"), pub(""), pub("P2", year="")],
+        [["P1", "", "1"], ["P1", "x", "y"], ["", "2004", "1"], ["P1", "2004", "1"]],
+        [("publications", 2, "duplicate pub_id 'P1'"),
+         ("publications", 3, "field 'pub_id': missing value"),
+         ("publications", 4, "field 'pub_year': missing value"),
+         ("citations", 1, "field 'citing_year': missing value"),
+         ("citations", 2, "field 'citing_year': not an integer: 'x'"),
+         ("citations", 2, "field 'count': not an integer: 'y'"),
+         ("citations", 3, "unknown pub_id ''")],
+        {"P1": {2004: 1}},
+    ),
+    "record_spanning_lines": (
+        CSV_ONLY, [pub("P1"), pub("P2", year="20x3"), pub("P3", affiliations="Alpha\nBeta")],
+        [["P3", "2004", "1"], ["P1", "2004", "1"]],
+        [("publications", 3, "record spans lines 4-5; a cell contains a line break"),
+         ("publications", 2, "field 'pub_year': not an integer: '20x3'"),
+         ("citations", 1, "unknown pub_id 'P3'")],
+        {"P1": {2004: 1}},
+    ),
+    "json_numbers_that_are_not_integers": (
+        JSON_ONLY, [pub("P1"), pub("P2", year=2003.0)],
+        [["P1", 2005.0, "1"], ["P1", True, "1"], ["P1", " 20x3 ", "1"], [" P1 ", " 2004 ", "1"],
+         ["P1", "2004", 2.5], "not an object"],
+        [("publications", 2, "field 'pub_year': not an integer: 2003.0"),
+         ("citations", 6, "expected an object"),
+         ("citations", 1, "field 'citing_year': not an integer: 2005.0"),
+         ("citations", 2, "field 'citing_year': not an integer: True"),
+         ("citations", 3, "field 'citing_year': not an integer: ' 20x3 '"),
+         ("citations", 5, "field 'count': not an integer: 2.5")],
+        {"P1": {2004: 1}},
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt, case", [
+    (fmt, name) for name, (formats, *_) in MALFORMED.items() for fmt in formats
+])
+def test_malformed_corpus_violations_in_order(tmp_path, fmt, case):
+    _, pubs, cites, expected, citations = MALFORMED[case]
+    paths = tmp_path / f"publications.{fmt}", tmp_path / f"citations.{fmt}"
+    write_table(paths[0], PUBLICATIONS_HEADER, pubs)
+    write_table(paths[1], CITATIONS_HEADER, cites)
+    records, violations = load_publications(*paths)
+    # a CSV data row sits below the header; JSON objects are numbered from 1
+    line = (lambda row: row + 1) if fmt == "csv" else (lambda row: row)
+    assert violations == [f"{name}.{fmt}:{line(row)}: {message}" for name, row, message in expected]
+    # equal dicts: a zero count leaves no year key behind
+    assert {r.pub_id: r.citations_by_year for r in records} == citations
+
+
+# ---------------------------------------------------------------------------
+# Two validation paths: the loader checks file input, __post_init__ the rest
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"citations": {2004: -1}}, "P1: negative citation count -1 in year 2004"),
+    ({"citations": {2002: 1}}, "P1: citing year 2002 precedes publication year 2003"),
+    ({"affiliations": (" ", "")}, "P1: affiliations must be non-empty"),
+])
+def test_library_built_record_is_still_checked(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        record("P1", **kwargs)
+
+
+def test_loader_never_runs_record_checks(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("PublicationRecord.__post_init__ ran on the load path")
+
+    monkeypatch.setattr(PublicationRecord, "__post_init__", refuse)
+    paths = tmp_path / "publications.csv", tmp_path / "citations.csv"
+    write_table(paths[0], PUBLICATIONS_HEADER, [pub("P1"), pub("P2", affiliations=";")])
+    write_table(paths[1], CITATIONS_HEADER, [["P1", "2004", "3"], ["P1", "2002", "1"]])
+    records, violations = load_publications(*paths)
+    assert [r.pub_id for r in records] == ["P1"]
+    assert violations == ["citations.csv:3: P1: citing year 2002 precedes publication year 2003",
+                          "publications.csv:3: P2: affiliations must be non-empty"]
+
+
+def test_ingested_records_equal_generated_ones(tmp_path):
+    cfg = SynthConfig(seed=3, n_institutions=8, papers_per_institution=(5, 15),
+                      window=PublicationWindow(2001, 2007), citation_model=Lognormal(1.8, 0.6),
+                      accrual=0.35, quality_link=0.7)
+    generated = generate(cfg)
+    paths = write_corpus(generated, tmp_path)
+    loaded = ingest_corpus(paths["publications"], paths["citations"],
+                           paths["profiles"], paths["discipline_map"])
+    assert len(loaded.publications) == len(generated.publications)
+    for got, want in zip(loaded.publications, generated.publications):
+        assert got == want
+        assert list(got.citations_by_year.items()) == list(want.citations_by_year.items())
+
+
+def test_equal_list_cells_share_one_frozenset(tmp_path):
+    paths = tmp_path / "publications.csv", tmp_path / "citations.csv"
+    write_table(paths[0], PUBLICATIONS_HEADER, [
+        pub("P1", affiliations="Alpha;Beta"), pub("P2", affiliations="Alpha;Beta"),
+        pub("P3", affiliations="Gamma"),
+    ])
+    write_table(paths[1], CITATIONS_HEADER, [])
+    (p1, p2, p3), violations = load_publications(*paths)
+    assert violations == []
+    assert p1.affiliations is p2.affiliations
+    assert p1.categories is p2.categories is p3.categories
+    assert p3.affiliations == frozenset({"Gamma"})
+
+
+@pytest.mark.parametrize("country", ["GB", " gb ", "US"])
+def test_matching_publications_is_the_union_of_filtered_groups(tmp_path, country):
+    cfg = SynthConfig(seed=4, n_institutions=6, papers_per_institution=(5, 15),
+                      window=PublicationWindow(2001, 2007), citation_model=Lognormal(1.8, 0.6),
+                      accrual=0.35, quality_link=0.7)
+    generated = generate(cfg)
+    paths = write_corpus(generated, tmp_path)
+    loaded = ingest_corpus(paths["publications"], paths["citations"],
+                           paths["profiles"], paths["discipline_map"])
+    window = PublicationWindow(2002, 2006)
+    for corpus in (generated, loaded):
+        expected = sorted({r.pub_id for inst in corpus.institutions()
+                           for r in filter_documents(corpus, country, window, "synthetic", inst)})
+        got = [r.pub_id for r in matching_publications(corpus, country, window, "Synthetic")]
+        assert got == expected and got

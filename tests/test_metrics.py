@@ -20,9 +20,10 @@ from refh.metrics import (
     write_scores_csv,
 )
 from refh.stats import joined_points
-from refh.synth import Lognormal, SynthConfig, generate, oracle_h
+from refh.synth import Lognormal, SynthConfig, generate
 
 from conftest import profile, record
+from oracles import oracle_h
 
 WINDOW = PublicationWindow(2001, 2007)
 
@@ -131,7 +132,7 @@ class TestDepartmentalH:
                 accrual=0.4, quality_link=0.5,
             )
             corpus = generate(cfg)
-            from refh.corpus import filter_documents
+            from oracles import filter_documents
 
             for inst in corpus.institutions():
                 for year in (2008, 2010, 2012):
