@@ -14,6 +14,7 @@ from refh.corpus import (
     PublicationWindow,
     QualityProfile,
     UnknownDisciplineError,
+    filter_documents,
     ingest_corpus,
     write_corpus,
 )
@@ -52,7 +53,7 @@ from refh.stats import (
     significance,
     spearman,
 )
-from refh.synth import Lognormal, PowerLaw, SynthConfig, generate
+from refh.synth import Lognormal, PowerLaw, SynthConfig, generate, oracle_h
 
 __version__ = "0.1.0"
 
@@ -80,12 +81,14 @@ __all__ = [
     "correlation_series",
     "correlation_table",
     "departmental_h",
+    "filter_documents",
     "fractional_ranks",
     "generate",
     "group_metrics",
     "h_series",
     "ingest_corpus",
     "movement",
+    "oracle_h",
     "parse_table_csv",
     "pearson",
     "rank_table",

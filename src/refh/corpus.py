@@ -1,4 +1,4 @@
-"""Citation-corpus data model and file ingestion.
+"""Citation-corpus data model, file ingestion, and document filtering.
 
 A :class:`Corpus` bundles three collections: publication records carrying
 per-year citation counts, graded quality profiles for (institution,
@@ -314,6 +314,36 @@ class Corpus:
         return tuple(sorted({a for r in self.publications for a in r.affiliations}))
 
 
+def filter_documents(
+    corpus: Corpus,
+    country: str,
+    window: PublicationWindow,
+    discipline: str,
+    institution: str,
+) -> list[PublicationRecord]:
+    """Select the records matching all four filter steps.
+
+    A record passes when (i) its country equals ``country``, (ii) its
+    publication year lies inside ``window``, (iii) it carries at least one
+    category of the discipline's map, and (iv) ``institution`` is among its
+    affiliations.  A multi-affiliation record is returned for each of its
+    institutions when queried; there is no fractional credit.  Records
+    without a country never match.  The result is sorted by pub_id.
+    """
+    dmap = corpus.discipline_map(discipline)
+    wanted_country = normalize_country(country)
+    wanted_inst = institution.strip()
+    return [
+        r
+        for r in corpus.publications
+        if r.country is not None
+        and normalize_country(r.country) == wanted_country
+        and window.contains(r.pub_year)
+        and dmap.matches(r.categories)
+        and wanted_inst in r.affiliations
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Ingestion
 # ---------------------------------------------------------------------------
@@ -424,18 +454,21 @@ def _get_float(
     return value
 
 
-def _get_list(raw) -> list[str]:
-    parts = raw if isinstance(raw, list) else _get_str(raw).split(";")
-    return [v for v in (str(p).strip() for p in parts) if v]
-
-
 def _get_set(raw, interned: dict) -> frozenset[str]:
-    """``_get_list`` as a frozenset, one shared instance per distinct cell."""
-    key = raw if isinstance(raw, str) else tuple(_get_list(raw))
-    value = interned.get(key)
-    if value is None:
-        value = interned[key] = frozenset(_get_list(raw))
-    return value
+    """A list cell as the frozenset of its stripped, non-blank items.
+
+    The cell is a ``;``-separated string or, in JSON, a list.  Equal cells
+    share one frozenset: a string cell is its own key and is split only
+    the first time it is seen; any other cell is parsed once, into its key.
+    """
+    if isinstance(raw, str):
+        value = interned.get(raw)
+        if value is None:
+            value = interned[raw] = frozenset(v for v in (p.strip() for p in raw.split(";")) if v)
+        return value
+    parts = raw if isinstance(raw, list) else _get_str(raw).split(";")
+    key = tuple(v for v in (str(p).strip() for p in parts) if v)
+    return interned.setdefault(key, frozenset(key))
 
 
 def load_publications(
@@ -446,7 +479,10 @@ def load_publications(
     This is the validator for file input: it applies every rule of
     ``PublicationRecord.__post_init__``, each at the offending ``file:line``,
     and then builds the records without running that method.  Equal
-    affiliation or category cells share one frozenset.
+    affiliation or category cells share one frozenset, which saves time
+    and memory where cells repeat: categories come from a fixed
+    classification, and a group's records mostly name the same
+    institutions.
     """
     pub_path, cite_path = Path(pub_file), Path(citation_file)
     pub_name, cite_name = pub_path.name, cite_path.name

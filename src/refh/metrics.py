@@ -84,8 +84,9 @@ def matching_publications(
     """Records matching country, window, and discipline for any institution.
 
     Each distinct country string and category set is normalised and
-    matched once per call; loaded records share them (see
-    :func:`refh.corpus.load_publications`).
+    matched once per call.  Both repeat across records (country codes, a
+    fixed category classification), and loaded records share their
+    category sets (see :func:`refh.corpus.load_publications`).
     """
     dmap = corpus.discipline_map(discipline)
     wanted = normalize_country(country)

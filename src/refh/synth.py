@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from refh.corpus import (
     Corpus,
@@ -255,3 +256,19 @@ def generate(config: SynthConfig) -> Corpus:
         profiles=tuple(profiles),
         discipline_maps=(dmap,),
     )
+
+
+def oracle_h(records: Iterable[PublicationRecord], cutoff_year: int) -> int:
+    """Brute-force h: largest n with at least n records cited >= n times by
+    the cutoff year.  Definitional scan, independent of the sorting
+    implementation in :mod:`refh.metrics`; intended for tests.
+    """
+    counts = [
+        sum(c for y, c in r.citations_by_year.items() if y <= cutoff_year)
+        for r in records
+    ]
+    best = 0
+    for n in range(len(counts) + 1):
+        if sum(1 for c in counts if c >= n) >= n:
+            best = n
+    return best

