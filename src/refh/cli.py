@@ -211,7 +211,8 @@ def cmd_rank(args: argparse.Namespace) -> int:
     if args.baseline:
         baseline_values = values_for(args.baseline, args.baseline_window, "baseline measure")
         baseline = rank_table(baseline_values, args.baseline, args.discipline)
-        table = with_movement(table, movement(baseline, table))
+        if args.format != "markdown":  # render_comparison_markdown marks the table itself
+            table = with_movement(table, movement(baseline, table))
 
     args.out.mkdir(parents=True, exist_ok=True)
     safe_measure = args.measure.replace(":", "_")

@@ -349,15 +349,15 @@ def filter_documents(
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator[tuple[int, tuple]]:
-    """Yield CSV or JSON rows as (line_number, cells) pairs, cells in header order.
+def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator[tuple[int, Sequence]]:
+    """Yield CSV or JSON rows as (line_number, row) pairs, cells in header order.
 
-    CSV cells come back as stripped strings, the only place they are
-    stripped; JSON values keep their native types (lists stay lists,
-    numbers stay numbers) and a missing key or null becomes ``None``.  CSV
-    line numbers are physical lines, and a record that spans lines (a
-    quoted cell holding a line break) is refused.  The header must match
-    ``header`` exactly for CSV; JSON objects may omit optional keys.
+    A CSV row is the reader's list of cells, unstripped: a loader strips
+    the cells it reads, and :func:`_cells` strips a row for a validator.  A
+    JSON row is a tuple of native values, ``None`` for a missing key or
+    null.  CSV line numbers are physical lines, a record that spans lines (a
+    quoted cell holding a line break) is refused, and a blank row is skipped.
+    The header must match ``header`` exactly for CSV; JSON objects may omit optional keys.
     Violations of the file's shape are added to ``violations`` once the
     rows are exhausted, ahead of any the caller added while reading them.
     """
@@ -396,20 +396,24 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
         # number records by physical line; a record spans more than one
         # only when a quoted cell holds a line break, which no field may
         end = reader.line_num
-        for raw in reader:
+        for row in reader:
             line_no, end = end + 1, reader.line_num
             if end != line_no:
                 shape.append(f"{path.name}:{line_no}: record spans lines {line_no}-{end}; "
                              f"a cell contains a line break")
                 continue
-            cells = tuple(map(str.strip, raw))
-            if not any(cells):
+            if not any(map(str.strip, row)):
                 continue
-            if len(cells) != len(header):
-                shape.append(f"{path.name}:{line_no}: expected {len(header)} fields, got {len(cells)}")
+            if len(row) != len(header):
+                shape.append(f"{path.name}:{line_no}: expected {len(header)} fields, got {len(row)}")
                 continue
-            yield line_no, cells
+            yield line_no, row
     violations[start:start] = shape
+
+
+def _cells(row: Sequence) -> tuple:
+    """A row as the validators take it: CSV cells stripped, JSON values as they are."""
+    return tuple(map(str.strip, row)) if isinstance(row, list) else row
 
 
 def _flag(violations: list[str], where: tuple[str, int], message: str) -> None:
@@ -417,58 +421,54 @@ def _flag(violations: list[str], where: tuple[str, int], message: str) -> None:
     violations.append(f"{where[0]}:{where[1]}: {message}")
 
 
-def _get_str(raw) -> str:
-    """A cell as a stripped string: a no-op on a CSV cell, which arrives
-    stripped; a JSON value may be padded or not a string at all."""
-    return "" if raw is None else str(raw).strip()
+def _get_str(raw, key: str, where: tuple[str, int], violations: list[str]) -> str | None:
+    """A text cell stripped, ``""`` if null; ``None``, flagged, if a JSON value is not a string."""
+    if raw is None or isinstance(raw, str):
+        return (raw or "").strip()
+    _flag(violations, where, f"field {key!r}: not a string: {raw!r}")
+    return None
 
 
-def _get_int(raw, key: str, where: tuple[str, int], violations: list[str]) -> int | None:
-    text = _get_str(raw)
-    if not text:
-        _flag(violations, where, f"field {key!r}: missing value")
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        _flag(violations, where, f"field {key!r}: not an integer: {raw!r}")
-        return None
-
-
-def _get_float(
-    raw, key: str, where: tuple[str, int], violations: list[str], optional: bool = False
-) -> float | None:
-    text = _get_str(raw)
+def _get_number(
+    raw, key: str, where: tuple[str, int], violations: list[str], parse: type = int, optional: bool = False
+) -> int | float | None:
+    """A number cell read by ``parse``, ``int`` or ``float``; ``None`` when it is
+    missing (flagged unless ``optional``), malformed or not finite (flagged)."""
+    text = "" if raw is None else str(raw).strip()
     if not text:
         if not optional:
             _flag(violations, where, f"field {key!r}: missing value")
         return None
     try:
-        value = float(text)
+        value = parse(text)
     except ValueError:
-        _flag(violations, where, f"field {key!r}: not a number: {raw!r}")
+        _flag(violations, where, f"field {key!r}: not {'an integer' if parse is int else 'a number'}: {raw!r}")
         return None
-    if not math.isfinite(value):
+    if parse is float and not math.isfinite(value):
         _flag(violations, where, f"field {key!r}: not a finite number: {raw!r}")
         return None
     return value
 
 
-def _get_set(raw, interned: dict) -> frozenset[str]:
-    """A list cell as the frozenset of its stripped, non-blank items.
+class _Sets(dict):
+    """A ``;``-separated cell -> the frozenset of its stripped, non-blank items, made once."""
 
-    The cell is a ``;``-separated string or, in JSON, a list.  Equal cells
-    share one frozenset: a string cell is its own key and is split only
-    the first time it is seen; any other cell is parsed once, into its key.
-    """
-    if isinstance(raw, str):
-        value = interned.get(raw)
-        if value is None:
-            value = interned[raw] = frozenset(v for v in (p.strip() for p in raw.split(";")) if v)
+    def __missing__(self, cell: str) -> frozenset[str]:
+        value = self[cell] = frozenset(v for v in (p.strip() for p in cell.split(";")) if v)
         return value
-    parts = raw if isinstance(raw, list) else _get_str(raw).split(";")
-    key = tuple(v for v in (str(p).strip() for p in parts) if v)
-    return interned.setdefault(key, frozenset(key))
+
+
+def _get_set(raw, key: str, where: tuple[str, int], violations: list[str], interned: _Sets):
+    """A ``;``-separated string or a JSON list of strings as a shared frozenset;
+    ``None``, flagged, when a JSON value or list item is not a string."""
+    if raw is None or isinstance(raw, str):
+        return interned[raw or ""]
+    for item in raw if isinstance(raw, list) else [raw]:
+        if not isinstance(item, str):
+            _flag(violations, where, f"field {key!r}: not a string: {item!r}")
+            return None
+    items = tuple(v for v in (p.strip() for p in raw) if v)
+    return interned.setdefault(items, frozenset(items))
 
 
 def load_publications(
@@ -478,46 +478,70 @@ def load_publications(
 
     This is the validator for file input: it applies every rule of
     ``PublicationRecord.__post_init__``, each at the offending ``file:line``,
-    and then builds the records without running that method.  Equal
-    affiliation or category cells share one frozenset, which saves time
-    and memory where cells repeat: categories come from a fixed
-    classification, and a group's records mostly name the same
-    institutions.
+    and then builds the records without running that method.  A clean row
+    of strings takes a short path of built-ins that strips only what it
+    reads; any other row goes to the per-row validator, which strips every
+    CSV cell and alone writes messages.  Equal list cells share one
+    frozenset, saving time and memory where cells repeat: categories come
+    from a fixed classification, and a group's records name few institutions.
     """
     pub_path, cite_path = Path(pub_file), Path(citation_file)
     pub_name, cite_name = pub_path.name, cite_path.name
     violations: list[str] = []
-    interned: dict = {}
+    interned = _Sets()
     # pub_id -> (line_no, pub_year, country, affiliations, categories, citations)
     parsed: dict[str, tuple] = {}
-    for line_no, (pub_id, pub_year, country, affiliations, categories) in _read_rows(
-        pub_path, PUBLICATIONS_HEADER, violations
-    ):
+    for line_no, row in _read_rows(pub_path, PUBLICATIONS_HEADER, violations):
+        pub_id, pub_year, country, affiliations, categories = row
+        try:  # the short path; strings only, as int() takes JSON 2005.0 and true
+            if (type(pub_year) is type(country) is type(affiliations) is type(categories) is str
+                    and (pub_id := pub_id.strip()) and pub_id not in parsed):
+                parsed[pub_id] = (line_no, int(pub_year), country.strip() or None,
+                                  interned[affiliations], interned[categories], {})
+                continue
+        except (AttributeError, ValueError):
+            pass
+        pub_id, pub_year, country, affiliations, categories = _cells(row)
         where = (pub_name, line_no)
-        pub_id = _get_str(pub_id)
+        pub_id = _get_str(pub_id, "pub_id", where, violations)
         if not pub_id:
-            _flag(violations, where, "field 'pub_id': missing value")
+            if pub_id is not None:
+                _flag(violations, where, "field 'pub_id': missing value")
             continue
         if pub_id in parsed:
             _flag(violations, where, f"duplicate pub_id {pub_id!r}")
             continue
-        pub_year = _get_int(pub_year, "pub_year", where, violations)
+        pub_year = _get_number(pub_year, "pub_year", where, violations)
         if pub_year is None:
             continue
-        parsed[pub_id] = (
-            line_no, pub_year, _get_str(country) or None,
-            _get_set(affiliations, interned), _get_set(categories, interned), {},
-        )
+        country = _get_str(country, "country", where, violations)
+        affiliations = _get_set(affiliations, "affiliations", where, violations, interned)
+        categories = _get_set(categories, "categories", where, violations, interned)
+        if None not in (country, affiliations, categories):
+            parsed[pub_id] = (line_no, pub_year, country or None, affiliations, categories, {})
 
-    for line_no, (pub_id, citing_year, count) in _read_rows(cite_path, CITATIONS_HEADER, violations):
+    for line_no, row in _read_rows(cite_path, CITATIONS_HEADER, violations):
+        pub_id, citing_year, count = row
+        try:  # the short path, as for publications; a zero count is dropped
+            entry = parsed[pub_id.strip()]
+            if type(citing_year) is type(count) is str:
+                citing_year, count = int(citing_year), int(count)
+                if count >= 0 and citing_year >= entry[1]:
+                    if count:
+                        entry[5][citing_year] = entry[5].get(citing_year, 0) + count
+                    continue
+        except (AttributeError, KeyError, ValueError):
+            pass
+        pub_id, citing_year, count = _cells(row)
         where = (cite_name, line_no)
-        pub_id = _get_str(pub_id)
+        pub_id = _get_str(pub_id, "pub_id", where, violations)
         entry = parsed.get(pub_id)
         if entry is None:
-            _flag(violations, where, f"unknown pub_id {pub_id!r}")
+            if pub_id is not None:
+                _flag(violations, where, f"unknown pub_id {pub_id!r}")
             continue
-        citing_year = _get_int(citing_year, "citing_year", where, violations)
-        count = _get_int(count, "count", where, violations)
+        citing_year = _get_number(citing_year, "citing_year", where, violations)
+        count = _get_number(count, "count", where, violations)
         if citing_year is None or count is None:
             continue
         pub_year, citations = entry[1], entry[5]
@@ -553,11 +577,14 @@ def load_profiles(profile_file: str | Path) -> tuple[tuple[QualityProfile, ...],
     violations: list[str] = []
     profiles = []
     seen: set[tuple[str, str]] = set()
-    for line_no, (institution, discipline, *cells) in _read_rows(path, PROFILES_HEADER, violations):
+    for line_no, row in _read_rows(path, PROFILES_HEADER, violations):
+        institution, discipline, *cells = _cells(row)
         where = (path.name, line_no)
-        institution, discipline = _get_str(institution), _get_str(discipline)
+        institution = _get_str(institution, "institution", where, violations)
+        discipline = _get_str(discipline, "discipline", where, violations)
         if not institution or not discipline:
-            _flag(violations, where, "institution and discipline are required")
+            if institution is not None and discipline is not None:
+                _flag(violations, where, "institution and discipline are required")
             continue
         key = (institution, normalize_label(discipline))
         if key in seen:
@@ -565,7 +592,7 @@ def load_profiles(profile_file: str | Path) -> tuple[tuple[QualityProfile, ...],
             continue
         # the remaining columns are named after QualityProfile's fields
         numbers = {
-            k: _get_float(raw, k, where, violations, optional=k in _OPTIONAL_PROFILE_FIELDS)
+            k: _get_number(raw, k, where, violations, float, optional=k in _OPTIONAL_PROFILE_FIELDS)
             for k, raw in zip(PROFILES_HEADER[2:], cells)
         }
         if any(v is None for k, v in numbers.items() if k not in _OPTIONAL_PROFILE_FIELDS):
@@ -584,10 +611,12 @@ def load_discipline_maps(map_file: str | Path) -> tuple[tuple[DisciplineMap, ...
     violations: list[str] = []
     categories: dict[str, set[str]] = {}
     labels: dict[str, str] = {}
-    for line_no, cells in _read_rows(path, DISCIPLINE_MAP_HEADER, violations):
-        discipline, category = map(_get_str, cells)
+    for line_no, row in _read_rows(path, DISCIPLINE_MAP_HEADER, violations):
+        where = (path.name, line_no)
+        discipline, category = (_get_str(c, k, where, violations) for c, k in zip(row, DISCIPLINE_MAP_HEADER))
         if not discipline or not category:
-            _flag(violations, (path.name, line_no), "discipline and category are required")
+            if discipline is not None and category is not None:
+                _flag(violations, where, "discipline and category are required")
             continue
         key = normalize_label(discipline)
         labels.setdefault(key, discipline)

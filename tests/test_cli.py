@@ -4,6 +4,7 @@ import io
 import pytest
 
 import golden_tables as gt
+from refh import cli, ranking
 from refh.cli import main, parse_pairs, parse_years
 from refh.corpus import PublicationWindow, filter_documents, ingest_corpus
 from refh.synth import oracle_h
@@ -535,6 +536,28 @@ class TestRankCommand:
         text = (out / "rank_chemistry_h_hat_2014.md").read_text()
         assert "| ranked by h_2008 | ranked by h_hat_2014 |" in text
         assert "1. ICL (59) | 1. Cambridge ↑ (84) |" in text
+
+    @pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+    def test_movement_is_computed_once(self, tmp_path, monkeypatch, fmt):
+        calls, movement = [], ranking.movement
+
+        def counted(baseline, comparison):
+            calls.append((baseline.measure, comparison.measure))
+            return movement(baseline, comparison)
+
+        # cli holds its own reference to movement, so count calls through both
+        for module in (cli, ranking):
+            monkeypatch.setattr(module, "movement", counted)
+        paths = golden_corpus_files(tmp_path, gt.CHEMISTRY_H2008, gt.CHEMISTRY_H2014)
+        code = main([
+            "rank", *corpus_args(paths),
+            "--discipline", "chemistry",
+            "--measure", "h_hat_2014", "--window", "2008:2013",
+            "--baseline", "h_2008", "--baseline-window", "2001:2007",
+            "--format", fmt, "--out", str(tmp_path / "out"),
+        ])
+        assert code == 0
+        assert calls == [("h_2008", "h_hat_2014")]
 
     def test_baseline_equal_to_comparison_is_all_none(self, synth_dir, tmp_path):
         out = tmp_path / "out"

@@ -12,6 +12,8 @@ from refh.corpus import (
     UnknownDisciplineError,
     filter_documents,
     ingest_corpus,
+    load_discipline_maps,
+    load_profiles,
     load_publications,
     write_corpus,
 )
@@ -244,6 +246,25 @@ class TestIngest:
         )
         assert records == ()
         assert violations == ["publications.json:1: P1: affiliations must be non-empty"]
+
+    def test_json_text_fields_of_profiles_and_maps_must_be_strings(self, tmp_path):
+        bands = {"p4": 100, "p3": 0, "p2": 0, "p1": 0, "pu": 0, "staff_fte": 1}
+        (tmp_path / "profiles.json").write_text(json.dumps([
+            {"institution": 44, "discipline": "chemistry", **bands},
+            {"institution": "Alpha", "discipline": ["chemistry"], **bands},
+            {"institution": "Beta", "discipline": "chemistry", **bands},
+        ]), encoding="utf-8")
+        (tmp_path / "discipline_map.json").write_text(json.dumps([
+            {"discipline": "chemistry", "category": ["Chemistry"]},
+            {"discipline": "chemistry", "category": "Chemistry"},
+        ]), encoding="utf-8")
+        profiles, violations = load_profiles(tmp_path / "profiles.json")
+        assert [p.institution for p in profiles] == ["Beta"]
+        assert violations == ["profiles.json:1: field 'institution': not a string: 44",
+                              "profiles.json:2: field 'discipline': not a string: ['chemistry']"]
+        maps, violations = load_discipline_maps(tmp_path / "discipline_map.json")
+        assert maps == (DisciplineMap("chemistry", frozenset({"Chemistry"})),)
+        assert violations == ["discipline_map.json:1: field 'category': not a string: ['Chemistry']"]
 
     def test_shape_violations_precede_row_violations(self, tmp_path):
         paths = write_files(

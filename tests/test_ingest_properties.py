@@ -377,6 +377,42 @@ MALFORMED = {
          ("citations", 5, "field 'count': not an integer: 2.5")],
         {"P1": {2004: 1}},
     ),
+    "padded_cells_accepted": (
+        BOTH, [pub(" P1 ", year=" 2003 ", country=" GB ", affiliations=" Alpha ; Beta ")],
+        [[" P1 ", " 2004 ", " 2 "], ["P1", "2004 ", "1 "]],
+        [],
+        {"P1": {2004: 3}},
+    ),
+    "signed_and_underscored_numbers_accepted": (
+        BOTH, [pub("P1", year="+2003")], [["P1", "2004", "+5"], ["P1", "+2005", "1_0"]],
+        [],
+        {"P1": {2004: 5, 2005: 10}},
+    ),
+    "zero_count_with_early_citing_year": (
+        BOTH, [pub("P1")], [["P1", "2001", "0"], ["P1", "2004", "0"]],
+        [("citations", 1, "P1: citing year 2001 precedes publication year 2003")],
+        {"P1": {}},
+    ),
+    "blank_rows_and_an_extra_field": (
+        CSV_ONLY, [pub("P1"), [" ", "", " ", "", " "], pub("P2")],
+        [["P1", "2004", "1", ""], ["", "", ""], [" ", " "], ["P2", "2005", "2"]],
+        [("citations", 1, "expected 3 fields, got 4")],
+        {"P1": {}, "P2": {2005: 2}},
+    ),
+    "json_values_that_are_not_strings": (
+        JSON_ONLY,
+        [pub(["P1"]), pub("P2", country=44), pub("P3", affiliations={"Alpha": 1}),
+         pub("P4", categories=[["Chemistry"]]), pub("P5", affiliations=["Alpha", " Beta "], country=None)],
+        [["P5", "2004", "1"], [["P5"], "2005", "1"], ["P2", "2004", "1"], [None, "2004", "1"]],
+        [("publications", 1, "field 'pub_id': not a string: ['P1']"),
+         ("publications", 2, "field 'country': not a string: 44"),
+         ("publications", 3, "field 'affiliations': not a string: {'Alpha': 1}"),
+         ("publications", 4, "field 'categories': not a string: ['Chemistry']"),
+         ("citations", 2, "field 'pub_id': not a string: ['P5']"),
+         ("citations", 3, "unknown pub_id 'P2'"),
+         ("citations", 4, "unknown pub_id ''")],
+        {"P5": {2004: 1}},
+    ),
 }
 
 
