@@ -37,7 +37,6 @@ from refh.ranking import (
     RankedTable,
     RankEntry,
     movement,
-    parse_table_csv,
     rank_table,
     render_table,
     with_movement,
@@ -53,7 +52,7 @@ from refh.stats import (
     significance,
     spearman,
 )
-from refh.synth import Lognormal, PowerLaw, SynthConfig, generate, oracle_h
+from refh.synth import Lognormal, PowerLaw, SynthConfig, generate
 
 __version__ = "0.1.0"
 
@@ -88,8 +87,6 @@ __all__ = [
     "h_series",
     "ingest_corpus",
     "movement",
-    "oracle_h",
-    "parse_table_csv",
     "pearson",
     "rank_table",
     "render_table",

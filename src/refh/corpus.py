@@ -27,9 +27,11 @@ the same field names is accepted when the extension is ``.json``):
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -108,8 +110,9 @@ class PublicationRecord:
     ``citations_by_year`` maps citing calendar year to a positive count;
     zero counts are dropped on construction so that equal citation
     histories compare equal.  An empty or missing country is stored as
-    ``None`` and simply never matches a country filter.  Affiliations are
-    stripped of surrounding whitespace and blank ones dropped.
+    ``None`` and simply never matches a country filter.  The pub_id,
+    affiliations and categories are stripped of surrounding whitespace, and
+    blank affiliations and categories dropped, as the loader does.
 
     A record built in the library is checked and normalised here, in
     ``__post_init__``.  File input is checked by :func:`load_publications`,
@@ -125,10 +128,11 @@ class PublicationRecord:
     citations_by_year: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.pub_id or not str(self.pub_id).strip():
+        if not isinstance(self.pub_id, str) or not self.pub_id.strip():
             raise ValueError("pub_id must be a non-empty string")
-        object.__setattr__(self, "affiliations", frozenset(a.strip() for a in self.affiliations) - {""})
-        object.__setattr__(self, "categories", frozenset(self.categories))
+        object.__setattr__(self, "pub_id", self.pub_id.strip())
+        object.__setattr__(self, "affiliations", frozenset(map(str.strip, self.affiliations)) - {""})
+        object.__setattr__(self, "categories", frozenset(map(str.strip, self.categories)) - {""})
         if problem := _empty_list(self.pub_id, self.affiliations, self.categories):
             raise ValueError(problem)
         country = self.country.strip() if isinstance(self.country, str) else self.country
@@ -147,20 +151,31 @@ class PublicationRecord:
                 )
             if count:
                 cleaned[year] = cleaned.get(year, 0) + count
-        object.__setattr__(self, "citations_by_year", dict(sorted(cleaned.items())))
+        object.__setattr__(self, "citations_by_year", _in_year_order(cleaned))
 
     @classmethod
     def _loaded(cls, pub_id, pub_year, country, affiliations, categories, citations_by_year):
         """A record from values that :func:`load_publications` has already
-        checked and normalised."""
-        record, set_field = object.__new__(cls), object.__setattr__
-        set_field(record, "pub_id", pub_id)
-        set_field(record, "pub_year", pub_year)
-        set_field(record, "country", country)
-        set_field(record, "affiliations", affiliations)
-        set_field(record, "categories", categories)
-        set_field(record, "citations_by_year", citations_by_year)
+        checked and normalised, ``citations_by_year`` in ascending year order.
+        Fields are set through the slot descriptors, which the frozen
+        class's ``__setattr__`` does not guard; nothing is checked again."""
+        record = object.__new__(cls)
+        set_id, set_year, set_country, set_affiliations, set_categories, set_citations = _SLOT_SETTERS
+        set_id(record, pub_id)
+        set_year(record, pub_year)
+        set_country(record, country)
+        set_affiliations(record, affiliations)
+        set_categories(record, categories)
+        set_citations(record, citations_by_year)
         return record
+
+
+_SLOT_SETTERS = tuple(PublicationRecord.__dict__[name].__set__ for name in PublicationRecord.__slots__)
+
+
+def _in_year_order(citations: dict[int, int]) -> dict[int, int]:
+    """``citations`` itself when its years ascend, else a copy sorted by year."""
+    return citations if [*citations] == sorted(citations) else dict(sorted(citations.items()))
 
 
 def _empty_list(pub_id: str, affiliations: frozenset[str], categories: frozenset[str]) -> str | None:
@@ -267,7 +282,12 @@ class Corpus:
     Collections are stored in canonical sorted order (publications by
     pub_id, profiles by institution/discipline, maps by discipline), so
     two corpora holding the same data compare equal regardless of the
-    order they were assembled in.
+    order they were assembled in.  Duplicate pub_ids, profiles and maps are
+    refused here for library-built input, as the loaders refuse them in
+    files.  Loaded input has none, so duplicate pub_ids are found by
+    comparing neighbours after the sort rather than through a set: clean
+    input pays for the sort, which is linear on the already sorted rows of
+    a file written by :func:`write_corpus`, and one pass.
     """
 
     publications: tuple[PublicationRecord, ...] = ()
@@ -275,18 +295,14 @@ class Corpus:
     discipline_maps: tuple[DisciplineMap, ...] = ()
 
     def __post_init__(self):
-        pubs = tuple(sorted(self.publications, key=lambda r: r.pub_id))
+        pubs = tuple(sorted(self.publications, key=attrgetter("pub_id")))
         profs = tuple(sorted(self.profiles, key=lambda p: (p.institution, p.discipline)))
         maps = tuple(sorted(self.discipline_maps, key=lambda m: m.discipline))
         object.__setattr__(self, "publications", pubs)
         object.__setattr__(self, "profiles", profs)
         object.__setattr__(self, "discipline_maps", maps)
-        violations = []
-        seen_ids: set[str] = set()
-        for r in pubs:
-            if r.pub_id in seen_ids:
-                violations.append(f"duplicate pub_id {r.pub_id!r}")
-            seen_ids.add(r.pub_id)
+        # sorted, so each duplicate pub_id follows its first copy
+        violations = [f"duplicate pub_id {b.pub_id!r}" for a, b in zip(pubs, pubs[1:]) if a.pub_id == b.pub_id]
         seen_profiles: set[tuple[str, str]] = set()
         for p in profs:
             key = (p.institution, normalize_label(p.discipline))
@@ -395,19 +411,16 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
             return
         # number records by physical line; a record spans more than one
         # only when a quoted cell holds a line break, which no field may
-        end = reader.line_num
+        end, width = reader.line_num, len(header)
         for row in reader:
             line_no, end = end + 1, reader.line_num
             if end != line_no:
                 shape.append(f"{path.name}:{line_no}: record spans lines {line_no}-{end}; "
                              f"a cell contains a line break")
-                continue
-            if not any(map(str.strip, row)):
-                continue
-            if len(row) != len(header):
-                shape.append(f"{path.name}:{line_no}: expected {len(header)} fields, got {len(row)}")
-                continue
-            yield line_no, row
+            elif len(row) == width and (row[0].strip() or any(map(str.strip, row))):
+                yield line_no, row
+            elif any(map(str.strip, row)):
+                shape.append(f"{path.name}:{line_no}: expected {width} fields, got {len(row)}")
     violations[start:start] = shape
 
 
@@ -450,6 +463,14 @@ def _get_number(
     return value
 
 
+class _Ints(dict):
+    """A number cell -> its ``int``, parsed once; a malformed cell raises ``ValueError``."""
+
+    def __missing__(self, cell: str) -> int:
+        value = self[cell] = int(cell)
+        return value
+
+
 class _Sets(dict):
     """A ``;``-separated cell -> the frozenset of its stripped, non-blank items, made once."""
 
@@ -484,11 +505,28 @@ def load_publications(
     CSV cell and alone writes messages.  Equal list cells share one
     frozenset, saving time and memory where cells repeat: categories come
     from a fixed classification, and a group's records name few institutions.
+    Likewise each distinct year or count string is parsed once.
+
+    What the load skips, and why that is safe: the cyclic garbage collector
+    is paused while it runs and restored to its prior state however it ends,
+    since the records and their parts form no reference cycles and the
+    collector would only walk them again and again as they accumulate.  A
+    record's citations are re-sorted only when its citation rows did not
+    arrive in ascending year order, which :func:`write_corpus` guarantees.
     """
-    pub_path, cite_path = Path(pub_file), Path(citation_file)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load_publications(Path(pub_file), Path(citation_file))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load_publications(pub_path: Path, cite_path: Path) -> tuple[tuple[PublicationRecord, ...], list[str]]:
     pub_name, cite_name = pub_path.name, cite_path.name
     violations: list[str] = []
-    interned = _Sets()
+    interned, ints = _Sets(), _Ints()
     # pub_id -> (line_no, pub_year, country, affiliations, categories, citations)
     parsed: dict[str, tuple] = {}
     for line_no, row in _read_rows(pub_path, PUBLICATIONS_HEADER, violations):
@@ -496,7 +534,7 @@ def load_publications(
         try:  # the short path; strings only, as int() takes JSON 2005.0 and true
             if (type(pub_year) is type(country) is type(affiliations) is type(categories) is str
                     and (pub_id := pub_id.strip()) and pub_id not in parsed):
-                parsed[pub_id] = (line_no, int(pub_year), country.strip() or None,
+                parsed[pub_id] = (line_no, ints[pub_year], country.strip() or None,
                                   interned[affiliations], interned[categories], {})
                 continue
         except (AttributeError, ValueError):
@@ -522,15 +560,15 @@ def load_publications(
 
     for line_no, row in _read_rows(cite_path, CITATIONS_HEADER, violations):
         pub_id, citing_year, count = row
-        try:  # the short path, as for publications; a zero count is dropped
-            entry = parsed[pub_id.strip()]
+        try:  # the short path, as for publications, for unpadded ids; a zero count is dropped
+            entry = parsed[pub_id]
             if type(citing_year) is type(count) is str:
-                citing_year, count = int(citing_year), int(count)
+                citing_year, count = ints[citing_year], ints[count]
                 if count >= 0 and citing_year >= entry[1]:
                     if count:
                         entry[5][citing_year] = entry[5].get(citing_year, 0) + count
                     continue
-        except (AttributeError, KeyError, ValueError):
+        except (KeyError, TypeError, ValueError):
             pass
         pub_id, citing_year, count = _cells(row)
         where = (cite_name, line_no)
@@ -563,7 +601,7 @@ def load_publications(
             _flag(violations, (pub_name, line_no), problem)
             continue
         records.append(PublicationRecord._loaded(
-            pub_id, pub_year, country, affiliations, categories, dict(sorted(citations.items()))
+            pub_id, pub_year, country, affiliations, categories, _in_year_order(citations)
         ))
     return tuple(records), violations
 

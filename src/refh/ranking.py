@@ -183,25 +183,6 @@ def render_table(table: RankedTable, format: str = "csv") -> str:
     raise ValueError(f"unknown format: {format!r}")
 
 
-def parse_table_csv(text: str, discipline: str = "", measure: str = "") -> RankedTable:
-    """Inverse of ``render_table(..., "csv")``."""
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or rows[0] != RANK_TABLE_HEADER:
-        raise ValueError(f"bad rank table header: {rows[0] if rows else 'empty'}")
-    entries = []
-    for rank, institution, value, move in rows[1:]:
-        entries.append(
-            RankEntry(
-                rank=int(rank),
-                institution=institution,
-                value=float(value) if value else None,
-                movement=move,
-            )
-        )
-    return RankedTable(discipline=discipline, measure=measure, entries=tuple(entries))
-
-
 def render_comparison_markdown(baseline: RankedTable, comparison: RankedTable) -> str:
     """Side-by-side markdown of a baseline and an arrow-marked comparison."""
     marked = with_movement(comparison, movement(baseline, comparison))

@@ -23,9 +23,10 @@ from refh.metrics import (
 )
 from refh.ranking import movement, rank_table
 from refh.stats import fractional_ranks, pearson, spearman
-from refh.synth import Lognormal, PowerLaw, SynthConfig, generate, oracle_h
+from refh.synth import Lognormal, PowerLaw, SynthConfig, generate
 
 from conftest import profile
+from oracles import oracle_h
 
 WINDOW = PublicationWindow(2001, 2007)
 

@@ -7,9 +7,9 @@ import golden_tables as gt
 from refh import cli, ranking
 from refh.cli import main, parse_pairs, parse_years
 from refh.corpus import PublicationWindow, filter_documents, ingest_corpus
-from refh.synth import oracle_h
 
 from conftest import write_files
+from oracles import oracle_h
 
 
 def run(argv, capsys=None):

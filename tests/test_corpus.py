@@ -109,6 +109,25 @@ class TestCorpusConstruction:
         with pytest.raises(UnknownDisciplineError):
             small_corpus.discipline_map("astrology")
 
+    def test_library_built_duplicates_reported_in_order(self, chem_map):
+        with pytest.raises(CorpusValidationError) as err:
+            Corpus(
+                publications=(record("P2"), record("P1"), record("P1", 2004), record("P1", 2005)),
+                profiles=(profile(discipline="chemistry"), profile(discipline="Chemistry")),
+                discipline_maps=(chem_map, DisciplineMap("Chemistry", frozenset({"Chemistry"}))),
+            )
+        assert err.value.violations == [
+            "duplicate pub_id 'P1'",
+            "duplicate pub_id 'P1'",
+            "duplicate profile for Alpha/chemistry",
+            "duplicate discipline map 'chemistry'",
+        ]
+
+    def test_padded_pub_id_is_the_same_pub_id(self, chem_map):
+        with pytest.raises(CorpusValidationError) as err:
+            Corpus(publications=(record(" P1"), record("P1")), discipline_maps=(chem_map,))
+        assert err.value.violations == ["duplicate pub_id 'P1'"]
+
 
 class TestIngest:
     def test_minimal_round_trip(self, tmp_path):
@@ -431,9 +450,29 @@ class TestRoundTrip:
             list(r.citations_by_year.items()) for r in corpus.publications
         ]
 
+    def test_padded_library_corpus_round_trips(self, tmp_path, chem_map):
+        corpus = Corpus(
+            publications=(record(" P1 ", affiliations=(" Alpha ", " "), categories=(" Chemistry ", ""),
+                                 citations={2005: 1, 2004: 2}),),
+            profiles=(profile(institution=" Alpha "),),
+            discipline_maps=(chem_map,),
+        )
+        assert corpus.publications == (record("P1", citations={2004: 2, 2005: 1}),)
+        paths = write_corpus(corpus, tmp_path)
+        again = ingest_corpus(
+            paths["publications"], paths["citations"], paths["profiles"], paths["discipline_map"]
+        )
+        assert again == corpus
+
     def test_write_is_byte_stable(self, tmp_path):
         corpus = _synth_corpus(4)
         p1 = write_corpus(corpus, tmp_path / "a")
         p2 = write_corpus(corpus, tmp_path / "b")
         for key in p1:
             assert p1[key].read_bytes() == p2[key].read_bytes()
+
+
+def test_every_public_name_resolves():
+    import refh
+
+    assert [name for name in refh.__all__ if not hasattr(refh, name)] == []

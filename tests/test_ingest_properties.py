@@ -11,6 +11,7 @@ keep their own checks.
 """
 
 import csv
+import gc
 import io
 import json
 import os
@@ -26,6 +27,7 @@ from refh.cli import main
 from refh.corpus import (
     CITATIONS_HEADER,
     PUBLICATIONS_HEADER,
+    CorpusValidationError,
     PublicationRecord,
     PublicationWindow,
     filter_documents,
@@ -36,7 +38,7 @@ from refh.corpus import (
 from refh.metrics import matching_publications
 from refh.synth import Lognormal, SynthConfig, generate
 
-from conftest import record
+from conftest import record, write_files
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = ("publications.csv", "citations.csv", "profiles.csv", "discipline_map.csv")
@@ -430,6 +432,50 @@ def test_malformed_corpus_violations_in_order(tmp_path, fmt, case):
     assert violations == [f"{name}.{fmt}:{line(row)}: {message}" for name, row, message in expected]
     # equal dicts: a zero count leaves no year key behind
     assert {r.pub_id: r.citations_by_year for r in records} == citations
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_citation_years_ascend_whatever_the_row_order(tmp_path, fmt):
+    paths = tmp_path / f"publications.{fmt}", tmp_path / f"citations.{fmt}"
+    write_table(paths[0], PUBLICATIONS_HEADER, [pub("P1"), pub("P2")])
+    # P1's rows descend, with (P1, 2007) twice; P2's single row sits between them
+    write_table(paths[1], CITATIONS_HEADER, [
+        ["P1", "2007", "1"], ["P2", "2004", "2"], ["P1", "2007", "3"], ["P1", "2005", "2"],
+        ["P1", "2004", "1"],
+    ])
+    (p1, p2), violations = load_publications(*paths)
+    assert violations == []
+    built = record("P1", citations={2007: 4, 2005: 2, 2004: 1})
+    assert list(p1.citations_by_year.items()) == [(2004, 1), (2005, 2), (2007, 4)]
+    assert list(p1.citations_by_year.items()) == list(built.citations_by_year.items())
+    assert p1 == built and list(p2.citations_by_year.items()) == [(2004, 2)]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_leaves_the_garbage_collector_as_it_was(tmp_path, enabled):
+    (tmp_path / "bad").mkdir()
+    clean, bad = (
+        write_files(d, publications="P1,2003,GB,Alpha,Chemistry", citations=citations,
+                    profiles="Alpha,chemistry,25,25,25,25,0,,,,,,10,", dmap="chemistry,Chemistry")
+        for d, citations in ((tmp_path, "P1,2004,3"), (tmp_path / "bad", "P1,2001,3"))
+    )
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert load_publications(clean["publications"], clean["citations"])[1] == []
+        assert gc.isenabled() is enabled
+        assert load_publications(bad["publications"], bad["citations"])[1] != []
+        assert gc.isenabled() is enabled
+        with pytest.raises(FileNotFoundError):
+            load_publications(tmp_path / "missing.csv", clean["citations"])
+        assert gc.isenabled() is enabled
+        ingest_corpus(*clean.values())
+        assert gc.isenabled() is enabled
+        with pytest.raises(CorpusValidationError):
+            ingest_corpus(*bad.values())
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 # ---------------------------------------------------------------------------

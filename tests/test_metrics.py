@@ -20,9 +20,10 @@ from refh.metrics import (
     write_scores_csv,
 )
 from refh.stats import joined_points
-from refh.synth import Lognormal, SynthConfig, generate, oracle_h
+from refh.synth import Lognormal, SynthConfig, generate
 
 from conftest import profile, record
+from oracles import oracle_h
 
 WINDOW = PublicationWindow(2001, 2007)
 

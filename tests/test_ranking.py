@@ -7,12 +7,13 @@ from refh.ranking import (
     RankEntry,
     RankMove,
     movement,
-    parse_table_csv,
     rank_table,
     render_comparison_markdown,
     render_table,
     with_movement,
 )
+
+from oracles import parse_table_csv
 
 
 class TestRankTable:

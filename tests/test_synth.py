@@ -9,11 +9,11 @@ from refh.synth import (
     PowerLaw,
     SynthConfig,
     generate,
-    oracle_h,
     parse_citation_model,
 )
 
 from conftest import record
+from oracles import oracle_h
 
 WINDOW = PublicationWindow(2001, 2007)
 
