@@ -53,7 +53,7 @@ from refh.stats import (
     write_correlations_csv,
     write_fig_points_csv,
 )
-from refh.synth import SynthConfig, generate, parse_citation_model
+from refh.synth import SynthConfig, SynthConfigError, generate, parse_citation_model
 
 log = logging.getLogger("refh")
 
@@ -336,16 +336,25 @@ def _resolve_rank(args: argparse.Namespace) -> None:
             )
 
 
+# SynthConfig field -> the synth flag that sets it
+_SYNTH_FLAGS = {"seed": "--seed", "n_institutions": "--institutions",
+                "papers_per_institution": "--papers", "accrual": "--accrual",
+                "quality_link": "--quality-link"}
+
+
 def _resolve_synth(args: argparse.Namespace) -> None:
-    args.config = SynthConfig(
-        seed=args.seed,
-        n_institutions=args.institutions,
-        papers_per_institution=args.papers,
-        window=args.window,
-        citation_model=args.model,
-        accrual=args.accrual,
-        quality_link=args.quality_link,
-    )
+    try:
+        args.config = SynthConfig(
+            seed=args.seed,
+            n_institutions=args.institutions,
+            papers_per_institution=args.papers,
+            window=args.window,
+            citation_model=args.model,
+            accrual=args.accrual,
+            quality_link=args.quality_link,
+        )
+    except SynthConfigError as exc:
+        raise ValueError(f"argument {_SYNTH_FLAGS[exc.field]}: {exc.problem}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

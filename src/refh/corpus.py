@@ -735,7 +735,7 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
     write_csv(paths["citations"], CITATIONS_HEADER, (
         [r.pub_id, year, count]
         for r in corpus.publications
-        for year, count in sorted(r.citations_by_year.items())
+        for year, count in r.citations_by_year.items()  # ascending on every record
     ))
     write_csv(paths["profiles"], PROFILES_HEADER, (
         [p.institution, p.discipline]

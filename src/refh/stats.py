@@ -7,6 +7,13 @@ tie-free inputs and is kept to the tests as a cross-check.
 
 Significance uses the t approximation t = r * sqrt((n-2)/(1-r^2)) with
 n-2 degrees of freedom for both coefficients, two-sided, at alpha = 0.05.
+The Student-t upper tail is computed from ``math`` alone, as cephes
+``stdtr`` does for integer degrees of freedom: for |t| <= 2 by the finite
+sums of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df), and for
+|t| > 2 as 0.5 * I_x(df/2, 1/2) with x = df/(df+t^2), the regularized
+incomplete beta function evaluated by its continued fraction (modified
+Lentz).  The tail is computed directly rather than as 1 - CDF, so small
+p-values keep their relative accuracy.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -35,6 +43,11 @@ _H_LABEL = re.compile(r"^h(?:_hat)?_(\d{4})$")
 # profile-side measure label -> ScoreSet field
 _PROFILE_MEASURES = {"s": "s", "s_prime": "s_prime", "s_output": "s_output",
                      "strength": "strength", "i": "nci"}
+# the tail's series stops once a term no longer moves the sum (cephes
+# MACHEP), its continued fraction within 3 of them as in cephes; _TINY stands
+# in for a vanishing Lentz denominator
+_EPS = 2.0 ** -53
+_TINY = 1e-300
 
 log = logging.getLogger(__name__)
 
@@ -43,66 +56,117 @@ class InsufficientDataError(ValueError):
     """Raised when a correlation is requested over fewer than 3 joined pairs."""
 
 
-def _as_vector(x, name: str) -> np.ndarray:
-    # imported here, as in significance, so only correlate loads numpy
-    import numpy as np
-
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    if not np.isfinite(arr).all():
+def _as_vector(x, name: str) -> list[float]:
+    try:
+        if getattr(x, "ndim", 1) != 1 or isinstance(x, str):
+            raise TypeError
+        vec = [float(v) for v in x]
+    except TypeError:  # a scalar or string, or a nested sequence whose rows float() refuses
+        raise ValueError(f"{name} must be one-dimensional") from None
+    if not all(map(math.isfinite, vec)):
         raise ValueError(f"{name} contains a non-finite value")
-    return arr
+    return vec
+
+
+def _vectors(x: Sequence[float], y: Sequence[float]) -> tuple[list[float], list[float]]:
+    """Both vectors checked as a pair: equal lengths, at least 3 each."""
+    xv = _as_vector(x, "x")
+    yv = _as_vector(y, "y")
+    if len(xv) != len(yv):
+        raise ValueError(f"length mismatch: {len(xv)} vs {len(yv)}")
+    if len(xv) < 3:
+        raise ValueError(f"need at least 3 observations, got {len(xv)}")
+    return xv, yv
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation, clamped to [-1, 1] against rounding."""
-    xv = _as_vector(x, "x")
-    yv = _as_vector(y, "y")
-    if xv.size != yv.size:
-        raise ValueError(f"length mismatch: {xv.size} vs {yv.size}")
-    if xv.size < 3:
-        raise ValueError(f"need at least 3 observations, got {xv.size}")
-    xc = xv - xv.mean()
-    yc = yv - yv.mean()
-    dx = float(xc @ xc)
-    dy = float(yc @ yc)
-    if dx == 0.0 or dy == 0.0:
+    xv, yv = _vectors(x, y)
+    mx = math.fsum(xv) / len(xv)
+    my = math.fsum(yv) / len(yv)
+    xc = [v - mx for v in xv]
+    yc = [v - my for v in yv]
+    dx = math.fsum(v * v for v in xc)
+    dy = math.fsum(v * v for v in yc)
+    # equal values are tested as such: their float mean can round off them,
+    # leaving equal nonzero deviations and an r near 0
+    if dx == 0.0 or dy == 0.0 or min(xv) == max(xv) or min(yv) == max(yv):
         raise ValueError("correlation undefined for a constant vector")
     # single sqrt of the product keeps r exactly 1 for identical vectors
-    r = float(xc @ yc) / math.sqrt(dx * dy)
+    r = math.fsum(u * v for u, v in zip(xc, yc)) / math.sqrt(dx * dy)
     return max(-1.0, min(1.0, r))
 
 
-def fractional_ranks(x: Sequence[float]) -> np.ndarray:
+def fractional_ranks(x: Sequence[float]) -> list[float]:
     """Ranks 1..n with tied values sharing the mean of their positions."""
-    import numpy as np
-
     a = _as_vector(x, "x")
-    n = a.size
-    if n == 0:
+    if not a:
         raise ValueError("cannot rank an empty vector")
-    order = np.argsort(a, kind="mergesort")
-    ranks = np.empty(n, dtype=float)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and a[order[j + 1]] == a[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks = [0.0] * len(a)
+    start = 0
+    # a stable sort of the indices, grouped into runs of equal values
+    for _, run in groupby(sorted(range(len(a)), key=a.__getitem__), key=a.__getitem__):
+        tied = list(run)
+        rank = start + 0.5 * (len(tied) + 1)
+        for i in tied:
+            ranks[i] = rank
+        start += len(tied)
     return ranks
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     """Rank correlation: Pearson applied to fractional ranks of both vectors."""
-    xv = _as_vector(x, "x")
-    yv = _as_vector(y, "y")
-    if xv.size != yv.size:
-        raise ValueError(f"length mismatch: {xv.size} vs {yv.size}")
-    if xv.size < 3:
-        raise ValueError(f"need at least 3 observations, got {xv.size}")
+    xv, yv = _vectors(x, y)
     return pearson(fractional_ranks(xv), fractional_ranks(yv))
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b) * a * B(a, b) / (x^a (1-x)^b),
+    by the modified Lentz method; converges fast for x < (a+1)/(a+b+2)."""
+    c = 1.0
+    d = 1.0 / max(1.0 - (a + b) * x / (a + 1.0), _TINY)
+    h = d
+    # at most 63 rounds were needed for df from 1 to 10^7 and t > 2; cephes
+    # stops at 300
+    for m in range(1, 300):
+        for coef in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                     -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d = 1.0 + coef * d
+            d = 1.0 / (d if abs(d) > _TINY else _TINY)
+            c = 1.0 + coef / c
+            c = c if abs(c) > _TINY else _TINY
+            h *= d * c
+        if abs(d * c - 1.0) <= 3.0 * _EPS:
+            return h
+    raise ArithmeticError(f"incomplete beta continued fraction did not converge at x = {x}")
+
+
+def _t_tail(t: float, df: int) -> float:
+    """Upper tail P(T > t) of Student's t with ``df`` >= 1 degrees of freedom, t >= 0."""
+    if t > 2.0:
+        # 0.5 * I_x(df/2, 1/2); here x < df/(df+4), inside the fraction's
+        # fast region, so no symmetry swap is needed
+        a = 0.5 * df
+        t2 = t * t
+        # log of x^a (1-x)^(1/2) / B(a, 1/2), with log x and 1 - x formed
+        # from t so neither loses digits when x is near 0 or 1
+        log_front = (math.lgamma(a + 0.5) - math.lgamma(a) - math.lgamma(0.5)
+                     - a * math.log1p(t2 / df) + 0.5 * math.log(t2 / (df + t2)))
+        return 0.5 * math.exp(log_front) * _beta_continued_fraction(a, 0.5, df / (df + t2)) / a
+    # central = P(|T| <= t), from the finite cos^2 sums of A&S 26.7.3-4
+    z = 1.0 + t * t / df
+    f = term = 1.0
+    j = 3 if df % 2 else 2
+    while j <= df - 2 and term / f > _EPS:
+        term *= (j - 1) / (z * j)
+        f += term
+        j += 2
+    if df % 2:
+        u = t / math.sqrt(df)
+        central = 2.0 / math.pi * (math.atan(u) + (f * u / z if df > 1 else 0.0))
+    else:
+        central = f * t / math.sqrt(z * df)
+    return 0.5 - 0.5 * central
 
 
 def significance(r: float, n: int, kind: str = "pearson") -> tuple[float, bool]:
@@ -120,13 +184,9 @@ def significance(r: float, n: int, kind: str = "pearson") -> tuple[float, bool]:
         raise ValueError(f"correlation {r} outside [-1, 1]")
     if abs(r) == 1.0:
         return 0.0, True
-    # imported here so only commands that compute a p-value load it;
-    # stdtr(df, -|t|) is the Student-t upper tail at |t|
-    from scipy.special import stdtr
-
     df = n - 2
     t_stat = r * math.sqrt(df / (1.0 - r * r))
-    p = 2.0 * float(stdtr(df, -abs(t_stat)))
+    p = 2.0 * _t_tail(abs(t_stat), df)
     p = max(0.0, min(1.0, p))
     return p, p < ALPHA
 

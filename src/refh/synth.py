@@ -81,6 +81,16 @@ class PowerLaw:
 CitationModel = Lognormal | PowerLaw
 
 
+class SynthConfigError(ValueError):
+    """A :class:`SynthConfig` field out of range: ``field`` names it and
+    ``problem`` says what is wrong, so a caller can name its own option."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field} {problem}")
+        self.field = field
+        self.problem = problem
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     seed: int
@@ -93,16 +103,18 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.seed < 0 or self.seed >= 2**64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+            raise SynthConfigError("seed", f"must fit in 64 bits, got {self.seed}")
         if self.n_institutions < 1:
-            raise ValueError("need at least one institution")
+            raise SynthConfigError("n_institutions", f"must be at least 1, got {self.n_institutions}")
         lo, hi = self.papers_per_institution
         if not 1 <= lo <= hi:
-            raise ValueError(f"bad papers_per_institution range {self.papers_per_institution}")
+            raise SynthConfigError(
+                "papers_per_institution", f"must be LO:HI with 1 <= LO <= HI, got {lo}:{hi}"
+            )
         if not 0.0 < self.accrual < 1.0:
-            raise ValueError(f"accrual must be in (0, 1), got {self.accrual}")
+            raise SynthConfigError("accrual", f"must be in (0, 1), got {self.accrual}")
         if not 0.0 <= self.quality_link <= 1.0:
-            raise ValueError(f"quality_link must be in [0, 1], got {self.quality_link}")
+            raise SynthConfigError("quality_link", f"must be in [0, 1], got {self.quality_link}")
 
     def to_dict(self) -> dict:
         model: dict[str, float | str]

@@ -176,8 +176,8 @@ def test_criterion_4_correlation_oracles():
         naive_rho = _naive_pearson(_naive_ranks(x.tolist()), _naive_ranks(y.tolist()))
         worst_spearman = max(worst_spearman, abs(spearman(x, y) - naive_rho))
         if k % 2 == 0:
-            rx = fractional_ranks(x)
-            ry = fractional_ranks(y)
+            rx = np.asarray(fractional_ranks(x))
+            ry = np.asarray(fractional_ranks(y))
             d2 = float(np.sum((rx - ry) ** 2))
             classical = 1.0 - 6.0 * d2 / (n * (n * n - 1))
             worst_classical = max(worst_classical, abs(spearman(x, y) - classical))

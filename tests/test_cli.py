@@ -110,19 +110,22 @@ USAGE_ERRORS = {
         lambda c, out: ["correlate", *c, "--discipline", "synthetic", "--window", "2001:2007",
                         "--years", "2008,2010", "--pairs", "s:i", "--out", out],
         "refh correlate: error: argument --years: correlate needs contiguous measurement years, got [2008, 2010]"),
-    # the range messages are SynthConfig's, so they name its fields
+    # the range checks are SynthConfig's; the messages name the flag that set the field
     "synth --papers 5:3": (
         lambda c, out: ["synth", "--seed", "1", "--institutions", "3", "--papers", "5:3", "--out", out],
-        "refh synth: error: bad papers_per_institution range (5, 3)"),
+        "refh synth: error: argument --papers: must be LO:HI with 1 <= LO <= HI, got 5:3"),
     "synth --institutions 0": (
         lambda c, out: ["synth", "--seed", "1", "--institutions", "0", "--out", out],
-        "refh synth: error: need at least one institution"),
+        "refh synth: error: argument --institutions: must be at least 1, got 0"),
     "synth --accrual 1.5": (
         lambda c, out: ["synth", "--seed", "1", "--institutions", "3", "--accrual", "1.5", "--out", out],
-        "refh synth: error: accrual must be in (0, 1), got 1.5"),
+        "refh synth: error: argument --accrual: must be in (0, 1), got 1.5"),
+    "synth --seed -1": (
+        lambda c, out: ["synth", "--seed", "-1", "--institutions", "3", "--out", out],
+        "refh synth: error: argument --seed: must fit in 64 bits, got -1"),
     "synth --quality-link 2": (
         lambda c, out: ["synth", "--seed", "1", "--institutions", "3", "--quality-link", "2", "--out", out],
-        "refh synth: error: quality_link must be in [0, 1], got 2.0"),
+        "refh synth: error: argument --quality-link: must be in [0, 1], got 2.0"),
 }
 
 

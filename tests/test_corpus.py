@@ -464,6 +464,19 @@ class TestRoundTrip:
         )
         assert again == corpus
 
+    def test_descending_citation_years_write_in_year_order(self, tmp_path, chem_map):
+        corpus = Corpus(
+            publications=(record("P2", citations={2007: 3, 2005: 1, 2003: 2}),
+                          record("P1", citations={2006: 4, 2004: 5})),
+            discipline_maps=(chem_map,),
+        )
+        paths = write_corpus(corpus, tmp_path)
+        assert paths["citations"].read_bytes() == (
+            b"pub_id,citing_year,count\n"
+            b"P1,2004,5\nP1,2006,4\n"
+            b"P2,2003,2\nP2,2005,1\nP2,2007,3\n"
+        )
+
     def test_write_is_byte_stable(self, tmp_path):
         corpus = _synth_corpus(4)
         p1 = write_corpus(corpus, tmp_path / "a")

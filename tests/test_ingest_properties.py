@@ -240,25 +240,34 @@ runs = [
      "--pairs", "s:h_2008", "--out", sys.argv[2]],
 ]
 seen = []
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
 for argv in runs:
     code = main(argv)
-    scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-    seen.append([argv[0], code, scipy])
+    seen.append([argv[0], code, scipy_modules()])
+import scipy.special
+seen.append(["import scipy.special", 0, scipy_modules()])
 print(json.dumps(seen))
 """
 
 
-def test_only_correlate_imports_scipy(base, tmp_path):
+def test_no_command_imports_scipy(base, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", FOOTPRINT, str(base), str(tmp_path / "out")],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    *others, correlate = json.loads(proc.stdout.splitlines()[-1])
-    assert others == [[command, 0, []] for command in ("synth", "ingest", "hindex", "score", "rank")]
-    # the check can see scipy: correlate computes p-values and loads it
-    assert correlate[:2] == ["correlate", 0] and "scipy.special" in correlate[2]
+    *commands, control = json.loads(proc.stdout.splitlines()[-1])
+    assert commands == [
+        [command, 0, []] for command in ("synth", "ingest", "hindex", "score", "rank", "correlate")
+    ]
+    # the check can see scipy: the same interpreter imports it afterwards
+    assert control[:2] == ["import scipy.special", 0] and "scipy.special" in control[2]
 
 
 ONE_COMMAND = """
@@ -272,7 +281,7 @@ print(json.dumps([code, "numpy" in sys.modules]))
 
 @pytest.mark.parametrize("command, loads_numpy", [
     ("ingest", False), ("hindex", False), ("score", False), ("rank", False),
-    ("correlate", True), ("synth", True),
+    ("correlate", False), ("synth", True),
 ])
 def test_only_synth_and_correlate_import_numpy(base, tmp_path, command, loads_numpy):
     # one fresh interpreter per command: a command run earlier in the same

@@ -66,8 +66,13 @@ class TestPearson:
             pearson([1, 2], [1, 2])
 
     def test_constant_vector(self):
-        with pytest.raises(ValueError, match="constant"):
-            pearson([5, 5, 5], [1, 2, 3])
+        # the float mean of 0.1, 0.1, 0.1 is not 0.1, so the deviations are not 0
+        for constant in ([5, 5, 5], [0.1] * 3, [0.7] * 7, [2.675] * 7):
+            ramp = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0][: len(constant)]
+            with pytest.raises(ValueError, match="constant"):
+                pearson(constant, ramp)
+            with pytest.raises(ValueError, match="constant"):
+                pearson(ramp, constant)
 
     def test_symmetry_and_affine_invariance(self):
         rng = np.random.default_rng(3)
@@ -103,22 +108,40 @@ class TestNonFiniteInput:
             fractional_ranks([1.0, math.nan, 2.0])
 
 
+class TestNotOneDimensional:
+    @pytest.mark.parametrize("bad", [
+        [[1.0], [2.0], [3.0], [4.0]],
+        [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+        np.arange(8.0).reshape(4, 2),
+        np.arange(4.0).reshape(4, 1),
+        "1234",  # a string is one value, not its characters
+    ])
+    def test_refused(self, bad):
+        flat = [1.0, 3.0, 2.0, 4.0][: len(bad)]
+        for call in (lambda: pearson(bad, flat), lambda: spearman(bad, flat),
+                     lambda: fractional_ranks(bad)):
+            with pytest.raises(ValueError, match="x must be one-dimensional"):
+                call()
+        with pytest.raises(ValueError, match="y must be one-dimensional"):
+            pearson(flat, bad)
+
+
 class TestFractionalRanks:
     def test_no_ties(self):
-        assert fractional_ranks([10, 20, 30]).tolist() == [1.0, 2.0, 3.0]
+        assert fractional_ranks([10, 20, 30]) == [1.0, 2.0, 3.0]
 
     def test_pair_tie_gets_mean_of_positions(self):
         assert naive_ranks([1, 2, 2, 3]) == [1.0, 2.5, 2.5, 4.0]
-        assert fractional_ranks([1, 2, 2, 3]).tolist() == [1.0, 2.5, 2.5, 4.0]
+        assert fractional_ranks([1, 2, 2, 3]) == [1.0, 2.5, 2.5, 4.0]
 
     def test_full_tie(self):
-        assert fractional_ranks([5, 5, 5]).tolist() == [2.0, 2.0, 2.0]
+        assert fractional_ranks([5, 5, 5]) == [2.0, 2.0, 2.0]
 
     def test_matches_naive_positions_on_random_data(self):
         rng = np.random.default_rng(6)
         for _ in range(50):
             x = rng.integers(0, 6, size=int(rng.integers(1, 30))).tolist()
-            assert fractional_ranks(x).tolist() == pytest.approx(naive_ranks(x))
+            assert fractional_ranks(x) == pytest.approx(naive_ranks(x))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -159,8 +182,8 @@ class TestSpearman:
             n = int(rng.integers(3, 60))
             x = rng.permutation(n) + rng.random(n) * 0.001  # distinct values
             y = rng.permutation(n) + rng.random(n) * 0.001
-            rx = fractional_ranks(x)
-            ry = fractional_ranks(y)
+            rx = np.asarray(fractional_ranks(x))
+            ry = np.asarray(fractional_ranks(y))
             d2 = float(np.sum((rx - ry) ** 2))
             classical = 1.0 - 6.0 * d2 / (n * (n * n - 1))
             assert spearman(x, y) == pytest.approx(classical, abs=1e-12)
@@ -209,7 +232,9 @@ class TestSignificance:
         ps = [significance(0.4, n)[0] for n in (5, 10, 20, 40, 80)]
         assert ps == sorted(ps, reverse=True)
 
-    def test_equals_scipy_stats_t_sf_exactly(self):
+    def test_matches_scipy_stats_t_sf(self):
+        # scipy is a test-time oracle only: significance computes the tail
+        # itself, so this compares two independent implementations
         from scipy.stats import t as student_t
 
         rng = np.random.default_rng(12)
@@ -220,7 +245,22 @@ class TestSignificance:
             ts = [r * math.sqrt((n - 2) / (1.0 - r * r)) for r in rs]
             tails = student_t.sf(np.abs(ts), n - 2)
             for r, tail in zip(rs, tails.tolist()):
-                assert significance(r, n)[0] == max(0.0, min(1.0, 2.0 * tail)), (r, n)
+                expected = max(0.0, min(1.0, 2.0 * tail))
+                p, sig = significance(r, n)
+                assert f"{p:.6f}" == f"{expected:.6f}", (r, n)
+                assert sig == (expected < 0.05), (r, n)
+                assert abs(p - expected) <= 1e-12, (r, n, p, expected)
+                if expected > 0.0:
+                    assert abs(p - expected) <= 1e-10 * expected, (r, n, p, expected)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 9, 10, 37, 198, 998, 9_998])
+    def test_monotone_across_series_fraction_switch(self, df):
+        # the tail switches from a finite series to a continued fraction at
+        # |t| = 2; p must not rise as |t| crosses it.  r = t / sqrt(df + t^2)
+        # gives back t at n = df + 2.
+        ts = [1.9 + k * 1e-4 for k in range(2_001)]
+        ps = [significance(t / math.sqrt(df + t * t), df + 2)[0] for t in ts]
+        assert all(b <= a for a, b in zip(ps, ps[1:]))
 
     def test_spearman_kind_uses_same_approximation(self):
         assert significance(0.5, 12, "spearman") == significance(0.5, 12, "pearson")
