@@ -62,6 +62,9 @@ PRESETS = {
     "ref2014": (PublicationWindow(2008, 2013), [2014]),
 }
 
+# rank --format -> output file suffix
+RANK_SUFFIXES = {"csv": "csv", "markdown": "md", "json": "json"}
+
 
 def parse_years(text: str) -> list[int]:
     """Parse ``2008..2014`` / ``2008,2010`` / mixtures of both."""
@@ -215,28 +218,13 @@ def cmd_rank(args: argparse.Namespace) -> int:
             table = with_movement(table, movement(baseline, table))
 
     args.out.mkdir(parents=True, exist_ok=True)
-    safe_measure = args.measure.replace(":", "_")
-    if args.format == "markdown":
-        path = args.out / f"rank_{args.discipline}_{safe_measure}.md"
-        if baseline is not None:
-            text = render_comparison_markdown(baseline, table)
-        else:
-            text = render_table(table, "markdown")
-        path.write_text(text, encoding="utf-8")
-    elif args.format == "json":
-        path = args.out / f"rank_{args.discipline}_{safe_measure}.json"
-        payload = {
-            "discipline": table.discipline,
-            "measure": table.measure,
-            "entries": [
-                {"rank": e.rank, "institution": e.institution, "value": e.value, "movement": e.movement}
-                for e in table.entries
-            ],
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    stem = f"rank_{args.discipline}_{args.measure.replace(':', '_')}"
+    path = args.out / f"{stem}.{RANK_SUFFIXES[args.format]}"
+    if args.format == "markdown" and baseline is not None:
+        text = render_comparison_markdown(baseline, table)
     else:
-        path = args.out / f"rank_{args.discipline}_{safe_measure}.csv"
-        path.write_text(render_table(table, "csv"), encoding="utf-8")
+        text = render_table(table, args.format)
+    path.write_text(text, encoding="utf-8")
     log.info("wrote %s (%d entries)", path, len(table.entries))
     return 0
 
@@ -405,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_options(p)
     _add_run_options(p, with_years=False)
     _add_out_option(p)
-    p.add_argument("--format", choices=["csv", "markdown", "json"], default="csv")
+    p.add_argument("--format", choices=list(RANK_SUFFIXES), default="csv")
     p.add_argument("--measure", required=True, help="s | s_prime | s_output | strength | i | h_YYYY | h_hat_YYYY")
     p.add_argument("--baseline", help="baseline measure for movement markers")
     p.add_argument(

@@ -7,6 +7,8 @@ disciplines.  Everything downstream (h-indices, scores, correlations,
 rankings) consumes a corpus through pure read-only operations, so a corpus
 is immutable once built.
 
+The record filter is :func:`matching_publications`, written once here.
+
 File formats (CSV with a mandatory header row; a JSON list of objects with
 the same field names is accepted when the extension is ``.json``):
 
@@ -31,6 +33,7 @@ import gc
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -330,34 +333,40 @@ class Corpus:
         return tuple(sorted({a for r in self.publications for a in r.affiliations}))
 
 
-def filter_documents(
-    corpus: Corpus,
-    country: str,
-    window: PublicationWindow,
-    discipline: str,
-    institution: str,
+def matching_publications(
+    corpus: Corpus, country: str, window: PublicationWindow, discipline: str
 ) -> list[PublicationRecord]:
-    """Select the records matching all four filter steps.
+    """Records, sorted by pub_id, whose (i) country equals ``country``,
+    (ii) publication year lies inside ``window``, and (iii) categories
+    include one of the discipline's.  Records without a country never match.
 
-    A record passes when (i) its country equals ``country``, (ii) its
-    publication year lies inside ``window``, (iii) it carries at least one
-    category of the discipline's map, and (iv) ``institution`` is among its
-    affiliations.  A multi-affiliation record is returned for each of its
-    institutions when queried; there is no fractional credit.  Records
-    without a country never match.  The result is sorted by pub_id.
+    Each distinct country string and category set is normalised and
+    matched once per call; loaded records share their category sets (see
+    :func:`load_publications`).
     """
     dmap = corpus.discipline_map(discipline)
-    wanted_country = normalize_country(country)
-    wanted_inst = institution.strip()
+    wanted = normalize_country(country)
+    in_country = cache(lambda c: normalize_country(c) == wanted)
+    in_discipline = cache(dmap.matches)
     return [
         r
         for r in corpus.publications
         if r.country is not None
-        and normalize_country(r.country) == wanted_country
+        and in_country(r.country)
         and window.contains(r.pub_year)
-        and dmap.matches(r.categories)
-        and wanted_inst in r.affiliations
+        and in_discipline(r.categories)
     ]
+
+
+def filter_documents(
+    corpus: Corpus, country: str, window: PublicationWindow, discipline: str, institution: str
+) -> list[PublicationRecord]:
+    """The records of :func:`matching_publications` that also pass step (iv):
+    ``institution`` is among their affiliations.  A multi-affiliation record
+    counts fully for each of its institutions."""
+    wanted = institution.strip()
+    return [r for r in matching_publications(corpus, country, window, discipline)
+            if wanted in r.affiliations]
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +704,7 @@ def ingest_corpus(
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     r"""Write a header and rows as UTF-8 CSV with ``\n`` line endings; every
-    corpus and analytics file is written through here."""
+    CSV file except a rank table (see :func:`refh.ranking.render_table`)."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

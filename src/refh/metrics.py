@@ -3,7 +3,8 @@
 The h-index of a group is the largest n such that n of its publications
 have at least n citations each.  ``h`` for measurement year Y counts
 citations with citing year <= Y-1, i.e. citations to the end of the
-previous calendar year.
+previous calendar year.  The records behind each h come from
+:func:`refh.corpus.matching_publications`, the one filter predicate.
 
 Quality scores come from graded profiles:
 
@@ -16,7 +17,6 @@ Quality scores come from graded profiles:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -25,7 +25,8 @@ from refh.corpus import (
     PublicationRecord,
     PublicationWindow,
     QualityProfile,
-    normalize_country,
+    filter_documents,
+    matching_publications,
     write_csv,
 )
 
@@ -76,30 +77,6 @@ class GroupMetrics:
                     f"years ({year}: {h}, {year + 1}: {values[year + 1]})"
                 )
         object.__setattr__(self, "h_by_year", dict(sorted(values.items())))
-
-
-def matching_publications(
-    corpus: Corpus, country: str, window: PublicationWindow, discipline: str
-) -> list[PublicationRecord]:
-    """Records matching country, window, and discipline for any institution.
-
-    Each distinct country string and category set is normalised and
-    matched once per call.  Both repeat across records (country codes, a
-    fixed category classification), and loaded records share their
-    category sets (see :func:`refh.corpus.load_publications`).
-    """
-    dmap = corpus.discipline_map(discipline)
-    wanted = normalize_country(country)
-    in_country = cache(lambda c: normalize_country(c) == wanted)
-    in_discipline = cache(dmap.matches)
-    return [
-        r
-        for r in corpus.publications
-        if r.country is not None
-        and in_country(r.country)
-        and window.contains(r.pub_year)
-        and in_discipline(r.categories)
-    ]
 
 
 def _bucket_metrics(
@@ -166,10 +143,8 @@ def h_series(
     """One institution's entry of :func:`group_metrics`, evaluated over that
     institution's records only; all-zero h when the group has no matching
     publications."""
-    wanted = institution.strip()
-    records = [r for r in matching_publications(corpus, country, window, discipline)
-               if wanted in r.affiliations]
-    return _bucket_metrics({wanted: records}, discipline, window, years)[0]
+    records = filter_documents(corpus, country, window, discipline, institution)
+    return _bucket_metrics({institution.strip(): records}, discipline, window, years)[0]
 
 
 def departmental_h(
@@ -262,7 +237,7 @@ def write_hseries_csv(series: Iterable[GroupMetrics], path: str | Path) -> None:
     """``hseries.csv``: one row per (institution, measurement year)."""
     rows = []
     for s in series:
-        for year, h in sorted(s.h_by_year.items()):
+        for year, h in s.h_by_year.items():  # stored in year order
             rows.append([s.institution, s.discipline, s.window.start_year, s.window.end_year, year, h])
     rows.sort(key=lambda r: (r[0], r[1], r[4]))
     write_csv(path, HSERIES_HEADER, rows)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping
 
 from refh.metrics import _fmt6
@@ -128,12 +129,11 @@ def movement(baseline: RankedTable, comparison: RankedTable) -> MovementReport:
         else:
             verdict = "none"
         moves[e.institution] = RankMove(old_rank=old, new_rank=e.rank, movement=verdict)
-    dropped = tuple(sorted(set(base_ranks) - {e.institution for e in comparison.entries}))
     return MovementReport(
         baseline_measure=baseline.measure,
         comparison_measure=comparison.measure,
         moves=moves,
-        dropped=dropped,
+        dropped=tuple(set(base_ranks) - set(moves)),  # sorted by the report
     )
 
 
@@ -161,7 +161,8 @@ def _fmt_value_markdown(value: float | None) -> str:
 
 
 def render_table(table: RankedTable, format: str = "csv") -> str:
-    """Deterministic text form of a table; ``format`` is ``csv`` or ``markdown``."""
+    """Deterministic text form of a table; ``format`` is ``csv``, ``markdown``
+    or ``json`` (the table's fields, keys sorted, two-space indent)."""
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -180,6 +181,8 @@ def render_table(table: RankedTable, format: str = "csv") -> str:
                 f"{_MARKDOWN_MOVEMENT[e.movement]} | {_fmt_value_markdown(e.value)} |"
             )
         return "\n".join(lines) + "\n"
+    if format == "json":
+        return json.dumps(asdict(table), indent=2, sort_keys=True) + "\n"
     raise ValueError(f"unknown format: {format!r}")
 
 

@@ -82,16 +82,20 @@ def _vectors(x: Sequence[float], y: Sequence[float]) -> tuple[list[float], list[
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation, clamped to [-1, 1] against rounding."""
     xv, yv = _vectors(x, y)
+    # equal values are tested as such: their float mean can round off them,
+    # leaving equal nonzero deviations and an r near 0
+    if min(xv) == max(xv) or min(yv) == max(yv):
+        raise ValueError("correlation undefined for a constant vector")
+    # r is scale-free; dividing by the largest magnitude keeps the squared
+    # deviations of tiny values (say 1e-170) from underflowing to 0
+    tx, ty = max(map(abs, xv)), max(map(abs, yv))
+    xv, yv = [v / tx for v in xv], [v / ty for v in yv]
     mx = math.fsum(xv) / len(xv)
     my = math.fsum(yv) / len(yv)
     xc = [v - mx for v in xv]
     yc = [v - my for v in yv]
     dx = math.fsum(v * v for v in xc)
     dy = math.fsum(v * v for v in yc)
-    # equal values are tested as such: their float mean can round off them,
-    # leaving equal nonzero deviations and an r near 0
-    if dx == 0.0 or dy == 0.0 or min(xv) == max(xv) or min(yv) == max(yv):
-        raise ValueError("correlation undefined for a constant vector")
     # single sqrt of the product keeps r exactly 1 for identical vectors
     r = math.fsum(u * v for u, v in zip(xc, yc)) / math.sqrt(dx * dy)
     return max(-1.0, min(1.0, r))
@@ -169,15 +173,13 @@ def _t_tail(t: float, df: int) -> float:
     return 0.5 - 0.5 * central
 
 
-def significance(r: float, n: int, kind: str = "pearson") -> tuple[float, bool]:
+def significance(r: float, n: int) -> tuple[float, bool]:
     """Two-sided p-value and alpha = 0.05 flag for a correlation of r over n pairs.
 
-    The same t approximation is used for both coefficient kinds.  |r| = 1
+    Pearson's r and Spearman's rho share the same t approximation.  |r| = 1
     yields p = 0 by convention.  Requires n >= 3 so that the t statistic
     has at least one degree of freedom.
     """
-    if kind not in ("pearson", "spearman"):
-        raise ValueError(f"kind must be 'pearson' or 'spearman', got {kind!r}")
     if n < 3:
         raise ValueError(f"need at least 3 observations, got {n}")
     if not -1.0 <= r <= 1.0:
@@ -313,8 +315,8 @@ def _report(
     ys = [p[2] for p in points]
     r = pearson(xs, ys)
     rho = spearman(xs, ys)
-    p_r, sig_r = significance(r, len(points), "pearson")
-    p_rho, sig_rho = significance(rho, len(points), "spearman")
+    p_r, sig_r = significance(r, len(points))
+    p_rho, sig_rho = significance(rho, len(points))
     return CorrelationReport(
         discipline=metrics[0].discipline,
         measure_x=x_label,

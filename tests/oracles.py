@@ -5,7 +5,7 @@ import csv
 import io
 from typing import Iterable
 
-from refh.corpus import PublicationRecord
+from refh.corpus import Corpus, PublicationRecord, PublicationWindow
 from refh.ranking import RANK_TABLE_HEADER, RankedTable, RankEntry
 
 
@@ -23,6 +23,30 @@ def oracle_h(records: Iterable[PublicationRecord], cutoff_year: int) -> int:
         if sum(1 for c in counts if c >= n) >= n:
             best = n
     return best
+
+
+def oracle_filter(
+    corpus: Corpus, country: str, window: PublicationWindow, discipline: str, institution: str
+) -> list[PublicationRecord]:
+    """The four filter steps written out literally, without refh's filter
+    code: country (trimmed, case-insensitive), publication year inside the
+    window, a category of the discipline's map (trimmed, case-insensitive),
+    and the institution among the affiliations."""
+    label = discipline.strip().casefold()
+    (categories,) = [
+        {c.strip().casefold() for c in m.categories}
+        for m in corpus.discipline_maps
+        if m.discipline.strip().casefold() == label
+    ]
+    return [
+        r
+        for r in corpus.publications
+        if r.country is not None
+        and r.country.strip().upper() == country.strip().upper()
+        and window.start_year <= r.pub_year <= window.end_year
+        and any(c.strip().casefold() in categories for c in r.categories)
+        and institution.strip() in r.affiliations
+    ]
 
 
 def parse_table_csv(text: str, discipline: str = "", measure: str = "") -> RankedTable:

@@ -12,7 +12,7 @@ import numpy as np
 
 import golden_tables as gt
 from refh.cli import main
-from refh.corpus import PublicationWindow, filter_documents
+from refh.corpus import PublicationWindow
 from refh.metrics import (
     compute_h,
     departmental_h,
@@ -26,7 +26,7 @@ from refh.stats import fractional_ranks, pearson, spearman
 from refh.synth import Lognormal, PowerLaw, SynthConfig, generate
 
 from conftest import profile
-from oracles import oracle_h
+from oracles import oracle_filter, oracle_h
 
 WINDOW = PublicationWindow(2001, 2007)
 
@@ -62,7 +62,7 @@ def test_criterion_1_h_index_oracle_equivalence():
 
 
 def test_criterion_2_windowed_pipeline_equivalence():
-    """departmental_h == oracle_h composed with filter_documents, exactly."""
+    """departmental_h == oracle_h composed with oracle_filter, exactly."""
     years = (2008, 2010, 2012)
     mismatches = 0
     checked = 0
@@ -82,7 +82,7 @@ def test_criterion_2_windowed_pipeline_equivalence():
         for inst in corpus.institutions():
             for year in years:
                 expected = oracle_h(
-                    filter_documents(corpus, "GB", WINDOW, "synthetic", inst), year - 1
+                    oracle_filter(corpus, "GB", WINDOW, "synthetic", inst), year - 1
                 )
                 got = departmental_h(corpus, "GB", WINDOW, "synthetic", inst, year)
                 checked += 1

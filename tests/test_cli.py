@@ -6,10 +6,10 @@ import pytest
 import golden_tables as gt
 from refh import cli, ranking
 from refh.cli import main, parse_pairs, parse_years
-from refh.corpus import PublicationWindow, filter_documents, ingest_corpus
+from refh.corpus import PublicationWindow, ingest_corpus
 
 from conftest import write_files
-from oracles import oracle_h
+from oracles import oracle_filter, oracle_h
 
 
 def run(argv, capsys=None):
@@ -225,7 +225,7 @@ class TestHindexCommand:
                                  ("publications", "citations", "profiles", "discipline_map")))
         window = PublicationWindow(2001, 2007)
         for row in rows:
-            matched = filter_documents(corpus, "GB", window, "synthetic", row["institution"])
+            matched = oracle_filter(corpus, "GB", window, "synthetic", row["institution"])
             expected = oracle_h(matched, int(row["measurement_year"]) - 1)
             assert int(row["h"]) == expected
         assert {r["window_start"] for r in rows} == {"2001"}

@@ -30,15 +30,15 @@ from refh.corpus import (
     CorpusValidationError,
     PublicationRecord,
     PublicationWindow,
-    filter_documents,
     ingest_corpus,
     load_publications,
+    matching_publications,
     write_corpus,
 )
-from refh.metrics import matching_publications
 from refh.synth import Lognormal, SynthConfig, generate
 
 from conftest import record, write_files
+from oracles import oracle_filter
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = ("publications.csv", "citations.csv", "profiles.csv", "discipline_map.csv")
@@ -283,7 +283,7 @@ print(json.dumps([code, "numpy" in sys.modules]))
     ("ingest", False), ("hindex", False), ("score", False), ("rank", False),
     ("correlate", False), ("synth", True),
 ])
-def test_only_synth_and_correlate_import_numpy(base, tmp_path, command, loads_numpy):
+def test_only_synth_imports_numpy(base, tmp_path, command, loads_numpy):
     # one fresh interpreter per command: a command run earlier in the same
     # process would leave numpy in sys.modules for the ones after it
     argv = {
@@ -542,6 +542,6 @@ def test_matching_publications_is_the_union_of_filtered_groups(tmp_path, country
     window = PublicationWindow(2002, 2006)
     for corpus in (generated, loaded):
         expected = sorted({r.pub_id for inst in corpus.institutions()
-                           for r in filter_documents(corpus, country, window, "synthetic", inst)})
+                           for r in oracle_filter(corpus, country, window, "synthetic", inst)})
         got = [r.pub_id for r in matching_publications(corpus, country, window, "Synthetic")]
         assert got == expected and got

@@ -23,7 +23,7 @@ from refh.stats import joined_points
 from refh.synth import Lognormal, SynthConfig, generate
 
 from conftest import profile, record
-from oracles import oracle_h
+from oracles import oracle_filter, oracle_h
 
 WINDOW = PublicationWindow(2001, 2007)
 
@@ -132,12 +132,10 @@ class TestDepartmentalH:
                 accrual=0.4, quality_link=0.5,
             )
             corpus = generate(cfg)
-            from refh.corpus import filter_documents
-
             for inst in corpus.institutions():
                 for year in (2008, 2010, 2012):
                     expected = oracle_h(
-                        filter_documents(corpus, "GB", WINDOW, "synthetic", inst), year - 1
+                        oracle_filter(corpus, "GB", WINDOW, "synthetic", inst), year - 1
                     )
                     got = departmental_h(corpus, "GB", WINDOW, "synthetic", inst, year)
                     assert got == expected

@@ -178,6 +178,39 @@ class TestRendering:
         text = render_table(RankedTable("d", "x", entries), "csv")
         assert text.splitlines()[1] == "1,A,5.000000,up"
 
+    def test_json_bytes(self):
+        # a tie at rank 1, an ``up`` and a ``new`` entry; keys sorted, indent
+        # 2 and a trailing newline, as ``rank --format json`` has always written
+        baseline = rank_table({"A": 3, "B": 2}, "h_2008", "chemistry")
+        table = rank_table({"A": 3, "B": 3, "C": 1.5}, "h_2014", "chemistry")
+        text = render_table(with_movement(table, movement(baseline, table)), "json")
+        assert text == (
+            '{\n'
+            '  "discipline": "chemistry",\n'
+            '  "entries": [\n'
+            '    {\n'
+            '      "institution": "A",\n'
+            '      "movement": "none",\n'
+            '      "rank": 1,\n'
+            '      "value": 3.0\n'
+            '    },\n'
+            '    {\n'
+            '      "institution": "B",\n'
+            '      "movement": "up",\n'
+            '      "rank": 1,\n'
+            '      "value": 3.0\n'
+            '    },\n'
+            '    {\n'
+            '      "institution": "C",\n'
+            '      "movement": "new",\n'
+            '      "rank": 3,\n'
+            '      "value": 1.5\n'
+            '    }\n'
+            '  ],\n'
+            '  "measure": "h_2014"\n'
+            '}\n'
+        )
+
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="unknown format"):
             render_table(RankedTable("d", "x", ()), "html")

@@ -74,6 +74,14 @@ class TestPearson:
             with pytest.raises(ValueError, match="constant"):
                 pearson(ramp, constant)
 
+    def test_tiny_values_keep_their_correlation(self):
+        # unscaled, the squared deviations of 1e-170 steps underflow to 0
+        # and the vector would be refused as constant
+        expected = pearson([0.0, 1.0, 2.0], [1.0, 2.0, 4.0])
+        assert expected == pytest.approx(0.9819805060619656, abs=1e-15)
+        assert pearson([0.0, 1e-170, 2e-170], [1.0, 2.0, 4.0]) == expected
+        assert pearson([1.0, 2.0, 4.0], [0.0, 1e-170, 2e-170]) == expected
+
     def test_symmetry_and_affine_invariance(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -262,16 +270,11 @@ class TestSignificance:
         ps = [significance(t / math.sqrt(df + t * t), df + 2)[0] for t in ts]
         assert all(b <= a for a, b in zip(ps, ps[1:]))
 
-    def test_spearman_kind_uses_same_approximation(self):
-        assert significance(0.5, 12, "spearman") == significance(0.5, 12, "pearson")
-
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             significance(0.5, 2)
         with pytest.raises(ValueError):
             significance(1.5, 10)
-        with pytest.raises(ValueError):
-            significance(0.5, 10, kind="kendall")
 
 
 def make_scores(values, discipline="chemistry", nci=None):
