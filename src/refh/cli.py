@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from refh.corpus import (
@@ -43,7 +44,6 @@ from refh.ranking import (
     with_movement,
 )
 from refh.stats import (
-    InsufficientDataError,
     correlation_series,
     correlation_table,
     h_label_year,
@@ -198,12 +198,21 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 def cmd_rank(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args)
     scores = _scores_for(args, corpus)
+    # one h pass per window over every year its labels need; a year at or
+    # before the window start gets a pass of its own, which refuses it as before
+    shared: dict[PublicationWindow, set[int]] = {}
+    for label, window in ((args.measure, args.window), (args.baseline, args.baseline_window)):
+        year = h_label_year(label) if label else None
+        if year is not None and year > window.start_year:
+            shared.setdefault(window, set()).add(year)
+    h_pass = cache(lambda window, years: _metrics_for(args, corpus, list(years), window))
 
     def values_for(measure: str, window: PublicationWindow | None, role: str) -> dict[str, float]:
         metrics: list[GroupMetrics] = []
         year = h_label_year(measure)
         if year is not None:
-            metrics = _metrics_for(args, corpus, [year], window)
+            years = shared.get(window, ())
+            metrics = h_pass(window, tuple(sorted(years)) if year in years else (year,))
         values = measure_values(measure, scores, metrics)
         if not values:
             raise ValueError(f"no values available for {role} {measure!r}")
@@ -445,8 +454,7 @@ def main(argv: list[str] | None = None) -> int:
             args.parser.error(str(exc))
     try:
         return args.func(args)
-    except (CorpusValidationError, InsufficientDataError, UnknownDisciplineError,
-            ValueError, OSError) as exc:
+    except (UnknownDisciplineError, ValueError, OSError) as exc:
         print(f"refh: {exc}", file=sys.stderr)
         return 1
 

@@ -211,6 +211,14 @@ class DisciplineMap:
         return any(normalize_label(c) in normalized for c in categories)
 
 
+_NO_OUTPUT = (None,) * 5
+
+
+def _bands_ok(bands) -> bool:
+    """Whether every band lies in [0, 100] and they sum to 100; a NaN sum fails."""
+    return 0.0 <= min(bands) and max(bands) <= 100.0 and abs(sum(bands) - 100.0) <= PERCENT_SUM_TOL
+
+
 @dataclass(frozen=True)
 class QualityProfile:
     """Graded quality profile for one (institution, discipline) group.
@@ -241,11 +249,19 @@ class QualityProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "institution", self.institution.strip())
+        outs = (self.p4_out, self.p3_out, self.p2_out, self.p1_out, self.pu_out)
+        # one test passes a clean profile; _refuse names what a failing one breaks
+        if not (self.institution and _bands_ok(self.percentages())
+                and (outs == _NO_OUTPUT or (None not in outs and _bands_ok(outs)))
+                and self.staff_fte > 0 and (self.nci is None or not self.nci < 0)):
+            self._refuse(outs)
+
+    def _refuse(self, outs):
+        """Raise for the first rule the profile breaks, checked one by one."""
         if not self.institution:
             raise ValueError(f"profile for {self.discipline!r}: institution must be non-empty")
         who = f"{self.institution}/{self.discipline}"
         self._check_bands(who, self.percentages())
-        outs = (self.p4_out, self.p3_out, self.p2_out, self.p1_out, self.pu_out)
         present = [o is not None for o in outs]
         if any(present) and not all(present):
             raise ValueError(f"{who}: output sub-profile must be complete or absent")
@@ -619,12 +635,42 @@ _OPTIONAL_PROFILE_FIELDS = frozenset(["p4_out", "p3_out", "p2_out", "p1_out", "p
 
 
 def load_profiles(profile_file: str | Path) -> tuple[tuple[QualityProfile, ...], list[str]]:
-    """Parse the profile file; raises nothing, returns (profiles, violations)."""
+    """Parse the profile file; raises nothing, returns (profiles, violations).
+
+    This is the validator for file input, as :func:`load_publications` is
+    for publications.  A CSV row takes a short path when its institution and
+    discipline are non-blank, unpadded and not seen before, every number
+    cell parses with ``float`` (a blank optional cell is ``None``) and
+    staff_fte and nci are finite.  It is built with one ``QualityProfile``
+    call, whose ``__post_init__`` checks the bands (which refuses a
+    non-finite one), the sub-profile's shape, staff_fte and nci.  Any other
+    row, and one that call refuses, goes to the per-row validator, which
+    strips every cell, checks each name and number at the offending
+    ``file:line`` and alone writes messages.
+    """
     path = Path(profile_file)
     violations: list[str] = []
     profiles = []
     seen: set[tuple[str, str]] = set()
     for line_no, row in _read_rows(path, PROFILES_HEADER, violations):
+        try:  # the short path, for CSV rows; normalize_label(discipline) is casefold here
+            if type(row) is list:
+                institution, discipline, p4, p3, p2, p1, pu, *outs, staff_fte, nci = row
+                key = (institution, discipline.casefold())
+                if (institution and discipline and key not in seen
+                        and institution == institution.strip() and discipline == discipline.strip()):
+                    bands = [float(p4), float(p3), float(p2), float(p1), float(pu)]
+                    outs = [float(o) if o else None for o in outs]
+                    staff_fte, nci = float(staff_fte), float(nci) if nci else None
+                    # an inf or NaN in either makes the sum non-finite; a sum
+                    # that overflows only sends the row to the validator
+                    if math.isfinite(staff_fte + (nci or 0.0)):
+                        profiles.append(
+                            QualityProfile(institution, discipline, *bands, staff_fte, *outs, nci))
+                        seen.add(key)
+                        continue
+        except ValueError:
+            pass
         institution, discipline, *cells = _cells(row)
         where = (path.name, line_no)
         institution = _get_str(institution, "institution", where, violations)

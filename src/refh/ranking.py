@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 from refh.metrics import _fmt6
@@ -139,13 +139,13 @@ def movement(baseline: RankedTable, comparison: RankedTable) -> MovementReport:
 
 def with_movement(table: RankedTable, report: MovementReport) -> RankedTable:
     """Copy of ``table`` with each entry's movement taken from ``report``."""
-    entries = tuple(
-        replace(e, movement=report.moves[e.institution].movement)
-        if e.institution in report.moves
+    moves = report.moves
+    return RankedTable(table.discipline, table.measure, tuple(
+        RankEntry(e.rank, e.institution, e.value, moves[e.institution].movement)
+        if e.institution in moves
         else e
         for e in table.entries
-    )
-    return replace(table, entries=entries)
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ sums of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df), and for
 |t| > 2 as 0.5 * I_x(df/2, 1/2) with x = df/(df+t^2), the regularized
 incomplete beta function evaluated by its continued fraction (modified
 Lentz).  The tail is computed directly rather than as 1 - CDF, so small
-p-values keep their relative accuracy.
+p-values keep their relative accuracy.  The finite sums take up to df/2
+terms, so above df = 100 the continued fraction serves every t: directly
+where it converges fast, and through I_x's symmetry, as 0.5 - 0.5 *
+I_(1-x)(1/2, df/2), below t^2 = 3 df / (df + 2).
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ _PROFILE_MEASURES = {"s": "s", "s_prime": "s_prime", "s_output": "s_output",
 # in for a vanishing Lentz denominator
 _EPS = 2.0 ** -53
 _TINY = 1e-300
+# above this df the tail is the continued fraction alone, at any t
+_SERIES_MAX_DF = 100
 
 log = logging.getLogger(__name__)
 
@@ -130,8 +135,8 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     c = 1.0
     d = 1.0 / max(1.0 - (a + b) * x / (a + 1.0), _TINY)
     h = d
-    # at most 63 rounds were needed for df from 1 to 10^7 and t > 2; cephes
-    # stops at 300
+    # at most 88 rounds were needed for df from 1 to 10^7 and t > 2, and for
+    # df from 101 to 10^7 and any t; cephes stops at 300
     for m in range(1, 300):
         for coef in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
                      -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
@@ -145,18 +150,35 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     raise ArithmeticError(f"incomplete beta continued fraction did not converge at x = {x}")
 
 
+def _log_gamma_ratio(a: float) -> float:
+    """log(Gamma(a + 1/2) / Gamma(a)).  For a above half of _SERIES_MAX_DF it is
+    the asymptotic series of DLMF 5.11.8, within 1e-16 there; the difference
+    of two lgammas loses digits as they grow (5e-12 at a = 5e4)."""
+    if a <= 0.5 * _SERIES_MAX_DF:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    a2 = a * a
+    series = -1.0 / 8.0 + (1.0 / 192.0 + (-1.0 / 640.0 + 17.0 / (14336.0 * a2)) / a2) / a2
+    return 0.5 * math.log(a) + series / a
+
+
 def _t_tail(t: float, df: int) -> float:
     """Upper tail P(T > t) of Student's t with ``df`` >= 1 degrees of freedom, t >= 0."""
-    if t > 2.0:
-        # 0.5 * I_x(df/2, 1/2); here x < df/(df+4), inside the fraction's
-        # fast region, so no symmetry swap is needed
+    if t == 0.0:
+        return 0.5
+    if t > 2.0 or df > _SERIES_MAX_DF:
         a = 0.5 * df
         t2 = t * t
         # log of x^a (1-x)^(1/2) / B(a, 1/2), with log x and 1 - x formed
         # from t so neither loses digits when x is near 0 or 1
-        log_front = (math.lgamma(a + 0.5) - math.lgamma(a) - math.lgamma(0.5)
+        log_front = (_log_gamma_ratio(a) - math.lgamma(0.5)
                      - a * math.log1p(t2 / df) + 0.5 * math.log(t2 / (df + t2)))
-        return 0.5 * math.exp(log_front) * _beta_continued_fraction(a, 0.5, df / (df + t2)) / a
+        front = math.exp(log_front)
+        # 0.5 * I_x(df/2, 1/2) while x = df/(df+t^2) lies in the fraction's
+        # fast region x < (a+1)/(a+b+2), as it does for every t > 2; below
+        # that, 0.5 - 0.5 * I_(1-x)(1/2, df/2), where 1 - x lies in it
+        if t2 * (df + 2) > 3.0 * df:
+            return 0.5 * front * _beta_continued_fraction(a, 0.5, df / (df + t2)) / a
+        return 0.5 - front * _beta_continued_fraction(0.5, a, t2 / (df + t2))
     # central = P(|T| <= t), from the finite cos^2 sums of A&S 26.7.3-4
     z = 1.0 + t * t / df
     f = term = 1.0

@@ -3,10 +3,11 @@ library's own code is checked against, never called by it."""
 
 import csv
 import io
+from dataclasses import replace
 from typing import Iterable
 
 from refh.corpus import Corpus, PublicationRecord, PublicationWindow
-from refh.ranking import RANK_TABLE_HEADER, RankedTable, RankEntry
+from refh.ranking import RANK_TABLE_HEADER, MovementReport, RankedTable, RankEntry
 
 
 def oracle_h(records: Iterable[PublicationRecord], cutoff_year: int) -> int:
@@ -66,3 +67,13 @@ def parse_table_csv(text: str, discipline: str = "", measure: str = "") -> Ranke
             )
         )
     return RankedTable(discipline=discipline, measure=measure, entries=tuple(entries))
+
+
+def oracle_with_movement(table: RankedTable, report: MovementReport) -> RankedTable:
+    """``table`` with each entry the report covers re-marked through
+    ``dataclasses.replace``, entry by entry."""
+    entries = tuple(
+        replace(e, movement=report.moves[e.institution].movement) if e.institution in report.moves else e
+        for e in table.entries
+    )
+    return replace(table, entries=entries)

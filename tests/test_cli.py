@@ -562,6 +562,32 @@ class TestRankCommand:
         assert code == 0
         assert calls == [("h_2008", "h_hat_2014")]
 
+    @pytest.mark.parametrize("baseline, baseline_window, passes, code", [
+        ("h_2008", [], [[2008, 2014]], 0),
+        ("h_2014", [], [[2014]], 0),
+        ("h_2008", ["--baseline-window", "2002:2007"], [[2014], [2008]], 0),
+        # a year at or before the window start keeps its own pass, refused as before
+        ("h_2001", [], [[2014], [2001]], 1),
+    ])
+    def test_one_h_pass_per_window(self, synth_dir, tmp_path, monkeypatch, capsys,
+                                   baseline, baseline_window, passes, code):
+        calls, group_metrics = [], cli.group_metrics
+
+        def counted(corpus, country, window, discipline, years):
+            calls.append(list(years))
+            return group_metrics(corpus, country, window, discipline, years)
+
+        monkeypatch.setattr(cli, "group_metrics", counted)
+        got, _, err = run([
+            "rank", *corpus_args(synth_paths(synth_dir)),
+            "--discipline", "synthetic", "--window", "2001:2007",
+            "--measure", "h_2014", "--baseline", baseline, *baseline_window,
+            "--out", str(tmp_path / "out"),
+        ], capsys)
+        assert (got, calls) == (code, passes)
+        if code:
+            assert err == "refh: measurement year 2001 must come after window start 2001\n"
+
     def test_baseline_equal_to_comparison_is_all_none(self, synth_dir, tmp_path):
         out = tmp_path / "out"
         code = main([

@@ -5,9 +5,11 @@ splitting a citation count, padding cells) must give an equal corpus and
 byte-identical command outputs; renaming an institution must only rename
 it in the outputs; one more citation row must never lower an h; cutting a
 file short must give exit 0 or a ``file:line`` error, never a traceback.
-A malformed corpus gives one exact violation list, in order, from CSV and
-JSON alike; the loader checks file input itself, and library-built records
-keep their own checks.
+A malformed corpus or profile file gives one exact violation list, in
+order, from CSV and JSON alike; the loaders check file input themselves,
+and library-built records keep their own checks.  Padded or JSON profiles,
+which take the per-row validator, load equal to the clean CSV, which takes
+the short path.
 """
 
 import csv
@@ -23,14 +25,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from refh import corpus as corpus_module
 from refh.cli import main
 from refh.corpus import (
     CITATIONS_HEADER,
+    PROFILES_HEADER,
     PUBLICATIONS_HEADER,
     CorpusValidationError,
     PublicationRecord,
     PublicationWindow,
     ingest_corpus,
+    load_profiles,
     load_publications,
     matching_publications,
     write_corpus,
@@ -441,6 +446,159 @@ def test_malformed_corpus_violations_in_order(tmp_path, fmt, case):
     assert violations == [f"{name}.{fmt}:{line(row)}: {message}" for name, row, message in expected]
     # equal dicts: a zero count leaves no year key behind
     assert {r.pub_id: r.citations_by_year for r in records} == citations
+
+
+def prof(institution="Alpha", discipline="chemistry", bands=("25", "25", "25", "25", "0"),
+         outs=("",) * 5, staff_fte="10", nci=""):
+    return [institution, discipline, *bands, *outs, staff_fte, nci]
+
+# (formats, profile rows, expected violations as (data row, message),
+# expected (institution, discipline) of the loaded profiles, in file order)
+MALFORMED_PROFILES = {
+    "blank_or_whitespace_names": (
+        BOTH,
+        [prof(""), prof("  "), prof("Beta", discipline=""), prof("Gamma", discipline=" \t"), prof("Delta")],
+        [(1, "institution and discipline are required"),
+         (2, "institution and discipline are required"),
+         (3, "institution and discipline are required"),
+         (4, "institution and discipline are required")],
+        [("Delta", "chemistry")],
+    ),
+    "blank_or_whitespace_required_numbers": (
+        BOTH,
+        [prof(bands=("", "25", "25", "25", "0")), prof("Beta", bands=("25", "25", "25", "25", " ")),
+         prof("Gamma", staff_fte=" "), prof("Delta", staff_fte="")],
+        [(1, "field 'p4': missing value"),
+         (2, "field 'pu': missing value"),
+         (3, "field 'staff_fte': missing value"),
+         (4, "field 'staff_fte': missing value")],
+        [],
+    ),
+    "non_finite_and_malformed_numbers": (
+        BOTH,
+        [prof(bands=("nan", "25", "25", "25", "0")), prof("Beta", staff_fte="inf"),
+         prof("Gamma", nci="1e400"), prof("Delta", outs=("-inf", "30", "25", "25", "0")),
+         prof("Eps", bands=("25", "25", "x", "25", "0"), nci="NaN"), prof("Zeta", staff_fte="10,5")],
+        [(1, "field 'p4': not a finite number: 'nan'"),
+         (2, "field 'staff_fte': not a finite number: 'inf'"),
+         (3, "field 'nci': not a finite number: '1e400'"),
+         (4, "field 'p4_out': not a finite number: '-inf'"),
+         (4, "profile sum/shape error: Delta/chemistry: output sub-profile must be complete or absent"),
+         (5, "field 'p2': not a number: 'x'"),
+         (5, "field 'nci': not a finite number: 'NaN'"),
+         (6, "field 'staff_fte': not a number: '10,5'")],
+        # a flagged optional cell is left out of a profile that is still
+        # built; the violation alone fails the ingest
+        [("Gamma", "chemistry")],
+    ),
+    "partial_output_sub_profile": (
+        BOTH,
+        [prof(outs=("20", "30", "25", "25", "")), prof("Beta", outs=("", "", "", "", "100"))],
+        [(1, "profile sum/shape error: Alpha/chemistry: output sub-profile must be complete or absent"),
+         (2, "profile sum/shape error: Beta/chemistry: output sub-profile must be complete or absent")],
+        [],
+    ),
+    "bands_outside_0_100": (
+        BOTH,
+        [prof(bands=("125", "-25", "0", "0", "0")), prof("Beta", bands=("25", "25", "75", "-25", "0")),
+         prof("Gamma", outs=("100.5", "0", "0", "0", "-0.5"))],
+        [(1, "profile sum/shape error: Alpha/chemistry: profile percentage 125.0 outside [0, 100]"),
+         (2, "profile sum/shape error: Beta/chemistry: profile percentage -25.0 outside [0, 100]"),
+         (3, "profile sum/shape error: Gamma/chemistry: "
+             "output sub-profile percentage 100.5 outside [0, 100]")],
+        [],
+    ),
+    "sums_other_than_100": (
+        BOTH,
+        [prof(bands=("25", "25", "25", "24", "0")), prof("Beta", outs=("20", "30", "25", "25", "1")),
+         prof("Gamma", bands=("10.1", "20.2", "30.3", "39.4", "0.000001"))],
+        [(1, "profile sum/shape error: Alpha/chemistry: profile sum 99.0 != 100"),
+         (2, "profile sum/shape error: Beta/chemistry: output sub-profile sum 101.0 != 100"),
+         (3, "profile sum/shape error: Gamma/chemistry: profile sum 100.000001 != 100")],
+        [],
+    ),
+    "staff_fte_and_nci_out_of_range": (
+        BOTH,
+        [prof(staff_fte="0"), prof("Beta", staff_fte="-3"), prof("Gamma", nci="-1"),
+         prof("Delta", nci="0", staff_fte="0.5")],
+        [(1, "profile sum/shape error: Alpha/chemistry: staff_fte must be positive, got 0.0"),
+         (2, "profile sum/shape error: Beta/chemistry: staff_fte must be positive, got -3.0"),
+         (3, "profile sum/shape error: Gamma/chemistry: nci must be non-negative, got -1.0")],
+        [("Delta", "chemistry")],
+    ),
+    "duplicates_that_differ_in_discipline_case": (
+        BOTH,
+        [prof(), prof(discipline="Chemistry"), prof(" Alpha ", discipline=" CHEMISTRY "),
+         prof("Beta", discipline="Chemistry", staff_fte="0"), prof("Beta", discipline="chemistry"),
+         prof("Beta", discipline="CHEMISTRY"), prof("Alpha", discipline="physics"),
+         prof(" Beta"), prof("Alpha ", discipline="Physics")],
+        [(2, "duplicate profile for Alpha/Chemistry"),
+         (3, "duplicate profile for Alpha/CHEMISTRY"),
+         (4, "profile sum/shape error: Beta/Chemistry: staff_fte must be positive, got 0.0"),
+         (6, "duplicate profile for Beta/CHEMISTRY"),
+         (8, "duplicate profile for Beta/chemistry"),
+         (9, "duplicate profile for Alpha/Physics")],
+        [("Alpha", "chemistry"), ("Beta", "chemistry"), ("Alpha", "physics")],
+    ),
+    "padded_signed_and_blank_optional_cells_accepted": (
+        BOTH,
+        [prof(" Alpha ", " chemistry ", bands=(" 25 ", "+25", "2_5", "25.0 ", "0"),
+              outs=(" ", "", "  ", "", ""), staff_fte=" 1e1 ", nci="  "),
+         prof("Beta", outs=("20", "30", "25", "25", "0"), nci=" 0.5 ")],
+        [],
+        [("Alpha", "chemistry"), ("Beta", "chemistry")],
+    ),
+    "json_values_that_are_not_strings": (
+        JSON_ONLY,
+        [prof(5), prof("Beta", discipline=["chemistry"]), prof("Gamma", nci=None),
+         prof("Delta", staff_fte=True), prof("Eps", bands=(25, 25.0, "25", 25, 0))],
+        [(1, "field 'institution': not a string: 5"),
+         (2, "field 'discipline': not a string: ['chemistry']"),
+         (4, "field 'staff_fte': not a number: True")],
+        [("Gamma", "chemistry"), ("Eps", "chemistry")],
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt, case", [
+    (fmt, name) for name, (formats, *_) in MALFORMED_PROFILES.items() for fmt in formats
+])
+def test_malformed_profiles_violations_in_order(tmp_path, fmt, case):
+    _, rows, expected, loaded = MALFORMED_PROFILES[case]
+    path = tmp_path / f"profiles.{fmt}"
+    write_table(path, PROFILES_HEADER, rows)
+    profiles, violations = load_profiles(path)
+    line = (lambda row: row + 1) if fmt == "csv" else (lambda row: row)
+    assert violations == [f"profiles.{fmt}:{line(row)}: {message}" for row, message in expected]
+    assert [(p.institution, p.discipline) for p in profiles] == loaded
+
+
+@pytest.mark.parametrize("variant", ["padded", "json"])
+def test_profiles_load_equal_from_padded_csv_and_json(base, tmp_path, monkeypatch, variant):
+    # padded CSV cells and JSON rows both take the per-row validator; the
+    # clean CSV takes the short path throughout
+    header, *rows = read_rows(base / FILES[2])
+    assert any("" in row for row in rows)  # blank optional cells, padded to blanks
+    if variant == "padded":
+        path = tmp_path / "profiles.csv"
+        write_rows(path, [header] + [[f" {cell}  " for cell in row] for row in rows])
+    else:
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps([
+            {k: v if k in ("institution", "discipline") else float(v) for k, v in zip(header, row) if v}
+            for row in rows
+        ]), encoding="utf-8")
+    validated, get_str = [], corpus_module._get_str
+
+    def counted(raw, key, *rest):
+        validated.append(key)
+        return get_str(raw, key, *rest)
+
+    monkeypatch.setattr(corpus_module, "_get_str", counted)
+    expected = load_profiles(base / FILES[2])
+    assert validated == [] and expected[1] == [] and len(expected[0]) == len(rows)
+    assert load_profiles(path) == expected
+    assert validated == ["institution", "discipline"] * len(rows)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

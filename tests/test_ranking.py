@@ -13,7 +13,7 @@ from refh.ranking import (
     with_movement,
 )
 
-from oracles import parse_table_csv
+from oracles import oracle_with_movement, parse_table_csv
 
 
 class TestRankTable:
@@ -121,6 +121,18 @@ class TestMovement:
         marked = with_movement(comparison, movement(baseline, comparison))
         by_inst = {e.institution: e.movement for e in marked.entries}
         assert by_inst == {"B": "up", "A": "down"}
+
+    def test_with_movement_equals_replace_oracle(self):
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            names = [f"I{k}" for k in range(int(rng.integers(1, 40)))]
+            base_names = [n for n in names if rng.random() < 0.8] or names[:1]
+            extra = [f"X{k}" for k in range(int(rng.integers(0, 4)))]  # dropped from the comparison
+            baseline = rank_table({n: float(rng.integers(0, 8)) for n in base_names + extra}, "a", "d")
+            table = rank_table({n: float(rng.integers(0, 8)) for n in names}, "b", "d")
+            for report in (movement(baseline, table), movement(baseline, baseline)):
+                marked = with_movement(table, report)
+                assert marked == oracle_with_movement(table, report)
 
 
 class TestRendering:

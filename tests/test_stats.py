@@ -261,14 +261,25 @@ class TestSignificance:
                 if expected > 0.0:
                     assert abs(p - expected) <= 1e-10 * expected, (r, n, p, expected)
 
-    @pytest.mark.parametrize("df", [1, 2, 3, 4, 9, 10, 37, 198, 998, 9_998])
+    @pytest.mark.parametrize(
+        "df", [1, 2, 3, 4, 9, 10, 37, 98, 99, 100, 101, 102, 198, 998, 9_998, 99_998]
+    )
     def test_monotone_across_series_fraction_switch(self, df):
-        # the tail switches from a finite series to a continued fraction at
-        # |t| = 2; p must not rise as |t| crosses it.  r = t / sqrt(df + t^2)
+        # up to df = 100 the tail switches from a finite series to a continued
+        # fraction at |t| = 2; above it, from the fraction through I_x's
+        # symmetry to the fraction itself at t^2 = 3 df / (df + 2).  p must
+        # not rise as |t| crosses either point.  r = t / sqrt(df + t^2)
         # gives back t at n = df + 2.
-        ts = [1.9 + k * 1e-4 for k in range(2_001)]
-        ps = [significance(t / math.sqrt(df + t * t), df + 2)[0] for t in ts]
-        assert all(b <= a for a, b in zip(ps, ps[1:]))
+        for switch in (2.0, math.sqrt(3 * df / (df + 2))):
+            ts = [switch - 0.1 + k * 1e-4 for k in range(2_001)]
+            ps = [significance(t / math.sqrt(df + t * t), df + 2)[0] for t in ts]
+            assert all(b <= a for a, b in zip(ps, ps[1:])), switch
+
+    def test_monotone_in_n_across_series_fraction_switch(self):
+        # df = 100 is the last that takes the finite series for |t| <= 2
+        for r in [k / 100 for k in range(-99, 100)] + [1e-12, -1e-9]:
+            ps = [significance(r, n)[0] for n in range(95, 110)]
+            assert all(b <= a for a, b in zip(ps, ps[1:])), r
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
