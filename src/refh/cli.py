@@ -10,6 +10,7 @@ success, 1 on validation or data errors, 2 on usage errors.  The
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -460,6 +461,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    gc.freeze()  # modules live until exit: later collections, at shutdown too, would only re-scan them
     sys.exit(main())
 
 

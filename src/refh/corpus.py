@@ -30,8 +30,10 @@ from __future__ import annotations
 
 import csv
 import gc
+import itertools
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache
 from operator import attrgetter
@@ -424,28 +426,31 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
 
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        got_header = next(reader, None)
-        if got_header is None:
-            violations.append(f"{path.name}: empty file, expected header {','.join(header)}")
-            return
-        if [h.strip() for h in got_header] != header:
-            violations.append(
-                f"{path.name}:1: bad header {','.join(got_header)!r}, "
-                f"expected {','.join(header)!r}"
-            )
-            return
-        # number records by physical line; a record spans more than one
-        # only when a quoted cell holds a line break, which no field may
-        end, width = reader.line_num, len(header)
-        for row in reader:
-            line_no, end = end + 1, reader.line_num
-            if end != line_no:
-                shape.append(f"{path.name}:{line_no}: record spans lines {line_no}-{end}; "
-                             f"a cell contains a line break")
-            elif len(row) == width and (row[0].strip() or any(map(str.strip, row))):
-                yield line_no, row
-            elif any(map(str.strip, row)):
-                shape.append(f"{path.name}:{line_no}: expected {width} fields, got {len(row)}")
+        try:
+            got_header = next(reader, None)
+            if got_header is None:
+                violations.append(f"{path.name}: empty file, expected header {','.join(header)}")
+                return
+            if [h.strip() for h in got_header] != header:
+                violations.append(
+                    f"{path.name}:1: bad header {','.join(got_header)!r}, "
+                    f"expected {','.join(header)!r}"
+                )
+                return
+            # number records by physical line; a record spans more than one
+            # only when a quoted cell holds a line break, which no field may
+            end, width = reader.line_num, len(header)
+            for row in reader:
+                line_no, end = end + 1, reader.line_num
+                if end != line_no:
+                    shape.append(f"{path.name}:{line_no}: record spans lines {line_no}-{end}; "
+                                 f"a cell contains a line break")
+                elif len(row) == width and (row[0].strip() or any(map(str.strip, row))):
+                    yield line_no, row
+                elif any(map(str.strip, row)):
+                    shape.append(f"{path.name}:{line_no}: expected {width} fields, got {len(row)}")
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit(); the read stops here
+            shape.append(f"{path.name}:{reader.line_num}: {exc}")
     violations[start:start] = shape
 
 
@@ -523,47 +528,105 @@ def load_publications(
     """Parse the publication and citation files into records plus violations.
 
     This is the validator for file input: it applies every rule of
-    ``PublicationRecord.__post_init__``, each at the offending ``file:line``,
-    and then builds the records without running that method.  A clean row
-    of strings takes a short path of built-ins that strips only what it
-    reads; any other row goes to the per-row validator, which strips every
-    CSV cell and alone writes messages.  Equal list cells share one
+    ``PublicationRecord.__post_init__`` and builds the records without
+    running that method.  Clean CSV files take one tight pass each, in
+    chunks of rows, that skips blank rows and gives up at a breach of any
+    rule, a header not exactly the expected one, a row of another width or a
+    CSV error.  A chunk is regular when the reader's line count rose by its
+    row count: then no record spans lines.  On giving up, and for JSON
+    input, the per-row validator reads both files anew; it alone writes
+    messages, each at its ``file:line``.  Equal list cells share one
     frozenset, saving time and memory where cells repeat: categories come
-    from a fixed classification, and a group's records name few institutions.
-    Likewise each distinct year or count string is parsed once.
+    from a fixed classification, and a group names few institutions.
 
     What the load skips, and why that is safe: the cyclic garbage collector
     is paused while it runs and restored to its prior state however it ends,
     since the records and their parts form no reference cycles and the
     collector would only walk them again and again as they accumulate.  A
-    record's citations are re-sorted only when its citation rows did not
-    arrive in ascending year order, which :func:`write_corpus` guarantees.
+    record's citations are re-sorted only when some record's citation rows
+    did not arrive as one ascending run, as :func:`write_corpus` writes them.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _load_publications(Path(pub_file), Path(citation_file))
+        pub_path, cite_path = Path(pub_file), Path(citation_file)
+        with suppress(csv.Error, ValueError):  # not clean: the validator says where
+            if ".json" not in (pub_path.suffix.lower(), cite_path.suffix.lower()):
+                return _load_clean(pub_path, cite_path), []
+        return _validate_publications(pub_path, cite_path)
     finally:
         if enabled:
             gc.enable()
 
 
-def _load_publications(pub_path: Path, cite_path: Path) -> tuple[tuple[PublicationRecord, ...], list[str]]:
+_CHUNK_ROWS = 4096
+
+
+def _regular_chunks(path: Path, header: list[str]) -> Iterator[list[list[str]]]:
+    """A regular CSV file's data rows in chunks, less blank rows of the wrong width; a
+    ``ValueError`` here, or where a non-blank row of the wrong width fails to unpack."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise ValueError("header")
+        width, line = len(header), reader.line_num
+        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
+            if reader.line_num - line != len(chunk):
+                raise ValueError("a record spans lines")
+            line = reader.line_num
+            if set(map(len, chunk)) != {width}:
+                chunk = [row for row in chunk if len(row) == width or any(map(str.strip, row))]
+            yield chunk
+
+
+def _load_clean(pub_path: Path, cite_path: Path) -> tuple[PublicationRecord, ...]:
+    """The records of a clean pair of CSV files; raises at the first doubt."""
+    interned, ints = _Sets(), _Ints()
+    records: dict[str, PublicationRecord] = {}
+    for chunk in _regular_chunks(pub_path, PUBLICATIONS_HEADER):
+        for pub_id, pub_year, country, affiliations, categories in chunk:
+            pub_id = pub_id.strip()
+            if not pub_id or pub_id in records:
+                if pub_id or any(map(str.strip, (pub_year, country, affiliations, categories))):
+                    raise ValueError("a blank or duplicate pub_id")
+                continue  # a blank row
+            records[pub_id] = PublicationRecord._loaded(
+                pub_id, ints[pub_year], country.strip() or None, interned[affiliations], interned[categories], {})
+    if not all(interned.values()):  # every set here is a loaded record's
+        raise ValueError("an empty affiliation or category set")
+    # ``ordered`` while each record's rows are one run of rows in ascending year order
+    ordered, run_id = True, None
+    for chunk in _regular_chunks(cite_path, CITATIONS_HEADER):
+        for pub_id, citing_year, count in chunk:
+            if pub_id != run_id:
+                if (record := records.get(pub_id.strip())) is None:
+                    if any(map(str.strip, (pub_id, citing_year, count))):
+                        raise ValueError("an unknown pub_id")
+                    continue  # a blank row
+                run_id, citations, pub_year = pub_id, record.citations_by_year, record.pub_year
+                ordered, last = ordered and not citations, pub_year
+            citing_year, count = ints[citing_year], ints[count]
+            if citing_year < last:
+                if citing_year < pub_year:
+                    raise ValueError("a citing year before the publication year")
+                ordered = False
+            last = citing_year
+            if count > 0:
+                citations[citing_year] = citations.get(citing_year, 0) + count
+            elif count:
+                raise ValueError("a negative count")
+    for record in () if ordered else records.values():
+        object.__setattr__(record, "citations_by_year", _in_year_order(record.citations_by_year))
+    return tuple(records.values())
+
+
+def _validate_publications(pub_path: Path, cite_path: Path) -> tuple[tuple[PublicationRecord, ...], list[str]]:
     pub_name, cite_name = pub_path.name, cite_path.name
     violations: list[str] = []
-    interned, ints = _Sets(), _Ints()
+    interned = _Sets()
     # pub_id -> (line_no, pub_year, country, affiliations, categories, citations)
     parsed: dict[str, tuple] = {}
     for line_no, row in _read_rows(pub_path, PUBLICATIONS_HEADER, violations):
-        pub_id, pub_year, country, affiliations, categories = row
-        try:  # the short path; strings only, as int() takes JSON 2005.0 and true
-            if (type(pub_year) is type(country) is type(affiliations) is type(categories) is str
-                    and (pub_id := pub_id.strip()) and pub_id not in parsed):
-                parsed[pub_id] = (line_no, ints[pub_year], country.strip() or None,
-                                  interned[affiliations], interned[categories], {})
-                continue
-        except (AttributeError, ValueError):
-            pass
         pub_id, pub_year, country, affiliations, categories = _cells(row)
         where = (pub_name, line_no)
         pub_id = _get_str(pub_id, "pub_id", where, violations)
@@ -584,17 +647,6 @@ def _load_publications(pub_path: Path, cite_path: Path) -> tuple[tuple[Publicati
             parsed[pub_id] = (line_no, pub_year, country or None, affiliations, categories, {})
 
     for line_no, row in _read_rows(cite_path, CITATIONS_HEADER, violations):
-        pub_id, citing_year, count = row
-        try:  # the short path, as for publications, for unpadded ids; a zero count is dropped
-            entry = parsed[pub_id]
-            if type(citing_year) is type(count) is str:
-                citing_year, count = ints[citing_year], ints[count]
-                if count >= 0 and citing_year >= entry[1]:
-                    if count:
-                        entry[5][citing_year] = entry[5].get(citing_year, 0) + count
-                    continue
-        except (KeyError, TypeError, ValueError):
-            pass
         pub_id, citing_year, count = _cells(row)
         where = (cite_name, line_no)
         pub_id = _get_str(pub_id, "pub_id", where, violations)
@@ -684,11 +736,12 @@ def load_profiles(profile_file: str | Path) -> tuple[tuple[QualityProfile, ...],
             _flag(violations, where, f"duplicate profile for {institution}/{discipline}")
             continue
         # the remaining columns are named after QualityProfile's fields
+        flagged = len(violations)
         numbers = {
             k: _get_number(raw, k, where, violations, float, optional=k in _OPTIONAL_PROFILE_FIELDS)
             for k, raw in zip(PROFILES_HEADER[2:], cells)
         }
-        if any(v is None for k, v in numbers.items() if k not in _OPTIONAL_PROFILE_FIELDS):
+        if len(violations) > flagged:  # a row with a flagged cell stops there
             continue
         try:
             profiles.append(QualityProfile(institution=institution, discipline=discipline, **numbers))

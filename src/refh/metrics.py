@@ -35,8 +35,13 @@ SCORES_HEADER = ["institution", "discipline", "s", "s_prime", "s_output", "stren
 
 
 def citations_to_end_of(record: PublicationRecord, year: int) -> int:
-    """Total citations received in citing years <= ``year``."""
-    return sum(c for y, c in record.citations_by_year.items() if y <= year)
+    """Total citations received in citing years <= ``year``; every record's years ascend."""
+    total = 0
+    for y, c in record.citations_by_year.items():
+        if y > year:
+            break
+        total += c
+    return total
 
 
 def compute_h(citation_counts: Iterable[int]) -> int:

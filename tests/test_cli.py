@@ -208,6 +208,13 @@ class TestIngestCommand:
         assert code == 1
         assert "pub_year" in err
 
+    def test_over_long_field_is_a_located_violation(self, tmp_path, capsys):
+        limit = csv.field_size_limit()
+        paths = write_files(tmp_path, publications=f"P1,2003,GB,{'A' * (limit + 1)},Chemistry")
+        code, _, err = run(["ingest", *corpus_args(paths)], capsys)
+        assert code == 1
+        assert err == f"refh: publications.csv:2: field larger than field limit ({limit})\n"
+
 
 class TestHindexCommand:
     def test_rae_preset_writes_seven_years_matching_oracle(self, synth_dir, tmp_path):

@@ -9,7 +9,10 @@ A malformed corpus or profile file gives one exact violation list, in
 order, from CSV and JSON alike; the loaders check file input themselves,
 and library-built records keep their own checks.  Padded or JSON profiles,
 which take the per-row validator, load equal to the clean CSV, which takes
-the short path.
+the short path.  Publications load through a clean pass or the validator:
+both give equal records and violations on seeded corpora rewritten without
+changing their meaning, and the benchmark's corpus shapes never need the
+validator.
 """
 
 import csv
@@ -329,6 +332,9 @@ def write_table(path, header, rows):
 
 
 BOTH, CSV_ONLY, JSON_ONLY = ("csv", "json"), ("csv",), ("json",)
+# a cell one character over csv's field size limit
+OVER_LONG = "x" * (csv.field_size_limit() + 1)
+OVER_LONG_MESSAGE = f"field larger than field limit ({csv.field_size_limit()})"
 
 # (formats, publication rows, citation rows, expected violations as
 # (file, data row, message), expected citations_by_year of the loaded records)
@@ -429,6 +435,30 @@ MALFORMED = {
          ("citations", 4, "unknown pub_id ''")],
         {"P5": {2004: 1}},
     ),
+    "duplicate_pub_id_alone": (
+        BOTH, [pub("P1"), pub("P2"), pub("P1", year="2004")], [["P1", "2004", "1"]],
+        [("publications", 3, "duplicate pub_id 'P1'")],
+        {"P1": {2004: 1}, "P2": {}},
+    ),
+    "empty_category_set_alone": (
+        BOTH, [pub("P1"), pub("P2", categories=" ; ")], [["P1", "2004", "1"], ["P2", "2004", "1"]],
+        [("publications", 2, "P2: categories must be non-empty")],
+        {"P1": {2004: 1}},
+    ),
+    "record_spanning_lines_alone": (
+        CSV_ONLY, [pub("P1"), pub("P2", affiliations="Alpha\nBeta")],
+        [["P2", "2004", "1"], ["P1", "2004", "1"]],
+        [("publications", 2, "record spans lines 3-4; a cell contains a line break"),
+         ("citations", 1, "unknown pub_id 'P2'")],
+        {"P1": {2004: 1}},
+    ),
+    "over_long_field_ends_the_read": (
+        CSV_ONLY, [pub("P1"), pub("P2", affiliations=OVER_LONG), pub("P3")],
+        [["P1", "2004", "1"], ["P3", "2004", "1"]],
+        [("publications", 2, OVER_LONG_MESSAGE),
+         ("citations", 2, "unknown pub_id 'P3'")],
+        {"P1": {2004: 1}},
+    ),
 }
 
 
@@ -483,13 +513,12 @@ MALFORMED_PROFILES = {
          (2, "field 'staff_fte': not a finite number: 'inf'"),
          (3, "field 'nci': not a finite number: '1e400'"),
          (4, "field 'p4_out': not a finite number: '-inf'"),
-         (4, "profile sum/shape error: Delta/chemistry: output sub-profile must be complete or absent"),
          (5, "field 'p2': not a number: 'x'"),
          (5, "field 'nci': not a finite number: 'NaN'"),
          (6, "field 'staff_fte': not a number: '10,5'")],
-        # a flagged optional cell is left out of a profile that is still
-        # built; the violation alone fails the ingest
-        [("Gamma", "chemistry")],
+        # a row stops at its flagged cells, optional ones too: no second
+        # message, and no profile built without them
+        [],
     ),
     "partial_output_sub_profile": (
         BOTH,
@@ -556,6 +585,11 @@ MALFORMED_PROFILES = {
          (2, "field 'discipline': not a string: ['chemistry']"),
          (4, "field 'staff_fte': not a number: True")],
         [("Gamma", "chemistry"), ("Eps", "chemistry")],
+    ),
+    "over_long_field_ends_the_read": (
+        CSV_ONLY, [prof(), prof("Beta", nci=OVER_LONG), prof("Gamma")],
+        [(2, OVER_LONG_MESSAGE)],
+        [("Alpha", "chemistry")],
     ),
 }
 
@@ -686,6 +720,204 @@ def test_equal_list_cells_share_one_frozenset(tmp_path):
     assert p1.affiliations is p2.affiliations
     assert p1.categories is p2.categories is p3.categories
     assert p3.affiliations == frozenset({"Gamma"})
+
+
+# ---------------------------------------------------------------------------
+# The clean path and the validator give equal records and violations
+# ---------------------------------------------------------------------------
+
+# the synth flags of the benchmark's three workloads
+WORKLOAD_SHAPES = {
+    "wide-rae2008": ["--institutions", "80", "--papers", "20:40", "--window", "2001:2007"],
+    "deep-ref2014": ["--institutions", "12", "--papers", "1500:2500", "--window", "2008:2013"],
+    "rank-4k": ["--institutions", "4000", "--papers", "1:2", "--window", "2001:2007"],
+}
+
+
+@pytest.fixture(scope="module")
+def shaped(tmp_path_factory):
+    dirs = {}
+    for name, flags in WORKLOAD_SHAPES.items():
+        dirs[name] = tmp_path_factory.mktemp(name)
+        assert main(["synth", "--seed", "7", *flags, "--out", str(dirs[name])]) == 0
+    return dirs
+
+
+@pytest.fixture(scope="module", params=[31, 32, 33])
+def seeded(request, tmp_path_factory):
+    out = tmp_path_factory.mktemp(f"seed{request.param}")
+    assert main(["synth", "--seed", str(request.param), "--institutions", "10", "--papers", "5:30",
+                 "--out", str(out)]) == 0
+    return out
+
+
+def snapshot(loaded):
+    """Records and violations, with each record's citation years in stored order."""
+    records, violations = loaded
+    return [(r, list(r.citations_by_year.items())) for r in records], violations
+
+
+def validated(pub_path, cite_path):
+    return snapshot(corpus_module._validate_publications(pub_path, cite_path))
+
+
+def refuse(what):
+    def refused(*args):
+        raise AssertionError(f"{what} ran")
+    return refused
+
+
+def clean_load(monkeypatch, pub_path, cite_path):
+    """``load_publications`` with the validator patched to fail."""
+    with monkeypatch.context() as m:
+        m.setattr(corpus_module, "_validate_publications", refuse("the validator"))
+        return snapshot(load_publications(pub_path, cite_path))
+
+
+@pytest.mark.parametrize("shape", WORKLOAD_SHAPES)
+def test_workload_shaped_corpora_load_without_the_validator(shaped, shape, monkeypatch):
+    paths = shaped[shape] / FILES[0], shaped[shape] / FILES[1]
+    expected = validated(*paths)
+    assert expected[0] and expected[1] == []
+    assert clean_load(monkeypatch, *paths) == expected
+
+
+def pad(body, rng):
+    return [[f" {cell}  " for cell in row] for row in body]
+
+
+def blank_lines(body, rng):
+    width = len(body[0])
+    blanks = [[], [" "], [""] * width, ["", " \t"], [" "] * width]
+    rows = []
+    for i, row in enumerate(body):
+        rows.append(row)
+        if i % 3 == 0:
+            rows.append(blanks[i % len(blanks)])
+    return rows
+
+
+def shuffle(body, rng):
+    return [body[i] for i in rng.permutation(len(body))]
+
+
+def split_runs(body, rng):
+    # a record's first row, and the second part of each count of 2 or more,
+    # after every other row: runs that ascend, but not across the record
+    first, second, seen = [], [], set()
+    for pub_id, year, count in body:
+        if pub_id not in seen:
+            seen.add(pub_id)
+            second.append([pub_id, year, count])
+            continue
+        part = int(rng.integers(1, int(count))) if int(count) >= 2 else int(count)
+        first.append([pub_id, year, str(part)])
+        if part != int(count):
+            second.append([pub_id, year, str(int(count) - part)])
+    return first + second
+
+
+def zero_counts(body, rng):
+    rows = list(body)
+    for row in [body[i] for i in rng.choice(len(body), size=len(body) // 3)]:
+        rows.insert(int(rng.integers(len(rows) + 1)), [row[0], row[1], "0"])
+    return rows
+
+
+def repeat(body, rng):
+    return [row for row in body for _ in range(2)]
+
+
+# (how the publication rows change, how the citation rows change, whether
+# the meaning is unchanged); each variant is valid input
+VARIANTS = {
+    "padded": (pad, pad, True),
+    "blank_lines": (blank_lines, blank_lines, True),
+    "crlf": (None, None, True),
+    "shuffled_citations": (None, shuffle, True),
+    "descending_citations": (None, lambda body, rng: body[::-1], True),
+    "split_non_adjacent_runs": (None, split_runs, True),
+    "zero_counts": (None, zero_counts, True),
+    "repeated_citations": (None, repeat, False),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [7, 4096])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_clean_path_equals_the_validator(seeded, tmp_path, monkeypatch, variant, chunk_rows):
+    monkeypatch.setattr(corpus_module, "_CHUNK_ROWS", chunk_rows)
+    rng = np.random.default_rng(400)
+    edits = VARIANTS[variant]
+    paths = tmp_path / FILES[0], tmp_path / FILES[1]
+    for source, path, edit in zip((seeded / FILES[0], seeded / FILES[1]), paths, edits):
+        header, *body = read_rows(source)
+        write_rows(path, [header, *(edit(body, rng) if edit else body)])
+        if variant == "crlf":
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    loaded = clean_load(monkeypatch, *paths)
+    assert loaded == validated(*paths)
+    base = validated(seeded / FILES[0], seeded / FILES[1])
+    assert (loaded == base) is edits[2]
+
+
+@pytest.mark.parametrize("header, violations", [
+    (" pub_id , citing_year,count", []),
+    ("citing_year,pub_id,count",
+     ["citations.csv:1: bad header 'citing_year,pub_id,count', expected 'pub_id,citing_year,count'"]),
+])
+def test_a_header_not_exactly_the_expected_one_takes_the_validator(seeded, tmp_path, header, violations):
+    paths = seeded / FILES[0], tmp_path / FILES[1]
+    text = (seeded / FILES[1]).read_text(encoding="utf-8")
+    paths[1].write_text(header + text[text.index("\n"):], encoding="utf-8")
+    loaded = snapshot(load_publications(*paths))
+    assert loaded[1] == violations
+    if not violations:
+        assert loaded == validated(seeded / FILES[0], seeded / FILES[1])
+
+
+def test_json_corpus_takes_the_validator_and_loads_equal(seeded, tmp_path, monkeypatch):
+    paths = tmp_path / "publications.json", tmp_path / "citations.json"
+    for source, path, numeric in zip((seeded / FILES[0], seeded / FILES[1]), paths,
+                                     ({"pub_year"}, {"citing_year", "count"})):
+        header, *body = read_rows(source)
+        path.write_text(json.dumps([
+            {k: int(v) if k in numeric else v for k, v in zip(header, row)} for row in body
+        ]), encoding="utf-8")
+    monkeypatch.setattr(corpus_module, "_load_clean", refuse("the clean path"))
+    assert snapshot(load_publications(*paths)) == validated(seeded / FILES[0], seeded / FILES[1])
+
+
+@pytest.mark.parametrize("chunk_rows", [7, 4096])
+@pytest.mark.parametrize("late", ["empty_affiliations", "negative_count", "early_citing_year",
+                                  "unknown_pub_id", "wrong_width", "spans_lines"])
+def test_a_late_violation_gives_the_validators_messages(seeded, tmp_path, monkeypatch, late, chunk_rows):
+    # one violation in the last row: with 7-row chunks, the clean pass
+    # abandons its records after clean chunks of both files
+    monkeypatch.setattr(corpus_module, "_CHUNK_ROWS", chunk_rows)
+    paths = tmp_path / FILES[0], tmp_path / FILES[1]
+    header, *pubs = read_rows(seeded / FILES[0])
+    cites = read_rows(seeded / FILES[1])
+    pub_id, year = pubs[0][0], int(pubs[0][1])
+    if late == "empty_affiliations":
+        pubs[-1][3] = " ; "
+        where, message = f"publications.csv:{len(pubs) + 1}", f"{pubs[-1][0]}: affiliations must be non-empty"
+    else:
+        row, message = {
+            "negative_count": ([pub_id, str(year + 1), "-1"], f"{pub_id}: negative citation count -1"),
+            "early_citing_year": ([pub_id, str(year - 1), "1"],
+                                  f"{pub_id}: citing year {year - 1} precedes publication year {year}"),
+            "unknown_pub_id": (["P-none", str(year), "1"], "unknown pub_id 'P-none'"),
+            "wrong_width": ([pub_id, str(year), "1", "1"], "expected 3 fields, got 4"),
+            "spans_lines": ([pub_id, str(year), "1\n"],
+                            f"record spans lines {len(cites) + 1}-{len(cites) + 2}; a cell contains a line break"),
+        }[late]
+        cites.append(row)
+        where = f"citations.csv:{len(cites)}"
+    write_rows(paths[0], [header, *pubs])
+    write_rows(paths[1], cites)
+    records, violations = load_publications(*paths)
+    assert violations == [f"{where}: {message}"]
+    assert snapshot((records, violations)) == validated(*paths)
 
 
 @pytest.mark.parametrize("country", ["GB", " gb ", "US"])

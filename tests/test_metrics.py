@@ -50,6 +50,17 @@ class TestCitationsToEndOf:
         r = record("P1", pub_year=2002, citations={2002: 3})
         assert citations_to_end_of(r, 2001) == 0
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_definitional_sum_whatever_the_dict_order(self, seed):
+        # the sum stops at the first later year; the record sorts its years
+        rng = np.random.default_rng(seed)
+        years = rng.permutation(np.arange(2002, 2015))[: rng.integers(1, 14)]
+        citations = {int(y): int(rng.integers(0, 6)) for y in years}
+        r = record("P1", pub_year=2002, citations=citations)
+        for cutoff in range(2000, 2017):
+            expected = sum(c for y, c in citations.items() if y <= cutoff)
+            assert citations_to_end_of(r, cutoff) == expected
+
 
 class TestComputeH:
     def test_empty(self):
