@@ -4,20 +4,21 @@ Every command is a pure function of its input files and flags; re-running
 an invocation produces byte-identical output files.  Exit codes: 0 on
 success, 1 on validation or data errors, 2 on usage errors.  The
 ``REFH_LOG`` environment variable sets the diagnostic level (e.g.
-``REFH_LOG=debug``).
+``REFH_LOG=debug``); ``logging`` is imported only when it is set.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
-import logging
 import os
 import sys
 from functools import cache
 from pathlib import Path
 
+# lazily loaded (see refh/__init__.py): a name read from one of these runs its
+# module, so they are read at call time, never imported by name here
+from refh import metrics as metrics_module, ranking, stats, synth
 from refh.corpus import (
     Corpus,
     CorpusValidationError,
@@ -26,37 +27,10 @@ from refh.corpus import (
     UnknownDisciplineError,
     ingest_corpus,
     load_profiles,
+    log_info,
     normalize_label,
     write_corpus,
 )
-from refh.metrics import (
-    GroupMetrics,
-    ScoreSet,
-    group_metrics,
-    score_profile,
-    write_hseries_csv,
-    write_scores_csv,
-)
-from refh.ranking import (
-    movement,
-    rank_table,
-    render_comparison_markdown,
-    render_table,
-    with_movement,
-)
-from refh.stats import (
-    correlation_series,
-    correlation_table,
-    h_label_year,
-    joined_points,
-    measure_values,
-    write_corr_series_csv,
-    write_correlations_csv,
-    write_fig_points_csv,
-)
-from refh.synth import SynthConfig, SynthConfigError, generate, parse_citation_model
-
-log = logging.getLogger("refh")
 
 PRESETS = {
     "rae2008": (PublicationWindow(2001, 2007), list(range(2008, 2015))),
@@ -102,8 +76,8 @@ def _load_corpus(args: argparse.Namespace) -> Corpus:
 
 def _metrics_for(
     args: argparse.Namespace, corpus: Corpus, years: list[int], window: PublicationWindow
-) -> list[GroupMetrics]:
-    metrics = group_metrics(corpus, args.country, window, args.discipline, years)
+) -> list[metrics_module.GroupMetrics]:
+    metrics = metrics_module.group_metrics(corpus, args.country, window, args.discipline, years)
     if not metrics:
         raise ValueError(
             f"no matching publications for country={args.country} "
@@ -117,9 +91,10 @@ def _in_discipline(profiles: tuple[QualityProfile, ...], discipline: str) -> tup
     return tuple(p for p in profiles if normalize_label(p.discipline) == wanted)
 
 
-def _scores_for(args: argparse.Namespace, corpus: Corpus) -> list[ScoreSet]:
+def _scores_for(args: argparse.Namespace, corpus: Corpus) -> list[metrics_module.ScoreSet]:
     """Scores of every profile in the run's discipline."""
-    return [score_profile(p) for p in _in_discipline(corpus.profiles, args.discipline)]
+    profiles = _in_discipline(corpus.profiles, args.discipline)
+    return [metrics_module.score_profile(p) for p in profiles]
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +116,8 @@ def cmd_hindex(args: argparse.Namespace) -> int:
     metrics = _metrics_for(args, corpus, args.years, args.window)
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "hseries.csv"
-    write_hseries_csv(metrics, path)
-    log.info("wrote %s (%d institutions, %d years)", path, len(metrics), len(args.years))
+    metrics_module.write_hseries_csv(metrics, path)
+    log_info("refh", "wrote %s (%d institutions, %d years)", path, len(metrics), len(args.years))
     return 0
 
 
@@ -156,8 +131,8 @@ def cmd_score(args: argparse.Namespace) -> int:
             raise ValueError(f"no profiles for discipline {args.discipline!r}")
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / "scores.csv"
-    write_scores_csv(profiles, path)
-    log.info("wrote %s (%d profiles)", path, len(profiles))
+    metrics_module.write_scores_csv(profiles, path)
+    log_info("refh", "wrote %s (%d profiles)", path, len(profiles))
     return 0
 
 
@@ -181,18 +156,18 @@ def cmd_correlate(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args)
     metrics = _metrics_for(args, corpus, args.years, args.window)
     scores = _scores_for(args, corpus)
-    reports = correlation_table(scores, metrics, args.pairs)
+    reports = stats.correlation_table(scores, metrics, args.pairs)
     series = [
-        correlation_series(scores, metrics, x_label, args.years)
+        stats.correlation_series(scores, metrics, x_label, args.years)
         for x_label in dict.fromkeys(x for x, _ in args.pairs)
     ]
-    first_points, _ = joined_points(scores, metrics, *args.pairs[0])
+    first_points, _ = stats.joined_points(scores, metrics, *args.pairs[0])
 
     args.out.mkdir(parents=True, exist_ok=True)
-    write_correlations_csv(reports, args.out / "correlations.csv")
-    write_corr_series_csv(series, args.out / "corr_series.csv")
-    write_fig_points_csv(first_points, args.out / "fig_points.csv")
-    log.info("wrote correlations.csv, corr_series.csv, fig_points.csv under %s", args.out)
+    stats.write_correlations_csv(reports, args.out / "correlations.csv")
+    stats.write_corr_series_csv(series, args.out / "corr_series.csv")
+    stats.write_fig_points_csv(first_points, args.out / "fig_points.csv")
+    log_info("refh", "wrote correlations.csv, corr_series.csv, fig_points.csv under %s", args.out)
     return 0
 
 
@@ -203,50 +178,53 @@ def cmd_rank(args: argparse.Namespace) -> int:
     # before the window start gets a pass of its own, which refuses it as before
     shared: dict[PublicationWindow, set[int]] = {}
     for label, window in ((args.measure, args.window), (args.baseline, args.baseline_window)):
-        year = h_label_year(label) if label else None
+        year = stats.h_label_year(label) if label else None
         if year is not None and year > window.start_year:
             shared.setdefault(window, set()).add(year)
     h_pass = cache(lambda window, years: _metrics_for(args, corpus, list(years), window))
 
     def values_for(measure: str, window: PublicationWindow | None, role: str) -> dict[str, float]:
-        metrics: list[GroupMetrics] = []
-        year = h_label_year(measure)
+        metrics: list[metrics_module.GroupMetrics] = []
+        year = stats.h_label_year(measure)
         if year is not None:
             years = shared.get(window, ())
             metrics = h_pass(window, tuple(sorted(years)) if year in years else (year,))
-        values = measure_values(measure, scores, metrics)
+        values = stats.measure_values(measure, scores, metrics)
         if not values:
             raise ValueError(f"no values available for {role} {measure!r}")
         return values
 
-    table = rank_table(values_for(args.measure, args.window, "measure"), args.measure, args.discipline)
+    values = values_for(args.measure, args.window, "measure")
+    table = ranking.rank_table(values, args.measure, args.discipline)
     baseline = None
     if args.baseline:
         baseline_values = values_for(args.baseline, args.baseline_window, "baseline measure")
-        baseline = rank_table(baseline_values, args.baseline, args.discipline)
+        baseline = ranking.rank_table(baseline_values, args.baseline, args.discipline)
         if args.format != "markdown":  # render_comparison_markdown marks the table itself
-            table = with_movement(table, movement(baseline, table))
+            table = ranking.with_movement(table, ranking.movement(baseline, table))
 
     args.out.mkdir(parents=True, exist_ok=True)
     stem = f"rank_{args.discipline}_{args.measure.replace(':', '_')}"
     path = args.out / f"{stem}.{RANK_SUFFIXES[args.format]}"
     if args.format == "markdown" and baseline is not None:
-        text = render_comparison_markdown(baseline, table)
+        text = ranking.render_comparison_markdown(baseline, table)
     else:
-        text = render_table(table, args.format)
+        text = ranking.render_table(table, args.format)
     path.write_text(text, encoding="utf-8")
-    log.info("wrote %s (%d entries)", path, len(table.entries))
+    log_info("refh", "wrote %s (%d entries)", path, len(table.entries))
     return 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    corpus = generate(args.config)
+    import json
+
+    corpus = synth.generate(args.config)
     paths = write_corpus(corpus, args.out)
     manifest = args.out / "manifest.json"
     manifest.write_text(
         json.dumps(args.config.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    log.info("wrote %s and %d corpus files", manifest, len(paths))
+    log_info("refh", "wrote %s and %d corpus files", manifest, len(paths))
     return 0
 
 
@@ -328,7 +306,7 @@ def _resolve_rank(args: argparse.Namespace) -> None:
         ("--measure", args.measure, args.window),
         ("--baseline", args.baseline, args.baseline_window),
     ):
-        if label and window is None and h_label_year(label) is not None:
+        if label and window is None and stats.h_label_year(label) is not None:
             raise ValueError(
                 f"argument {flag}: {label} needs a publication window (--window or --preset)"
             )
@@ -342,7 +320,7 @@ _SYNTH_FLAGS = {"seed": "--seed", "n_institutions": "--institutions",
 
 def _resolve_synth(args: argparse.Namespace) -> None:
     try:
-        args.config = SynthConfig(
+        args.config = synth.SynthConfig(
             seed=args.seed,
             n_institutions=args.institutions,
             papers_per_institution=args.papers,
@@ -351,7 +329,7 @@ def _resolve_synth(args: argparse.Namespace) -> None:
             accrual=args.accrual,
             quality_link=args.quality_link,
         )
-    except SynthConfigError as exc:
+    except synth.SynthConfigError as exc:
         raise ValueError(f"argument {_SYNTH_FLAGS[exc.field]}: {exc.problem}") from None
 
 
@@ -431,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--model",
-        type=_flag_type(parse_citation_model),
+        type=_flag_type(lambda text: synth.parse_citation_model(text)),  # synth loads on use
         default="lognormal:1.8:0.6",
         help="citation model KIND:A:B (lognormal:MU:SIGMA or power_law:ALPHA:XMIN)",
     )
@@ -442,11 +420,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("REFH_LOG", "").upper()
-    logging.basicConfig(
-        level=getattr(logging, level, logging.WARNING),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    if name := os.environ.get("REFH_LOG", "").upper():
+        import logging
+
+        level = getattr(logging, name, None)  # a level, or another name such as BASIC_FORMAT
+        logging.basicConfig(
+            level=level if isinstance(level, int) else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
     args = build_parser().parse_args(argv)
     if args.resolve:
         try:

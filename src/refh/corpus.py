@@ -31,8 +31,8 @@ from __future__ import annotations
 import csv
 import gc
 import itertools
-import json
 import math
+import sys
 from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache
@@ -74,6 +74,13 @@ def normalize_label(label: str) -> str:
 
 def normalize_country(code: str) -> str:
     return code.strip().upper()
+
+
+def log_info(logger: str, message: str, *args) -> None:
+    """``logging.getLogger(logger).info(message, *args)`` once something has
+    imported ``logging``; before that no handler exists that could show it."""
+    if (logging := sys.modules.get("logging")) is not None:
+        logging.getLogger(logger).info(message, *args)
 
 
 @dataclass(frozen=True)
@@ -403,14 +410,19 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
     The header must match ``header`` exactly for CSV; JSON objects may omit optional keys.
     Violations of the file's shape are added to ``violations`` once the
     rows are exhausted, ahead of any the caller added while reading them.
+    A file that is not valid UTF-8 raises ``ValueError`` at its ``file:line``.
     """
     start, shape = len(violations), []
     if path.suffix.lower() == ".json":
+        import json
+
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             violations.append(f"{path.name}: invalid JSON: {exc}")
             return
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
         if not isinstance(data, list):
             violations.append(f"{path.name}: expected a JSON list of objects")
             return
@@ -451,7 +463,20 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
                     shape.append(f"{path.name}:{line_no}: expected {width} fields, got {len(row)}")
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit(); the read stops here
             shape.append(f"{path.name}:{reader.line_num}: {exc}")
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
     violations[start:start] = shape
+
+
+def _not_utf8(path: Path) -> ValueError:
+    """The error for a file that is not valid UTF-8, at the physical line of its
+    first bad byte; a decoder's own position is inside the chunk it was given."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raw = raw[: exc.start + 1]  # the bad byte is never a line break, so it ends a partial line
+    return ValueError(f"{path.name}:{len(raw.splitlines())}: not valid UTF-8")
 
 
 def _cells(row: Sequence) -> tuple:
@@ -687,7 +712,8 @@ _OPTIONAL_PROFILE_FIELDS = frozenset(["p4_out", "p3_out", "p2_out", "p1_out", "p
 
 
 def load_profiles(profile_file: str | Path) -> tuple[tuple[QualityProfile, ...], list[str]]:
-    """Parse the profile file; raises nothing, returns (profiles, violations).
+    """Parse the profile file into (profiles, violations); raises only on a file
+    it cannot read or that is not valid UTF-8.
 
     This is the validator for file input, as :func:`load_publications` is
     for publications.  A CSV row takes a short path when its institution and

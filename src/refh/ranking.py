@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Mapping
@@ -182,6 +181,8 @@ def render_table(table: RankedTable, format: str = "csv") -> str:
             )
         return "\n".join(lines) + "\n"
     if format == "json":
+        import json
+
         return json.dumps(asdict(table), indent=2, sort_keys=True) + "\n"
     raise ValueError(f"unknown format: {format!r}")
 

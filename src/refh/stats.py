@@ -21,7 +21,6 @@ I_(1-x)(1/2, df/2), below t^2 = 3 df / (df + 2).
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from refh.corpus import normalize_label, write_csv
+from refh.corpus import log_info, normalize_label, write_csv
 from refh.metrics import GroupMetrics, ScoreSet, _fmt6
 
 ALPHA = 0.05
@@ -53,8 +52,6 @@ _EPS = 2.0 ** -53
 _TINY = 1e-300
 # above this df the tail is the continued fraction alone, at any t
 _SERIES_MAX_DF = 100
-
-log = logging.getLogger(__name__)
 
 
 class InsufficientDataError(ValueError):
@@ -332,7 +329,7 @@ def _report(
             f"joined pairs ({dropped} dropped); need at least 3"
         )
     if dropped:
-        log.info("pair (%s, %s): dropped %d incomplete rows", x_label, y_label, dropped)
+        log_info(__name__, "pair (%s, %s): dropped %d incomplete rows", x_label, y_label, dropped)
     xs = [p[1] for p in points]
     ys = [p[2] for p in points]
     r = pearson(xs, ys)

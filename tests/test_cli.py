@@ -1,15 +1,23 @@
 import csv
 import io
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import golden_tables as gt
-from refh import cli, ranking
+import refh
+from refh import metrics as metrics_module, ranking
 from refh.cli import main, parse_pairs, parse_years
 from refh.corpus import PublicationWindow, ingest_corpus
 
 from conftest import write_files
 from oracles import oracle_filter, oracle_h
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(argv, capsys=None):
@@ -214,6 +222,25 @@ class TestIngestCommand:
         code, _, err = run(["ingest", *corpus_args(paths)], capsys)
         assert code == 1
         assert err == f"refh: publications.csv:2: field larger than field limit ({limit})\n"
+
+    @pytest.mark.parametrize("name", ["publications", "citations", "profiles", "discipline_map"])
+    def test_non_utf8_file_is_located(self, synth_dir, capsys, name):
+        paths = synth_paths(synth_dir)
+        lines = paths[name].read_bytes().splitlines(keepends=True)
+        # the last line: in the larger files, past the decoder's first chunk
+        lines[-1] = lines[-1][:2] + b"\xff" + lines[-1][2:]
+        paths[name].write_bytes(b"".join(lines))
+        code, out, err = run(["ingest", *corpus_args(paths)], capsys)
+        assert (code, out, err) == (1, "", f"refh: {name}.csv:{len(lines)}: not valid UTF-8\n")
+
+    def test_non_utf8_json_file_is_located(self, synth_dir, tmp_path, capsys):
+        paths = synth_paths(synth_dir)
+        paths["discipline_map"] = tmp_path / "discipline_map.json"
+        paths["discipline_map"].write_bytes(
+            b'[\n{"discipline": "synthetic",\n "category": "Synth\xe9tic"}\n]\n'
+        )
+        code, out, err = run(["ingest", *corpus_args(paths)], capsys)
+        assert (code, out, err) == (1, "", "refh: discipline_map.json:3: not valid UTF-8\n")
 
 
 class TestHindexCommand:
@@ -555,9 +582,7 @@ class TestRankCommand:
             calls.append((baseline.measure, comparison.measure))
             return movement(baseline, comparison)
 
-        # cli holds its own reference to movement, so count calls through both
-        for module in (cli, ranking):
-            monkeypatch.setattr(module, "movement", counted)
+        monkeypatch.setattr(ranking, "movement", counted)
         paths = golden_corpus_files(tmp_path, gt.CHEMISTRY_H2008, gt.CHEMISTRY_H2014)
         code = main([
             "rank", *corpus_args(paths),
@@ -578,13 +603,13 @@ class TestRankCommand:
     ])
     def test_one_h_pass_per_window(self, synth_dir, tmp_path, monkeypatch, capsys,
                                    baseline, baseline_window, passes, code):
-        calls, group_metrics = [], cli.group_metrics
+        calls, group_metrics = [], metrics_module.group_metrics
 
         def counted(corpus, country, window, discipline, years):
             calls.append(list(years))
             return group_metrics(corpus, country, window, discipline, years)
 
-        monkeypatch.setattr(cli, "group_metrics", counted)
+        monkeypatch.setattr(metrics_module, "group_metrics", counted)
         got, _, err = run([
             "rank", *corpus_args(synth_paths(synth_dir)),
             "--discipline", "synthetic", "--window", "2001:2007",
@@ -654,6 +679,50 @@ class TestLogging:
         code, out, _ = run(["ingest", *corpus_args(synth_paths(synth_dir))], capsys)
         assert code == 0
         assert "corpus OK" in out
+
+    @pytest.mark.parametrize("level", [None, "info"])
+    def test_diagnostics_on_stderr_only_when_asked(self, synth_dir, tmp_path, level):
+        args = [*corpus_args(synth_paths(synth_dir)), "--discipline", "synthetic",
+                "--preset", "rae2008", "--out", "out"]
+        hindex = run_fresh(["hindex", *args], tmp_path, level)
+        # s_output is missing for a group without an output sub-profile
+        code, out, err = run_fresh(["correlate", *args, "--pairs", "s_output:h_2008"], tmp_path, level)
+        if level is None:
+            assert (hindex, (code, out, err)) == ((0, "", ""), (0, "", ""))
+            return
+        assert hindex == (0, "", "INFO refh: wrote out/hseries.csv (10 institutions, 7 years)\n")
+        *dropped, wrote = err.splitlines()
+        assert (code, out, wrote) == (
+            0, "", "INFO refh: wrote correlations.csv, corr_series.csv, fig_points.csv under out"
+        )
+        assert [re.sub(r"dropped [1-9]\d*", "dropped N", line) for line in dropped] == [
+            f"INFO refh.stats: pair (s_output, {y}): dropped N incomplete rows"
+            # the table's pair, then the series: each year's h, then the nci
+            for y in ("h_2008", *(f"h_{year}" for year in range(2008, 2015)), "i")
+        ]
+
+    @pytest.mark.parametrize("level", ["basic_format", "verbose", ""])
+    def test_a_value_that_is_not_a_level_means_warning(self, synth_dir, tmp_path, level):
+        code, out, err = run_fresh(["ingest", *corpus_args(synth_paths(synth_dir))], tmp_path, level)
+        assert (code, out.startswith("corpus OK"), err) == (0, True, "")
+
+
+def run_fresh(argv, cwd, level=None):
+    """``python -m refh`` in a fresh interpreter, with ``REFH_LOG`` set only to ``level``."""
+    env = {k: v for k, v in os.environ.items() if k != "REFH_LOG"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    if level is not None:
+        env["REFH_LOG"] = level
+    proc = subprocess.run([sys.executable, "-m", "refh", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_every_public_name_imports_in_a_fresh_interpreter(tmp_path):
+    script = f"from refh import {', '.join(refh.__all__)}"
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestDeterminism:

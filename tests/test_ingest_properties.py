@@ -310,6 +310,57 @@ def test_only_synth_imports_numpy(base, tmp_path, command, loads_numpy):
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, loads_numpy]
 
 
+# prints, on its last line, the exit code, the lazily registered refh modules that ran
+# and whichever of json and logging is loaded; a module that has run is a plain
+# ModuleType again, and type() reads that without loading it
+RAN = """
+import sys
+import types
+from refh.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:  # --help
+    code = exc.code
+print(code, *(m for m in ("refh.metrics", "refh.ranking", "refh.stats", "refh.synth")
+              if type(sys.modules[m]) is types.ModuleType),
+      *(m for m in ("json", "logging") if m in sys.modules))
+"""
+
+
+def ran(argv, cwd):
+    env = {k: v for k, v in os.environ.items() if k != "REFH_LOG"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, "-c", RAN, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("command, loaded", [
+    ("ingest", []),
+    ("hindex", ["refh.metrics"]),
+    ("score", ["refh.metrics"]),
+    ("correlate", ["refh.metrics", "refh.stats"]),
+    ("rank", ["refh.metrics", "refh.ranking", "refh.stats"]),
+    ("synth", ["refh.synth", "json"]),  # json writes manifest.json
+])
+def test_each_command_loads_only_its_modules(base, tmp_path, command, loaded):
+    # one fresh interpreter per command, as for numpy above
+    argv = {
+        "ingest": ["ingest", *corpus_args(base)],
+        "score": ["score", "--profiles", str(base / FILES[2])],
+        "synth": ["synth", "--seed", "5", "--institutions", "6"],
+    }.get(command) or [command, *corpus_args(base), *COMMANDS[command]]
+    if command != "ingest":
+        argv += ["--out", str(tmp_path / "out")]
+    assert ran(argv, tmp_path) == ["0", *loaded]
+
+
+@pytest.mark.parametrize("command", [None, "ingest", "hindex", "score", "correlate", "rank", "synth"])
+def test_help_loads_no_lazy_module(tmp_path, command):
+    assert ran([command, "--help"] if command else ["--help"], tmp_path) == ["0"]
+
+
 # ---------------------------------------------------------------------------
 # Malformed corpora: the exact violation list, in order, for CSV and JSON
 # ---------------------------------------------------------------------------
