@@ -33,11 +33,12 @@ import gc
 import itertools
 import math
 import sys
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cache
 from operator import attrgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 PERCENT_SUM_TOL = 1e-9
@@ -115,7 +116,10 @@ class PublicationWindow:
         return cls(start, end)
 
 
-@dataclass(frozen=True, slots=True)
+_NO_CITATIONS: Mapping[int, int] = MappingProxyType({})
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class PublicationRecord:
     """One publication with its per-citing-year citation counts.
 
@@ -127,9 +131,10 @@ class PublicationRecord:
     blank affiliations and categories dropped, as the loader does.
 
     A record built in the library is checked and normalised here, in
-    ``__post_init__``.  File input is checked by :func:`load_publications`,
-    which reports each violation at its ``file:line`` and builds records
-    with :meth:`_loaded`, without running these checks a second time.
+    ``__init__``, which sets each field once.  File input is checked by
+    :func:`load_publications`, which reports each violation at its
+    ``file:line`` and builds records with :meth:`_loaded`, without running
+    these checks a second time.
     """
 
     pub_id: str
@@ -139,31 +144,35 @@ class PublicationRecord:
     categories: frozenset[str]
     citations_by_year: Mapping[int, int] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if not isinstance(self.pub_id, str) or not self.pub_id.strip():
+    def __init__(self, pub_id: str, pub_year: int, country: str | None,
+                 affiliations: Iterable[str], categories: Iterable[str],
+                 citations_by_year: Mapping[int, int] = _NO_CITATIONS):
+        if not isinstance(pub_id, str) or not (pub_id := pub_id.strip()):
             raise ValueError("pub_id must be a non-empty string")
-        object.__setattr__(self, "pub_id", self.pub_id.strip())
-        object.__setattr__(self, "affiliations", frozenset(map(str.strip, self.affiliations)) - {""})
-        object.__setattr__(self, "categories", frozenset(map(str.strip, self.categories)) - {""})
-        if problem := _empty_list(self.pub_id, self.affiliations, self.categories):
+        affiliations = _stripped_set(affiliations)
+        categories = _stripped_set(categories)
+        if problem := _empty_list(pub_id, affiliations, categories):
             raise ValueError(problem)
-        country = self.country.strip() if isinstance(self.country, str) else self.country
-        object.__setattr__(self, "country", country or None)
+        if isinstance(country, str):
+            country = country.strip()
         cleaned: dict[int, int] = {}
-        for year, count in self.citations_by_year.items():
+        for year, count in citations_by_year.items():
             year, count = int(year), int(count)
             if count < 0:
+                raise ValueError(f"{pub_id}: negative citation count {count} in year {year}")
+            if year < pub_year:
                 raise ValueError(
-                    f"{self.pub_id}: negative citation count {count} in year {year}"
-                )
-            if year < self.pub_year:
-                raise ValueError(
-                    f"{self.pub_id}: citing year {year} precedes "
-                    f"publication year {self.pub_year}"
+                    f"{pub_id}: citing year {year} precedes publication year {pub_year}"
                 )
             if count:
                 cleaned[year] = cleaned.get(year, 0) + count
-        object.__setattr__(self, "citations_by_year", _in_year_order(cleaned))
+        set_id, set_year, set_country, set_affiliations, set_categories, set_citations = _SLOT_SETTERS
+        set_id(self, pub_id)
+        set_year(self, pub_year)
+        set_country(self, country or None)
+        set_affiliations(self, affiliations)
+        set_categories(self, categories)
+        set_citations(self, _in_year_order(cleaned))
 
     @classmethod
     def _loaded(cls, pub_id, pub_year, country, affiliations, categories, citations_by_year):
@@ -183,6 +192,12 @@ class PublicationRecord:
 
 
 _SLOT_SETTERS = tuple(PublicationRecord.__dict__[name].__set__ for name in PublicationRecord.__slots__)
+
+
+def _stripped_set(labels: Iterable[str]) -> frozenset[str]:
+    """``labels`` stripped of surrounding whitespace, blanks dropped."""
+    stripped = frozenset(map(str.strip, labels))
+    return stripped - {""} if "" in stripped else stripped
 
 
 def _in_year_order(citations: dict[int, int]) -> dict[int, int]:
@@ -547,13 +562,28 @@ def _get_set(raw, key: str, where: tuple[str, int], violations: list[str], inter
     return interned.setdefault(items, frozenset(items))
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector while a block or decorated function
+    builds records, which form no reference cycles: the collector would only
+    walk them again and again as they accumulate.  Its prior state returns."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@collector_paused()
 def load_publications(
     pub_file: str | Path, citation_file: str | Path
 ) -> tuple[tuple[PublicationRecord, ...], list[str]]:
     """Parse the publication and citation files into records plus violations.
 
     This is the validator for file input: it applies every rule of
-    ``PublicationRecord.__post_init__`` and builds the records without
+    ``PublicationRecord.__init__`` and builds the records without
     running that method.  Clean CSV files take one tight pass each, in
     chunks of rows, that skips blank rows and gives up at a breach of any
     rule, a header not exactly the expected one, a row of another width or a
@@ -565,23 +595,15 @@ def load_publications(
     from a fixed classification, and a group names few institutions.
 
     What the load skips, and why that is safe: the cyclic garbage collector
-    is paused while it runs and restored to its prior state however it ends,
-    since the records and their parts form no reference cycles and the
-    collector would only walk them again and again as they accumulate.  A
-    record's citations are re-sorted only when some record's citation rows
-    did not arrive as one ascending run, as :func:`write_corpus` writes them.
+    is paused while it runs (see :func:`collector_paused`).  A record's
+    citations are re-sorted only when some record's citation rows did not
+    arrive as one ascending run, as :func:`write_corpus` writes them.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        pub_path, cite_path = Path(pub_file), Path(citation_file)
-        with suppress(csv.Error, ValueError):  # not clean: the validator says where
-            if ".json" not in (pub_path.suffix.lower(), cite_path.suffix.lower()):
-                return _load_clean(pub_path, cite_path), []
-        return _validate_publications(pub_path, cite_path)
-    finally:
-        if enabled:
-            gc.enable()
+    pub_path, cite_path = Path(pub_file), Path(citation_file)
+    with suppress(csv.Error, ValueError):  # not clean: the validator says where
+        if ".json" not in (pub_path.suffix.lower(), cite_path.suffix.lower()):
+            return _load_clean(pub_path, cite_path), []
+    return _validate_publications(pub_path, cite_path)
 
 
 _CHUNK_ROWS = 4096
@@ -861,15 +883,15 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
         "discipline_map": out / "discipline_map.csv",
     }
 
+    joined = cache(lambda labels: ";".join(sorted(labels)))  # records share equal sets
     write_csv(paths["publications"], PUBLICATIONS_HEADER, (
-        [r.pub_id, r.pub_year, r.country or "",
-         ";".join(sorted(r.affiliations)), ";".join(sorted(r.categories))]
+        [r.pub_id, r.pub_year, r.country or "", joined(r.affiliations), joined(r.categories)]
         for r in corpus.publications
     ))
-    write_csv(paths["citations"], CITATIONS_HEADER, (
-        [r.pub_id, year, count]
+    write_csv(paths["citations"], CITATIONS_HEADER, itertools.chain.from_iterable(
+        # years ascend on every record
+        zip(itertools.repeat(r.pub_id), r.citations_by_year, r.citations_by_year.values())
         for r in corpus.publications
-        for year, count in r.citations_by_year.items()  # ascending on every record
     ))
     write_csv(paths["profiles"], PROFILES_HEADER, (
         [p.institution, p.discipline]

@@ -1,7 +1,8 @@
 """Deterministic synthetic corpora for desk-scale pipeline verification.
 
 A single seeded PCG64 stream (``numpy.random.default_rng``) drives the
-whole generation, so one seed yields one byte-identical corpus.  Each
+whole generation, so under one numpy version one seed yields one
+byte-identical corpus.  Each
 institution gets a latent quality in [0, 1]; ``quality_link`` controls how
 strongly that latent value drives both its citation rates and its graded
 profile.  At 0 the profiles are independent noise, so quality scores and
@@ -18,12 +19,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+# refh registers this module lazily, so only code that uses synth loads numpy
+import numpy as np
+
 from refh.corpus import (
     Corpus,
     DisciplineMap,
     PublicationRecord,
     PublicationWindow,
     QualityProfile,
+    collector_paused,
 )
 
 SYNTH_DISCIPLINE = "synthetic"
@@ -45,6 +50,7 @@ _CITE_QUALITY_GAIN = 2.5
 _ACCRUAL_HORIZON = 15
 
 _MICRO = 10**6  # percentages live on a 1e-6 grid so files round-trip exactly
+_MAX_CITATIONS = 2**63  # numpy's multinomial takes a signed 64-bit count
 
 
 @dataclass(frozen=True)
@@ -70,12 +76,15 @@ class PowerLaw:
     x_min: float
 
     def __post_init__(self):
-        if not self.alpha > 1 or not self.x_min > 0:
+        if not 1 < self.alpha < math.inf or not 0 < self.x_min < math.inf:
             raise ValueError(f"invalid power-law parameters alpha={self.alpha}, x_min={self.x_min}")
 
     def draw(self, rng: np.random.Generator) -> float:
         u = rng.random()
-        return float(self.x_min * (1.0 - u) ** (-1.0 / (self.alpha - 1.0)))
+        try:
+            return float(self.x_min * (1.0 - u) ** (-1.0 / (self.alpha - 1.0)))
+        except OverflowError:  # alpha near 1: the power exceeds the float range
+            return math.inf
 
 
 CitationModel = Lognormal | PowerLaw
@@ -157,8 +166,8 @@ def _grid_profile(mix: float) -> tuple[float, ...]:
     grade (and every monotone score of the profile) rises with ``mix``.
     """
     mix = min(1.0, max(0.0, mix))
-    probs = [
-        math.comb(4, g) * mix**g * (1.0 - mix) ** (4 - g) for g in (4, 3, 2, 1, 0)
+    probs = [  # comb(4, g) for g = 4, 3, 2, 1, 0
+        comb * mix**g * (1.0 - mix) ** (4 - g) for comb, g in zip((1, 4, 6, 4, 1), (4, 3, 2, 1, 0))
     ]
     micros = [round(p * 100 * _MICRO) for p in probs[:4]]
     last = 100 * _MICRO - sum(micros)
@@ -170,84 +179,88 @@ def _grid_profile(mix: float) -> tuple[float, ...]:
 
 
 def _accrual_weights(accrual: float) -> np.ndarray:
-    import numpy as np
-
     t = np.arange(_ACCRUAL_HORIZON)
     w = accrual * (1.0 - accrual) ** t
     return w / w.sum()
 
 
+@collector_paused()
 def generate(config: SynthConfig) -> Corpus:
-    """Generate a corpus; the same config always yields the same corpus."""
-    # imported here so that only synth, not every command, loads numpy
-    import numpy as np
+    """Generate a corpus; the same config always yields the same corpus.
 
+    A citation draw that is not finite, or whose count does not fit in 64
+    bits, raises ``ValueError`` naming the model and the pub_id.
+    """
     rng = np.random.default_rng(config.seed)
-    window = config.window
+    random, integers, multinomial = rng.random, rng.integers, rng.multinomial
+    model = config.citation_model
+    draw = model.draw
+    start_year, end_year = config.window.start_year, config.window.end_year
     weights = _accrual_weights(config.accrual)
     lam = config.quality_link
-    width = max(3, len(str(config.n_institutions)))
-    names = [f"HEI{k + 1:0{width}d}" for k in range(config.n_institutions)]
+    lo, hi = config.papers_per_institution
+    n_institutions = config.n_institutions
+    width = max(3, len(str(n_institutions)))
+    names = [f"HEI{k + 1:0{width}d}" for k in range(n_institutions)]
+    off_category = frozenset({OFF_CATEGORY})
+    in_category = [frozenset({c}) for c in SYNTH_CATEGORIES]
 
     publications: list[PublicationRecord] = []
     profiles: list[QualityProfile] = []
     seq = 0
     for k, institution in enumerate(names):
-        quality = float(rng.random())
-        noise = float(rng.random())
+        quality = random()
+        noise = random()
         mix = lam * quality + (1.0 - lam) * noise
-        lo, hi = config.papers_per_institution
-        n_papers = int(rng.integers(lo, hi + 1))
+        n_papers = int(integers(lo, hi + 1))
         cite_scale = math.exp(_CITE_QUALITY_GAIN * lam * (quality - 0.5))
+        home = frozenset({institution})
 
         for _ in range(n_papers):
             seq += 1
             pub_id = f"P{seq:06d}"
-            u = rng.random()
+            u = random()
             if u < _P_OFF_WINDOW / 2:
-                pub_year = window.start_year - 1 - int(rng.integers(0, 2))
+                pub_year = start_year - 1 - int(integers(0, 2))
             elif u < _P_OFF_WINDOW:
-                pub_year = window.end_year + 1 + int(rng.integers(0, 2))
+                pub_year = end_year + 1 + int(integers(0, 2))
             else:
-                pub_year = int(rng.integers(window.start_year, window.end_year + 1))
-            country = FOREIGN_COUNTRY if rng.random() < _P_FOREIGN else HOME_COUNTRY
-            if rng.random() < _P_OFF_CATEGORY:
-                categories = frozenset({OFF_CATEGORY})
+                pub_year = int(integers(start_year, end_year + 1))
+            country = FOREIGN_COUNTRY if random() < _P_FOREIGN else HOME_COUNTRY
+            if random() < _P_OFF_CATEGORY:
+                categories = off_category
             else:
-                categories = frozenset({SYNTH_CATEGORIES[int(rng.integers(0, len(SYNTH_CATEGORIES)))]})
-            affiliations = {institution}
-            if config.n_institutions > 1 and rng.random() < _P_EXTRA_AFFILIATION:
-                other = int(rng.integers(0, config.n_institutions - 1))
-                affiliations.add(names[other if other < k else other + 1])
-            total = int(config.citation_model.draw(rng) * cite_scale)
+                categories = in_category[int(integers(0, len(SYNTH_CATEGORIES)))]
+            affiliations = home
+            if n_institutions > 1 and random() < _P_EXTRA_AFFILIATION:
+                other = int(integers(0, n_institutions - 1))
+                affiliations = home | {names[other if other < k else other + 1]}
+            expected = draw(rng) * cite_scale
+            if not expected < _MAX_CITATIONS:  # also refuses inf and nan
+                raise ValueError(
+                    f"citation model {model}: {pub_id} drew {expected!r} citations; "
+                    "a count must be finite and below 2**63"
+                )
+            total = int(expected)
             citations: dict[int, int] = {}
             if total > 0:
-                counts = rng.multinomial(total, weights)
-                citations = {
-                    pub_year + t: int(c) for t, c in enumerate(counts) if c > 0
-                }
+                counts = multinomial(total, weights).tolist()
+                citations = {year: c for year, c in enumerate(counts, pub_year) if c}
             publications.append(
-                PublicationRecord(
-                    pub_id=pub_id,
-                    pub_year=pub_year,
-                    country=country,
-                    affiliations=frozenset(affiliations),
-                    categories=categories,
-                    citations_by_year=citations,
-                )
+                PublicationRecord(pub_id, pub_year, country, affiliations, categories, citations)
             )
 
         bands = _grid_profile(mix)
         outs: tuple[float, ...] | tuple[None, ...]
-        if rng.random() < _P_OUTPUT_PROFILE:
+        if random() < _P_OUTPUT_PROFILE:
             mix_out = mix if lam == 1.0 else min(1.0, max(0.0, mix + (1.0 - lam) * float(rng.normal(0.0, 0.05))))
             outs = _grid_profile(mix_out)
         else:
             outs = (None,) * 5
-        staff_fte = float(int(rng.integers(5, 81)))
+        staff_fte = float(int(integers(5, 81)))
         nci = None
-        if rng.random() < _P_NCI:
-            raw = 0.5 + 1.5 * (lam * quality + (1.0 - lam) * float(rng.random()))
+        if random() < _P_NCI:
+            raw = 0.5 + 1.5 * (lam * quality + (1.0 - lam) * random())
             nci = round(max(0.0, raw) * _MICRO) / _MICRO
         profiles.append(
             QualityProfile(

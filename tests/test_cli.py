@@ -180,11 +180,14 @@ class TestParsing:
         "bogus:1:2": "unknown citation model kind 'bogus'",
         "lognormal:1.8": "citation model must be KIND:A:B, got 'lognormal:1.8'",
         "lognormal:1.8:0": "invalid lognormal parameters mu=1.8, sigma=0.0",
+        "power_law:2.5:inf": "invalid power-law parameters alpha=2.5, x_min=inf",
+        "power_law:inf:1": "invalid power-law parameters alpha=inf, x_min=1.0",
     }
 
     @pytest.mark.parametrize("flag, value", [
         ("--papers", "5:x"), ("--papers", "20-40"), ("--model", "bogus:1:2"),
         ("--model", "lognormal:1.8"), ("--model", "lognormal:1.8:0"),
+        ("--model", "power_law:2.5:inf"), ("--model", "power_law:inf:1"),
     ])
     def test_malformed_synth_flag_exits_2(self, flag, value, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -192,6 +195,19 @@ class TestParsing:
         assert exc.value.code == 2
         assert f"argument {flag}: {self.SYNTH_FLAG_MESSAGES[value]}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("model, message", [
+        ("power_law:1.001:1", "citation model PowerLaw(alpha=1.001, x_min=1.0): P000001 drew inf"),
+        ("lognormal:45:1", "citation model Lognormal(mu=45.0, sigma=1.0): P000001 drew "),
+    ])
+    def test_overflowing_citation_draw_exits_1_and_writes_nothing(self, model, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, err = run(["synth", "--seed", "1", "--institutions", "3", "--model", model,
+                            "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith(f"refh: {message}")
+        assert err.endswith("citations; a count must be finite and below 2**63\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("case", list(USAGE_ERRORS))
     def test_usage_error_exits_2_and_writes_nothing(self, case, synth_dir, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from refh.corpus import (
     Corpus,
     CorpusValidationError,
     DisciplineMap,
+    PublicationRecord,
     PublicationWindow,
     QualityProfile,
     UnknownDisciplineError,
@@ -58,6 +60,15 @@ class TestRecordInvariants:
 
     def test_blank_country_stored_as_none(self):
         assert record("P1", country="  ").country is None
+
+    def test_defaults_and_replace_run_the_checks(self):
+        r = PublicationRecord(" P1 ", 2003, " GB ", {" Alpha ", ""}, ["Chemistry"])
+        assert (r.pub_id, r.country, r.affiliations, r.citations_by_year) == (
+            "P1", "GB", frozenset({"Alpha"}), {})
+        reordered = replace(r, citations_by_year={2005: 1, 2004: 2})
+        assert list(reordered.citations_by_year.items()) == [(2004, 2), (2005, 1)]
+        with pytest.raises(ValueError, match="P1: citing year 2002 precedes publication year 2003"):
+            replace(r, citations_by_year={2002: 1})
 
 
 class TestProfileInvariants:

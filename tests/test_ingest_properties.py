@@ -731,7 +731,7 @@ def test_load_leaves_the_garbage_collector_as_it_was(tmp_path, enabled):
 
 
 # ---------------------------------------------------------------------------
-# Two validation paths: the loader checks file input, __post_init__ the rest
+# Two validation paths: the loader checks file input, __init__ the rest
 # ---------------------------------------------------------------------------
 
 
@@ -746,10 +746,10 @@ def test_library_built_record_is_still_checked(kwargs, message):
 
 
 def test_loader_never_runs_record_checks(tmp_path, monkeypatch):
-    def refuse(self):
-        raise AssertionError("PublicationRecord.__post_init__ ran on the load path")
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("PublicationRecord.__init__ ran on the load path")
 
-    monkeypatch.setattr(PublicationRecord, "__post_init__", refuse)
+    monkeypatch.setattr(PublicationRecord, "__init__", refuse)
     paths = tmp_path / "publications.csv", tmp_path / "citations.csv"
     write_table(paths[0], PUBLICATIONS_HEADER, [pub("P1"), pub("P2", affiliations=";")])
     write_table(paths[1], CITATIONS_HEADER, [["P1", "2004", "3"], ["P1", "2002", "1"]])
