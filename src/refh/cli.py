@@ -314,8 +314,8 @@ def _resolve_rank(args: argparse.Namespace) -> None:
 
 # SynthConfig field -> the synth flag that sets it
 _SYNTH_FLAGS = {"seed": "--seed", "n_institutions": "--institutions",
-                "papers_per_institution": "--papers", "accrual": "--accrual",
-                "quality_link": "--quality-link"}
+                "papers_per_institution": "--papers", "window": "--window",
+                "accrual": "--accrual", "quality_link": "--quality-link"}
 
 
 def _resolve_synth(args: argparse.Namespace) -> None:

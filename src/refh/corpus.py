@@ -235,14 +235,6 @@ class DisciplineMap:
         return any(normalize_label(c) in normalized for c in categories)
 
 
-_NO_OUTPUT = (None,) * 5
-
-
-def _bands_ok(bands) -> bool:
-    """Whether every band lies in [0, 100] and they sum to 100; a NaN sum fails."""
-    return 0.0 <= min(bands) and max(bands) <= 100.0 and abs(sum(bands) - 100.0) <= PERCENT_SUM_TOL
-
-
 @dataclass(frozen=True)
 class QualityProfile:
     """Graded quality profile for one (institution, discipline) group.
@@ -273,19 +265,11 @@ class QualityProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "institution", self.institution.strip())
-        outs = (self.p4_out, self.p3_out, self.p2_out, self.p1_out, self.pu_out)
-        # one test passes a clean profile; _refuse names what a failing one breaks
-        if not (self.institution and _bands_ok(self.percentages())
-                and (outs == _NO_OUTPUT or (None not in outs and _bands_ok(outs)))
-                and self.staff_fte > 0 and (self.nci is None or not self.nci < 0)):
-            self._refuse(outs)
-
-    def _refuse(self, outs):
-        """Raise for the first rule the profile breaks, checked one by one."""
         if not self.institution:
             raise ValueError(f"profile for {self.discipline!r}: institution must be non-empty")
         who = f"{self.institution}/{self.discipline}"
         self._check_bands(who, self.percentages())
+        outs = (self.p4_out, self.p3_out, self.p2_out, self.p1_out, self.pu_out)
         present = [o is not None for o in outs]
         if any(present) and not all(present):
             raise ValueError(f"{who}: output sub-profile must be complete or absent")
@@ -743,10 +727,11 @@ def load_profiles(profile_file: str | Path) -> tuple[tuple[QualityProfile, ...],
     cell parses with ``float`` (a blank optional cell is ``None``) and
     staff_fte and nci are finite.  It is built with one ``QualityProfile``
     call, whose ``__post_init__`` checks the bands (which refuses a
-    non-finite one), the sub-profile's shape, staff_fte and nci.  Any other
-    row, and one that call refuses, goes to the per-row validator, which
-    strips every cell, checks each name and number at the offending
-    ``file:line`` and alone writes messages.
+    non-finite one), the sub-profile's shape, staff_fte and nci in turn and
+    raises for the first it finds broken.  Any other row, and one that call
+    refuses, goes to the per-row validator, which strips every cell, checks
+    each name and number at the offending ``file:line`` and alone writes
+    messages.
     """
     path = Path(profile_file)
     violations: list[str] = []

@@ -7,16 +7,13 @@ tie-free inputs and is kept to the tests as a cross-check.
 
 Significance uses the t approximation t = r * sqrt((n-2)/(1-r^2)) with
 n-2 degrees of freedom for both coefficients, two-sided, at alpha = 0.05.
-The Student-t upper tail is computed from ``math`` alone, as cephes
-``stdtr`` does for integer degrees of freedom: for |t| <= 2 by the finite
-sums of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4 (even df), and for
-|t| > 2 as 0.5 * I_x(df/2, 1/2) with x = df/(df+t^2), the regularized
-incomplete beta function evaluated by its continued fraction (modified
-Lentz).  The tail is computed directly rather than as 1 - CDF, so small
-p-values keep their relative accuracy.  The finite sums take up to df/2
-terms, so above df = 100 the continued fraction serves every t: directly
-where it converges fast, and through I_x's symmetry, as 0.5 - 0.5 *
-I_(1-x)(1/2, df/2), below t^2 = 3 df / (df + 2).
+The Student-t upper tail is computed from ``math`` alone as 0.5 *
+I_x(df/2, 1/2) with x = df/(df+t^2), the regularized incomplete beta
+function evaluated by its continued fraction (modified Lentz), as cephes
+``incbet`` does.  The tail is computed directly rather than as 1 - CDF, so
+small p-values keep their relative accuracy.  Below t^2 = 3 df / (df + 2),
+where that fraction converges slowly, it is taken through I_x's symmetry,
+as 0.5 - 0.5 * I_(1-x)(1/2, df/2).
 """
 
 from __future__ import annotations
@@ -45,13 +42,12 @@ _H_LABEL = re.compile(r"^h(?:_hat)?_(\d{4})$")
 # profile-side measure label -> ScoreSet field
 _PROFILE_MEASURES = {"s": "s", "s_prime": "s_prime", "s_output": "s_output",
                      "strength": "strength", "i": "nci"}
-# the tail's series stops once a term no longer moves the sum (cephes
-# MACHEP), its continued fraction within 3 of them as in cephes; _TINY stands
-# in for a vanishing Lentz denominator
+# the continued fraction stops within 3 MACHEP (2^-53) of its limit, as
+# cephes does; _TINY stands in for a vanishing Lentz denominator
 _EPS = 2.0 ** -53
 _TINY = 1e-300
-# above this df the tail is the continued fraction alone, at any t
-_SERIES_MAX_DF = 100
+# up to this a, log(Gamma(a + 1/2) / Gamma(a)) is a difference of lgammas
+_LGAMMA_MAX_A = 50
 
 
 class InsufficientDataError(ValueError):
@@ -132,8 +128,8 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     c = 1.0
     d = 1.0 / max(1.0 - (a + b) * x / (a + 1.0), _TINY)
     h = d
-    # at most 88 rounds were needed for df from 1 to 10^7 and t > 2, and for
-    # df from 101 to 10^7 and any t; cephes stops at 300
+    # at most 96 rounds were needed on a grid of df from 1 to 10^7 and t from
+    # 1e-8 to 1e8, the most next to t^2 = 3 df / (df + 2); cephes stops at 300
     for m in range(1, 300):
         for coef in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
                      -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
@@ -148,10 +144,10 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
 
 
 def _log_gamma_ratio(a: float) -> float:
-    """log(Gamma(a + 1/2) / Gamma(a)).  For a above half of _SERIES_MAX_DF it is
-    the asymptotic series of DLMF 5.11.8, within 1e-16 there; the difference
-    of two lgammas loses digits as they grow (5e-12 at a = 5e4)."""
-    if a <= 0.5 * _SERIES_MAX_DF:
+    """log(Gamma(a + 1/2) / Gamma(a)).  For a above _LGAMMA_MAX_A it is the
+    asymptotic series of DLMF 5.11.8, within 1e-16 there; the difference of
+    two lgammas loses digits as they grow (5e-12 at a = 5e4)."""
+    if a <= _LGAMMA_MAX_A:
         return math.lgamma(a + 0.5) - math.lgamma(a)
     a2 = a * a
     series = -1.0 / 8.0 + (1.0 / 192.0 + (-1.0 / 640.0 + 17.0 / (14336.0 * a2)) / a2) / a2
@@ -162,34 +158,20 @@ def _t_tail(t: float, df: int) -> float:
     """Upper tail P(T > t) of Student's t with ``df`` >= 1 degrees of freedom, t >= 0."""
     if t == 0.0:
         return 0.5
-    if t > 2.0 or df > _SERIES_MAX_DF:
-        a = 0.5 * df
-        t2 = t * t
-        # log of x^a (1-x)^(1/2) / B(a, 1/2), with log x and 1 - x formed
-        # from t so neither loses digits when x is near 0 or 1
-        log_front = (_log_gamma_ratio(a) - math.lgamma(0.5)
-                     - a * math.log1p(t2 / df) + 0.5 * math.log(t2 / (df + t2)))
-        front = math.exp(log_front)
-        # 0.5 * I_x(df/2, 1/2) while x = df/(df+t^2) lies in the fraction's
-        # fast region x < (a+1)/(a+b+2), as it does for every t > 2; below
-        # that, 0.5 - 0.5 * I_(1-x)(1/2, df/2), where 1 - x lies in it
-        if t2 * (df + 2) > 3.0 * df:
-            return 0.5 * front * _beta_continued_fraction(a, 0.5, df / (df + t2)) / a
-        return 0.5 - front * _beta_continued_fraction(0.5, a, t2 / (df + t2))
-    # central = P(|T| <= t), from the finite cos^2 sums of A&S 26.7.3-4
-    z = 1.0 + t * t / df
-    f = term = 1.0
-    j = 3 if df % 2 else 2
-    while j <= df - 2 and term / f > _EPS:
-        term *= (j - 1) / (z * j)
-        f += term
-        j += 2
-    if df % 2:
-        u = t / math.sqrt(df)
-        central = 2.0 / math.pi * (math.atan(u) + (f * u / z if df > 1 else 0.0))
-    else:
-        central = f * t / math.sqrt(z * df)
-    return 0.5 - 0.5 * central
+    a = 0.5 * df
+    t2 = t * t
+    # log of x^a (1-x)^(1/2) / B(a, 1/2), with log x and log(1 - x) formed
+    # from t, so neither loses digits when x is near 0 or 1, nor fails when
+    # t^2 underflows to 0
+    log_front = (_log_gamma_ratio(a) - math.lgamma(0.5)
+                 - a * math.log1p(t2 / df) + math.log(t) - 0.5 * math.log(df + t2))
+    front = math.exp(log_front)
+    # 0.5 * I_x(df/2, 1/2) while x = df/(df+t^2) lies in the fraction's fast
+    # region x < (a+1)/(a+b+2); below that, 0.5 - 0.5 * I_(1-x)(1/2, df/2),
+    # where 1 - x lies in it
+    if t2 * (df + 2) > 3.0 * df:
+        return 0.5 * front * _beta_continued_fraction(a, 0.5, df / (df + t2)) / a
+    return 0.5 - front * _beta_continued_fraction(0.5, a, t2 / (df + t2))
 
 
 def significance(r: float, n: int) -> tuple[float, bool]:

@@ -50,7 +50,7 @@ _CITE_QUALITY_GAIN = 2.5
 _ACCRUAL_HORIZON = 15
 
 _MICRO = 10**6  # percentages live on a 1e-6 grid so files round-trip exactly
-_MAX_CITATIONS = 2**63  # numpy's multinomial takes a signed 64-bit count
+_INT64_END = 2**63  # numpy's integers and multinomial take signed 64-bit bounds and counts
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,10 @@ class SynthConfig:
             raise SynthConfigError(
                 "papers_per_institution", f"must be LO:HI with 1 <= LO <= HI, got {lo}:{hi}"
             )
+        if hi >= _INT64_END:
+            raise SynthConfigError("papers_per_institution", f"HI must be below 2**63, got {hi}")
+        if self.window.start_year < -_INT64_END or self.window.end_year >= _INT64_END:
+            raise SynthConfigError("window", f"years must lie in [-2**63, 2**63), got {self.window}")
         if not 0.0 < self.accrual < 1.0:
             raise SynthConfigError("accrual", f"must be in (0, 1), got {self.accrual}")
         if not 0.0 <= self.quality_link <= 1.0:
@@ -236,7 +240,7 @@ def generate(config: SynthConfig) -> Corpus:
                 other = int(integers(0, n_institutions - 1))
                 affiliations = home | {names[other if other < k else other + 1]}
             expected = draw(rng) * cite_scale
-            if not expected < _MAX_CITATIONS:  # also refuses inf and nan
+            if not expected < _INT64_END:  # also refuses inf and nan
                 raise ValueError(
                     f"citation model {model}: {pub_id} drew {expected!r} citations; "
                     "a count must be finite and below 2**63"

@@ -182,12 +182,15 @@ class TestParsing:
         "lognormal:1.8:0": "invalid lognormal parameters mu=1.8, sigma=0.0",
         "power_law:2.5:inf": "invalid power-law parameters alpha=2.5, x_min=inf",
         "power_law:inf:1": "invalid power-law parameters alpha=inf, x_min=1.0",
+        "1:99999999999999999999": "HI must be below 2**63, got 99999999999999999999",
+        "2001:99999999999999999999": "years must lie in [-2**63, 2**63), got 2001:99999999999999999999",
     }
 
     @pytest.mark.parametrize("flag, value", [
         ("--papers", "5:x"), ("--papers", "20-40"), ("--model", "bogus:1:2"),
         ("--model", "lognormal:1.8"), ("--model", "lognormal:1.8:0"),
         ("--model", "power_law:2.5:inf"), ("--model", "power_law:inf:1"),
+        ("--papers", "1:99999999999999999999"), ("--window", "2001:99999999999999999999"),
     ])
     def test_malformed_synth_flag_exits_2(self, flag, value, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -247,7 +247,8 @@ class TestSignificance:
 
         rng = np.random.default_rng(12)
         ns = [*range(3, 200), 500, 1_000, 4_000, 10_000, 100_000]
-        edges = [0.0, 1e-12, -1e-12, 0.9999999, -0.9999999]
+        # t^2 underflows to 0 for the last three
+        edges = [0.0, 1e-12, -1e-12, 0.9999999, -0.9999999, 1e-200, -1e-200, 5e-324]
         for n in ns:
             rs = [*edges, *rng.uniform(-1.0, 1.0, size=300).tolist()]
             ts = [r * math.sqrt((n - 2) / (1.0 - r * r)) for r in rs]
@@ -265,18 +266,18 @@ class TestSignificance:
         "df", [1, 2, 3, 4, 9, 10, 37, 98, 99, 100, 101, 102, 198, 998, 9_998, 99_998]
     )
     def test_monotone_across_series_fraction_switch(self, df):
-        # up to df = 100 the tail switches from a finite series to a continued
-        # fraction at |t| = 2; above it, from the fraction through I_x's
-        # symmetry to the fraction itself at t^2 = 3 df / (df + 2).  p must
-        # not rise as |t| crosses either point.  r = t / sqrt(df + t^2)
-        # gives back t at n = df + 2.
+        # the tail goes from the continued fraction through I_x's symmetry to
+        # the fraction itself at t^2 = 3 df / (df + 2).  p must not rise as |t|
+        # crosses that point, nor |t| = 2, a plain point kept as a second
+        # check.  r = t / sqrt(df + t^2) gives back t at n = df + 2.
         for switch in (2.0, math.sqrt(3 * df / (df + 2))):
             ts = [switch - 0.1 + k * 1e-4 for k in range(2_001)]
             ps = [significance(t / math.sqrt(df + t * t), df + 2)[0] for t in ts]
             assert all(b <= a for a, b in zip(ps, ps[1:])), switch
 
     def test_monotone_in_n_across_series_fraction_switch(self):
-        # df = 100 is the last that takes the finite series for |t| <= 2
+        # df = 100 is the last whose log(Gamma(a + 1/2) / Gamma(a)) is a
+        # difference of lgammas; above it, an asymptotic series
         for r in [k / 100 for k in range(-99, 100)] + [1e-12, -1e-9]:
             ps = [significance(r, n)[0] for n in range(95, 110)]
             assert all(b <= a for a, b in zip(ps, ps[1:])), r

@@ -303,16 +303,91 @@ PINNED_CORPORA = {
 }
 
 
-@pytest.mark.skipif(
+pinned_numpy = pytest.mark.skipif(
     np.__version__ != PINNED_NUMPY,
     reason=f"digests were computed with numpy {PINNED_NUMPY}, this is numpy {np.__version__}",
 )
+
+
+@pinned_numpy
 @pytest.mark.parametrize("case", list(PINNED_CORPORA))
 def test_synth_writes_pinned_bytes(case, tmp_path):
     flags, digests = PINNED_CORPORA[case]
     assert main(["synth", *flags.split(), "--out", str(tmp_path)]) == 0
     written = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SYNTH_FILES)
     assert dict(zip(SYNTH_FILES, written)) == dict(zip(SYNTH_FILES, digests))
+
+
+# ---------------------------------------------------------------------------
+# Pinned command output bytes: each benchmark workload's writing commands,
+# run over a pinned corpus, must keep writing the same files.  The
+# correlations are over 3 to 8 groups, so their p-values come from 1 to 6
+# degrees of freedom, at |t| on both sides of 2; the quality-link-0 corpus
+# gives the weak ones.
+# ---------------------------------------------------------------------------
+
+WIDE_RAE2008 = (
+    "hindex @corpus --discipline synthetic --preset rae2008",
+    "score @profiles",
+    "correlate @corpus --discipline synthetic --preset rae2008 --pairs s:h_2008,s_prime:h_2008,s:i",
+    "rank @corpus --discipline synthetic --window 2001:2007 --measure h_2014 --baseline h_2008",
+)
+
+# case -> (PINNED_CORPORA case, commands, {file written: sha256})
+PINNED_OUTPUTS = {
+    "wide-rae2008": ("wide-rae2008", WIDE_RAE2008, {
+        "corr_series.csv": "11c3ce2d1e9cc9bcbc8eeab8a44686982fa5bf70738270b8c52a8bfeb48741d8",
+        "correlations.csv": "bf79b9aeb82f42016e59087b8334db301f7cf9544ecc64e953c37ac86de60524",
+        "fig_points.csv": "4f7612657372fba1f345d43715ae9ed3eee4e7008e8798fbb128e833268add30",
+        "hseries.csv": "1e89e2c4c8d350b56012ed4e2236d27e94408461d8a3c07561317604bd6de59a",
+        "rank_synthetic_h_2014.csv": "944808133794e226f0c87dd298c5eff2c83da0e0cda4e0de974adc0afb7b1dad",
+        "scores.csv": "85a7fd32b31677cc78b90b5f1164f3f5ca4eeba6c8641fab299b61496f7b3e0c",
+    }),
+    "wide-rae2008-link0": ("lognormal-link0", WIDE_RAE2008, {
+        "corr_series.csv": "37b8166f80979e86a4d5faeabe81369fbf5335cae01d4af0b59ce8804c86a63d",
+        "correlations.csv": "06bd16da921b192383dd35b5baa75247fb52b89263d1a4e92f98fb4c9e942515",
+        "fig_points.csv": "fbaa3a9271d0b5fe9b6ff8f45f313e130c4b525acbd851d7d65fae1c6895a527",
+        "hseries.csv": "ce22f9e5611e806ddb7f795d6ccea1a40ee9a6cfc096aa0ffca2049fc5074ee9",
+        "rank_synthetic_h_2014.csv": "18cdb69523239253a82ac9c4d96d80dd5ed67d0f3cb27ea13286913673477511",
+        "scores.csv": "9c022bbb4131903c1a0dbd5ce43589fc61b7efc86c7dc0fbb443abc794c06c61",
+    }),
+    "deep-ref2014": ("deep-ref2014", (
+        "hindex @corpus --discipline synthetic --preset ref2014",
+        "correlate @corpus --discipline synthetic --preset ref2014 --pairs s:h_2014,s_prime:h_2014,s:i",
+        "rank @corpus --discipline synthetic --preset ref2014 --measure h_2014 --baseline s",
+    ), {
+        "corr_series.csv": "f7907a62c1f45c78600b0c60814a2e18bcea9a5a7177e90d24f18de61174951f",
+        "correlations.csv": "377b014abfd35e261c2bb5f11bbbdf862ff889b12246f0c2c8b9884b12f0c47f",
+        "fig_points.csv": "69eef1a077831c1d940466c20f3e8d2449153289bb8ff356bbb3c37ac1ff5477",
+        "hseries.csv": "b2974accd30ec021c022d6b83a581d0b5a339fa01a87084232d1c8abf6538224",
+        "rank_synthetic_h_2014.csv": "831729d26170ae56252df04bb3855b14f57582f7d0ed714ceac7087f684f99f7",
+    }),
+    "rank-4k": ("rank-4k", (
+        "score @profiles",
+        "rank @corpus --discipline synthetic --measure strength --baseline i --format markdown",
+    ), {
+        "rank_synthetic_strength.md": "7bd05bafab5df3dae90c1e5f200e048a78a3b53dd3e0709d658c487c8e2d0690",
+        "scores.csv": "ffc13d53e06841aac1a9470ae3f9ae2ef390e834127a57c4528db27ed5e12749",
+    }),
+}
+
+
+@pinned_numpy
+@pytest.mark.parametrize("case", list(PINNED_OUTPUTS))
+def test_workload_commands_write_pinned_bytes(case, tmp_path):
+    corpus_case, commands, digests = PINNED_OUTPUTS[case]
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    assert main(["synth", *PINNED_CORPORA[corpus_case][0].split(), "--out", str(corpus)]) == 0
+    profiles = ["--profiles", str(corpus / "profiles.csv")]
+    files = {
+        "@corpus": ["--pubs", str(corpus / "publications.csv"), "--cites", str(corpus / "citations.csv"),
+                    *profiles, "--map", str(corpus / "discipline_map.csv")],
+        "@profiles": profiles,
+    }
+    for command in commands:
+        argv = [arg for token in command.split() for arg in files.get(token, [token])]
+        assert main([*argv, "--out", str(out)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == digests
 
 
 def test_every_generated_record_runs_the_checked_constructor(monkeypatch):
