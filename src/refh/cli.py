@@ -443,6 +443,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     gc.freeze()  # modules live until exit: later collections, at shutdown too, would only re-scan them
+    gc.disable()  # a command's profiles, scores and entries form no cycles; the process exits after it
     sys.exit(main())
 
 

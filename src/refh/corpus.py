@@ -39,7 +39,7 @@ from functools import cache
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 PERCENT_SUM_TOL = 1e-9
 
@@ -119,6 +119,19 @@ class PublicationWindow:
 _NO_CITATIONS: Mapping[int, int] = MappingProxyType({})
 
 
+def _fields_setter(cls: type) -> Callable[..., None]:
+    """``set_fields(obj, *values)``, which sets each field of the slotted
+    dataclass ``cls`` once, in field order, through the slot descriptors that
+    a frozen class's ``__setattr__`` does not guard.  It is written out one
+    call per field, as dataclasses writes an ``__init__``: a loop over the
+    descriptors would cost each object more than its checks do."""
+    names = cls.__slots__
+    namespace = {f"set_{name}": cls.__dict__[name].__set__ for name in names}
+    exec(f"def set_fields(obj, {', '.join(names)}):\n"
+         + "".join(f"    set_{name}(obj, {name})\n" for name in names), namespace)
+    return namespace["set_fields"]
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class PublicationRecord:
     """One publication with its per-citing-year citation counts.
@@ -166,13 +179,7 @@ class PublicationRecord:
                 )
             if count:
                 cleaned[year] = cleaned.get(year, 0) + count
-        set_id, set_year, set_country, set_affiliations, set_categories, set_citations = _SLOT_SETTERS
-        set_id(self, pub_id)
-        set_year(self, pub_year)
-        set_country(self, country or None)
-        set_affiliations(self, affiliations)
-        set_categories(self, categories)
-        set_citations(self, _in_year_order(cleaned))
+        _set_record(self, pub_id, pub_year, country or None, affiliations, categories, _in_year_order(cleaned))
 
     @classmethod
     def _loaded(cls, pub_id, pub_year, country, affiliations, categories, citations_by_year):
@@ -181,17 +188,11 @@ class PublicationRecord:
         Fields are set through the slot descriptors, which the frozen
         class's ``__setattr__`` does not guard; nothing is checked again."""
         record = object.__new__(cls)
-        set_id, set_year, set_country, set_affiliations, set_categories, set_citations = _SLOT_SETTERS
-        set_id(record, pub_id)
-        set_year(record, pub_year)
-        set_country(record, country)
-        set_affiliations(record, affiliations)
-        set_categories(record, categories)
-        set_citations(record, citations_by_year)
+        _set_record(record, pub_id, pub_year, country, affiliations, categories, citations_by_year)
         return record
 
 
-_SLOT_SETTERS = tuple(PublicationRecord.__dict__[name].__set__ for name in PublicationRecord.__slots__)
+_set_record = _fields_setter(PublicationRecord)
 
 
 def _stripped_set(labels: Iterable[str]) -> frozenset[str]:
@@ -235,17 +236,20 @@ class DisciplineMap:
         return any(normalize_label(c) in normalized for c in categories)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class QualityProfile:
     """Graded quality profile for one (institution, discipline) group.
 
     ``p4 .. pu`` are the percentages of work rated 4*, 3*, 2*, 1* and
     Unclassified; they must sum to 100.  The optional ``*_out`` fields are
     the output-only sub-profile (all five present or all absent).
-    ``staff_fte`` is the submitted staff count and must be positive.
-    ``nci`` is an externally supplied normalized citation impact; it is
-    ingested, never computed.  ``institution`` is stripped of surrounding
-    whitespace, as affiliations are, and must not be blank.
+    ``staff_fte`` is the submitted staff count and must be positive and
+    finite.  ``nci`` is an externally supplied normalized citation impact; it
+    is ingested, never computed, and must be non-negative and finite.
+    ``institution`` is stripped of surrounding whitespace, as affiliations
+    are, and must not be blank.  ``__init__`` checks every profile, loaded or
+    built, in that order and sets each field once; ``dataclasses.replace``
+    runs it too.
     """
 
     institution: str
@@ -263,22 +267,26 @@ class QualityProfile:
     pu_out: float | None = None
     nci: float | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "institution", self.institution.strip())
-        if not self.institution:
-            raise ValueError(f"profile for {self.discipline!r}: institution must be non-empty")
-        who = f"{self.institution}/{self.discipline}"
-        self._check_bands(who, self.percentages())
-        outs = (self.p4_out, self.p3_out, self.p2_out, self.p1_out, self.pu_out)
-        present = [o is not None for o in outs]
-        if any(present) and not all(present):
+    def __init__(self, institution: str, discipline: str, p4: float, p3: float, p2: float, p1: float,
+                 pu: float, staff_fte: float, p4_out: float | None = None, p3_out: float | None = None,
+                 p2_out: float | None = None, p1_out: float | None = None,
+                 pu_out: float | None = None, nci: float | None = None):
+        if not (institution := institution.strip()):
+            raise ValueError(f"profile for {discipline!r}: institution must be non-empty")
+        who = f"{institution}/{discipline}"
+        self._check_bands(who, (p4, p3, p2, p1, pu))
+        outs = (p4_out, p3_out, p2_out, p1_out, pu_out)
+        if (absent := outs.count(None)) and absent < 5:
             raise ValueError(f"{who}: output sub-profile must be complete or absent")
-        if all(present):
-            self._check_bands(who, outs, kind="output sub-profile")
-        if not self.staff_fte > 0:
-            raise ValueError(f"{who}: staff_fte must be positive, got {self.staff_fte}")
-        if self.nci is not None and self.nci < 0:
-            raise ValueError(f"{who}: nci must be non-negative, got {self.nci}")
+        if not absent:
+            self._check_bands(who, outs, "output sub-profile")
+        if not 0 < staff_fte < math.inf:  # NaN is not positive; inf is not finite
+            rule = "finite" if staff_fte > 0 else "positive"
+            raise ValueError(f"{who}: staff_fte must be {rule}, got {staff_fte}")
+        if nci is not None and not 0 <= nci < math.inf:
+            raise ValueError(f"{who}: nci must be {'non-negative' if nci < 0 else 'finite'}, got {nci}")
+        _set_profile(self, institution, discipline, p4, p3, p2, p1, pu, staff_fte,
+                     p4_out, p3_out, p2_out, p1_out, pu_out, nci)
 
     @staticmethod
     def _check_bands(who, bands, kind="profile"):
@@ -300,6 +308,9 @@ class QualityProfile:
         if not self.has_output_profile:
             return None
         return (self.p4_out, self.p3_out, self.p2_out, self.p1_out, self.pu_out)
+
+
+_set_profile = _fields_setter(QualityProfile)
 
 
 @dataclass(frozen=True)
@@ -550,7 +561,9 @@ def _get_set(raw, key: str, where: tuple[str, int], violations: list[str], inter
 def collector_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector while a block or decorated function
     builds records, which form no reference cycles: the collector would only
-    walk them again and again as they accumulate.  Its prior state returns."""
+    walk them again and again as they accumulate.  Its prior state returns.
+    A command-line run (:func:`refh.cli.run`) already has the collector off,
+    so this matters to library callers."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -715,6 +728,7 @@ def _validate_publications(pub_path: Path, cite_path: Path) -> tuple[tuple[Publi
 
 
 _OPTIONAL_PROFILE_FIELDS = frozenset(["p4_out", "p3_out", "p2_out", "p1_out", "pu_out", "nci"])
+_NO_OUTPUT = (None,) * 5
 
 
 def load_profiles(profile_file: str | Path) -> tuple[tuple[QualityProfile, ...], list[str]]:
@@ -724,14 +738,13 @@ def load_profiles(profile_file: str | Path) -> tuple[tuple[QualityProfile, ...],
     This is the validator for file input, as :func:`load_publications` is
     for publications.  A CSV row takes a short path when its institution and
     discipline are non-blank, unpadded and not seen before, every number
-    cell parses with ``float`` (a blank optional cell is ``None``) and
-    staff_fte and nci are finite.  It is built with one ``QualityProfile``
-    call, whose ``__post_init__`` checks the bands (which refuses a
-    non-finite one), the sub-profile's shape, staff_fte and nci in turn and
-    raises for the first it finds broken.  Any other row, and one that call
-    refuses, goes to the per-row validator, which strips every cell, checks
-    each name and number at the offending ``file:line`` and alone writes
-    messages.
+    cell parses with ``float`` and the output cells are all blank (``None``)
+    or all filled.  It is built with one positional ``QualityProfile`` call,
+    whose ``__init__`` checks the bands, the sub-profile's shape, staff_fte
+    and nci in turn, refuses a non-finite one and raises for the first it
+    finds broken.  Any other row, and one that call refuses, goes to the
+    per-row validator, which strips every cell, checks each name and number
+    at the offending ``file:line`` and alone writes messages.
     """
     path = Path(profile_file)
     violations: list[str] = []
@@ -744,17 +757,13 @@ def load_profiles(profile_file: str | Path) -> tuple[tuple[QualityProfile, ...],
                 key = (institution, discipline.casefold())
                 if (institution and discipline and key not in seen
                         and institution == institution.strip() and discipline == discipline.strip()):
-                    bands = [float(p4), float(p3), float(p2), float(p1), float(pu)]
-                    outs = [float(o) if o else None for o in outs]
-                    staff_fte, nci = float(staff_fte), float(nci) if nci else None
-                    # an inf or NaN in either makes the sum non-finite; a sum
-                    # that overflows only sends the row to the validator
-                    if math.isfinite(staff_fte + (nci or 0.0)):
-                        profiles.append(
-                            QualityProfile(institution, discipline, *bands, staff_fte, *outs, nci))
-                        seen.add(key)
-                        continue
-        except ValueError:
+                    profiles.append(QualityProfile(
+                        institution, discipline, float(p4), float(p3), float(p2), float(p1), float(pu),
+                        float(staff_fte), *(map(float, outs) if any(outs) else _NO_OUTPUT),
+                        float(nci) if nci else None))
+                    seen.add(key)
+                    continue
+        except ValueError:  # a malformed cell, a blank among filled output cells or a refused profile
             pass
         institution, discipline, *cells = _cells(row)
         where = (path.name, line_no)

@@ -17,6 +17,7 @@ Quality scores come from graded profiles:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -25,6 +26,7 @@ from refh.corpus import (
     PublicationRecord,
     PublicationWindow,
     QualityProfile,
+    _fields_setter,
     filter_documents,
     matching_publications,
     write_csv,
@@ -197,10 +199,12 @@ def strength(profile: QualityProfile) -> float:
     return score_s(profile) * profile.staff_fte
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ScoreSet:
     """The profile-side measures of one group: the four scores and the
-    supplied nci."""
+    supplied nci.  ``__init__`` checks that s, s_prime and s_output, where
+    present, lie in [0, 100] and sets each field once; ``dataclasses.replace``
+    runs it too."""
 
     institution: str
     discipline: str
@@ -210,23 +214,22 @@ class ScoreSet:
     strength: float | None = None
     nci: float | None = None
 
-    def __post_init__(self):
-        for name in ("s", "s_prime", "s_output"):
-            v = getattr(self, name)
+    def __init__(self, institution: str, discipline: str, s: float, s_prime: float,
+                 s_output: float | None = None, strength: float | None = None,
+                 nci: float | None = None):
+        for name, v in (("s", s), ("s_prime", s_prime), ("s_output", s_output)):
             if v is not None and not 0.0 <= v <= 100.0 + 1e-9:
-                raise ValueError(f"{self.institution}: {name} = {v} outside [0, 100]")
+                raise ValueError(f"{institution}: {name} = {v} outside [0, 100]")
+        _set_scores(self, institution, discipline, s, s_prime, s_output, strength, nci)
+
+
+_set_scores = _fields_setter(ScoreSet)
 
 
 def score_profile(profile: QualityProfile) -> ScoreSet:
-    return ScoreSet(
-        institution=profile.institution,
-        discipline=profile.discipline,
-        s=score_s(profile),
-        s_prime=score_s_prime(profile),
-        s_output=score_s_output(profile),
-        strength=strength(profile),
-        nci=profile.nci,
-    )
+    s = score_s(profile)
+    return ScoreSet(profile.institution, profile.discipline, s, score_s_prime(profile),
+                    score_s_output(profile), s * profile.staff_fte, profile.nci)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +253,9 @@ def write_hseries_csv(series: Iterable[GroupMetrics], path: str | Path) -> None:
 
 def write_scores_csv(profiles: Iterable[QualityProfile], path: str | Path) -> None:
     """``scores.csv``: s, s_prime, s_output, strength, and nci per profile."""
-    scores = (score_profile(p) for p in sorted(profiles, key=lambda p: (p.institution, p.discipline)))
-    write_csv(path, SCORES_HEADER, (
-        [s.institution, s.discipline, _fmt6(s.s), _fmt6(s.s_prime),
-         _fmt6(s.s_output), _fmt6(s.strength), _fmt6(s.nci)]
+    scores = map(score_profile, sorted(profiles, key=attrgetter("institution", "discipline")))
+    write_csv(path, SCORES_HEADER, (  # score_profile leaves only s_output and nci None
+        [s.institution, s.discipline, f"{s.s:.6f}", f"{s.s_prime:.6f}",
+         _fmt6(s.s_output), f"{s.strength:.6f}", _fmt6(s.nci)]
         for s in scores
     ))

@@ -14,30 +14,40 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import zip_longest
 from typing import Mapping
 
+from refh.corpus import _fields_setter
 from refh.metrics import _fmt6
 
 RANK_TABLE_HEADER = ["rank", "institution", "value", "movement"]
 
 MOVEMENT_TOKENS = ("up", "down", "none", "new")
 _MARKDOWN_MOVEMENT = {"up": "↑", "down": "↓", "none": "", "new": "(new)"}
+_ESCAPED_PIPE = "\\|"  # a "|" in a name, which would otherwise end its markdown table cell
 
 VALUE_DECIMALS = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RankEntry:
+    """One row of a ranked table.  ``__init__`` checks the rank (at least 1) and
+    the movement (one of ``MOVEMENT_TOKENS``); ``dataclasses.replace`` runs it too."""
+
     rank: int
     institution: str
     value: float | None
     movement: str = "none"
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
-        if self.movement not in MOVEMENT_TOKENS:
-            raise ValueError(f"movement must be one of {MOVEMENT_TOKENS}, got {self.movement!r}")
+    def __init__(self, rank: int, institution: str, value: float | None, movement: str = "none"):
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
+        if movement not in MOVEMENT_TOKENS:
+            raise ValueError(f"movement must be one of {MOVEMENT_TOKENS}, got {movement!r}")
+        _set_entry(self, rank, institution, value, movement)
+
+
+_set_entry = _fields_setter(RankEntry)
 
 
 @dataclass(frozen=True)
@@ -78,18 +88,27 @@ def rank_table(values: Mapping[str, float], measure: str, discipline: str = "") 
             raise ValueError(f"cannot rank non-finite value {v} for {inst!r}")
     ordered = sorted(quantized.items(), key=lambda kv: (-kv[1], kv[0]))
     entries: list[RankEntry] = []
+    rank, last = 0, None
     for position, (institution, value) in enumerate(ordered, start=1):
-        tied = entries and entries[-1].value == value
-        rank = entries[-1].rank if tied else position
-        entries.append(RankEntry(rank=rank, institution=institution, value=value))
+        if value != last:  # a tie keeps the rank of its first value
+            rank, last = position, value
+        entries.append(RankEntry(rank, institution, value))
     return RankedTable(discipline=discipline, measure=measure, entries=tuple(entries))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RankMove:
+    """One institution's ranks in a baseline and a comparison table; unchecked."""
+
     old_rank: int | None
     new_rank: int | None
     movement: str
+
+    def __init__(self, old_rank: int | None, new_rank: int | None, movement: str):
+        _set_move(self, old_rank, new_rank, movement)
+
+
+_set_move = _fields_setter(RankMove)
 
 
 @dataclass(frozen=True)
@@ -127,7 +146,7 @@ def movement(baseline: RankedTable, comparison: RankedTable) -> MovementReport:
             verdict = "down"
         else:
             verdict = "none"
-        moves[e.institution] = RankMove(old_rank=old, new_rank=e.rank, movement=verdict)
+        moves[e.institution] = RankMove(old, e.rank, verdict)
     return MovementReport(
         baseline_measure=baseline.measure,
         comparison_measure=comparison.measure,
@@ -140,9 +159,8 @@ def with_movement(table: RankedTable, report: MovementReport) -> RankedTable:
     """Copy of ``table`` with each entry's movement taken from ``report``."""
     moves = report.moves
     return RankedTable(table.discipline, table.measure, tuple(
-        RankEntry(e.rank, e.institution, e.value, moves[e.institution].movement)
-        if e.institution in moves
-        else e
+        e if (move := moves.get(e.institution)) is None
+        else RankEntry(e.rank, e.institution, e.value, move.movement)
         for e in table.entries
     ))
 
@@ -174,11 +192,11 @@ def render_table(table: RankedTable, format: str = "csv") -> str:
             "| rank | institution | movement | value |",
             "| ---: | :--- | :---: | ---: |",
         ]
-        for e in table.entries:
-            lines.append(
-                f"| {e.rank} | {e.institution} | "
-                f"{_MARKDOWN_MOVEMENT[e.movement]} | {_fmt_value_markdown(e.value)} |"
-            )
+        lines.extend(
+            f"| {e.rank} | {e.institution.replace('|', _ESCAPED_PIPE)} | "
+            f"{_MARKDOWN_MOVEMENT[e.movement]} | {_fmt_value_markdown(e.value)} |"
+            for e in table.entries
+        )
         return "\n".join(lines) + "\n"
     if format == "json":
         import json
@@ -187,23 +205,21 @@ def render_table(table: RankedTable, format: str = "csv") -> str:
     raise ValueError(f"unknown format: {format!r}")
 
 
+# movement token -> the mark after an institution in a comparison cell
+_COMPARISON_MARKS = {token: f" {mark}" if mark else "" for token, mark in _MARKDOWN_MOVEMENT.items()}
+
+
 def render_comparison_markdown(baseline: RankedTable, comparison: RankedTable) -> str:
     """Side-by-side markdown of a baseline and an arrow-marked comparison."""
     marked = with_movement(comparison, movement(baseline, comparison))
-
-    def cell(e: RankEntry) -> str:
-        arrow = _MARKDOWN_MOVEMENT[e.movement]
-        arrow = f" {arrow}" if arrow else ""
-        return f"{e.rank}. {e.institution}{arrow} ({_fmt_value_markdown(e.value)})"
-
-    left = [cell(e) for e in baseline.entries]
-    right = [cell(e) for e in marked.entries]
-    width = max(len(left), len(right))
-    left += [""] * (width - len(left))
-    right += [""] * (width - len(right))
+    left, right = (
+        [f"{e.rank}. {e.institution.replace('|', _ESCAPED_PIPE)}{_COMPARISON_MARKS[e.movement]} "
+         f"({_fmt_value_markdown(e.value)})" for e in table.entries]
+        for table in (baseline, marked)
+    )
     lines = [
         f"| ranked by {baseline.measure} | ranked by {comparison.measure} |",
         "| :--- | :--- |",
     ]
-    lines.extend(f"| {a} | {b} |" for a, b in zip(left, right))
+    lines.extend(f"| {a} | {b} |" for a, b in zip_longest(left, right, fillvalue=""))
     return "\n".join(lines) + "\n"

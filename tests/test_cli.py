@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import os
 import re
@@ -10,7 +11,7 @@ import pytest
 
 import golden_tables as gt
 import refh
-from refh import metrics as metrics_module, ranking
+from refh import cli, metrics as metrics_module, ranking
 from refh.cli import main, parse_pairs, parse_years
 from refh.corpus import PublicationWindow, ingest_corpus
 
@@ -742,6 +743,39 @@ def test_every_public_name_imports_in_a_fresh_interpreter(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
                           text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+class TestGarbageCollector:
+    def test_run_calls_main_with_the_collector_frozen_and_off(self, monkeypatch):
+        states = []
+        monkeypatch.setattr(cli, "main", lambda: states.append((gc.isenabled(), gc.get_freeze_count())) or 0)
+        enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+        try:
+            with pytest.raises(SystemExit) as exited:
+                cli.run()
+        finally:
+            if not frozen:
+                gc.unfreeze()
+            (gc.enable if enabled else gc.disable)()
+        assert exited.value.code == 0
+        assert len(states) == 1 and states[0][0] is False and states[0][1] > frozen
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_found_it(self, synth_dir, tmp_path, enabled):
+        paths = synth_paths(synth_dir)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            for argv in (
+                ["score", "--profiles", str(paths["profiles"]), "--out", str(tmp_path)],
+                ["rank", *corpus_args(paths), "--discipline", "synthetic", "--measure", "strength",
+                 "--baseline", "i", "--format", "markdown", "--out", str(tmp_path)],
+                ["score", "--profiles", str(paths["publications"]), "--out", str(tmp_path)],
+            ):
+                main(argv)
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 class TestDeterminism:

@@ -1,0 +1,120 @@
+"""The checked value classes whose ``__init__`` is written by hand.
+
+``QualityProfile``, ``ScoreSet``, ``RankEntry`` and ``RankMove`` are slotted,
+frozen dataclasses that set each field once in their own ``__init__``.  These
+tests pin what the generated dataclass constructors gave callers: keyword and
+positional calls, defaults, ``dataclasses.replace`` running the checks,
+``asdict`` (the ``rank --format json`` path), equality, hashing, pickling and
+every refusal message.
+"""
+
+import math
+import pickle
+from dataclasses import FrozenInstanceError, asdict, fields, replace
+
+import pytest
+
+from refh.corpus import QualityProfile
+from refh.metrics import ScoreSet
+from refh.ranking import RankEntry, RankMove
+
+# class -> (one valid value of every field in field order, the defaulted fields' defaults)
+CASES = {
+    QualityProfile: (
+        dict(institution="Alpha", discipline="chemistry", p4=25.0, p3=25.0, p2=25.0, p1=25.0,
+             pu=0.0, staff_fte=10.0, p4_out=40.0, p3_out=30.0, p2_out=20.0, p1_out=10.0,
+             pu_out=0.0, nci=1.5),
+        dict(p4_out=None, p3_out=None, p2_out=None, p1_out=None, pu_out=None, nci=None),
+    ),
+    ScoreSet: (
+        dict(institution="Alpha", discipline="chemistry", s=40.0, s_prime=33.5, s_output=50.0,
+             strength=400.0, nci=1.5),
+        dict(s_output=None, strength=None, nci=None),
+    ),
+    RankEntry: (dict(rank=2, institution="Alpha", value=1.5, movement="up"), dict(movement="none")),
+    RankMove: (dict(old_rank=3, new_rank=2, movement="up"), {}),
+}
+CLASSES = list(CASES)
+
+
+def build(cls, **changes):
+    return cls(**{**CASES[cls][0], **changes})
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_keyword_and_positional_calls_agree(cls):
+    values, _ = CASES[cls]
+    assert [f.name for f in fields(cls)] == list(values)
+    by_keyword, by_position = cls(**values), cls(*values.values())
+    assert by_keyword == by_position
+    assert asdict(by_position) == values
+    assert [getattr(by_position, name) for name in values] == list(values.values())
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_defaults(cls):
+    values, defaults = CASES[cls]
+    required = {k: v for k, v in values.items() if k not in defaults}
+    obj = cls(**required)
+    assert asdict(obj) == {**required, **defaults}
+    if required:
+        with pytest.raises(TypeError):
+            cls(*list(required.values())[:-1])
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_equality_hashing_and_frozen_slots(cls):
+    a, b = build(cls), build(cls)
+    field = next(f.name for f in fields(cls) if f.name in ("institution", "old_rank"))
+    other = replace(a, **{field: "Beta" if field == "institution" else 9})
+    assert a == b and hash(a) == hash(b) and a != other
+    assert len({a, b, other}) == 2
+    assert pickle.loads(pickle.dumps(a)) == a
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        setattr(a, field, other)
+
+
+def test_profile_institution_is_stripped_by_every_call():
+    padded = build(QualityProfile, institution="  Alpha ")
+    assert padded.institution == "Alpha" and padded == build(QualityProfile)
+    assert replace(padded, institution=" Beta").institution == "Beta"
+
+
+# (class, changes, the exact message); each was the message of the generated constructor too
+REFUSALS = [
+    (QualityProfile, dict(institution="  "), "profile for 'chemistry': institution must be non-empty"),
+    (QualityProfile, dict(p4=101.0, p3=-1.0), "Alpha/chemistry: profile percentage 101.0 outside [0, 100]"),
+    (QualityProfile, dict(p4=math.nan), "Alpha/chemistry: profile percentage nan outside [0, 100]"),
+    (QualityProfile, dict(p1=24.0), "Alpha/chemistry: profile sum 99.0 != 100"),
+    (QualityProfile, dict(p2_out=None), "Alpha/chemistry: output sub-profile must be complete or absent"),
+    (QualityProfile, dict(p4_out=150.0),
+     "Alpha/chemistry: output sub-profile percentage 150.0 outside [0, 100]"),
+    (QualityProfile, dict(p4_out=30.0), "Alpha/chemistry: output sub-profile sum 90.0 != 100"),
+    (QualityProfile, dict(staff_fte=0.0), "Alpha/chemistry: staff_fte must be positive, got 0.0"),
+    (QualityProfile, dict(staff_fte=math.nan), "Alpha/chemistry: staff_fte must be positive, got nan"),
+    (QualityProfile, dict(staff_fte=-math.inf), "Alpha/chemistry: staff_fte must be positive, got -inf"),
+    (QualityProfile, dict(nci=-0.5), "Alpha/chemistry: nci must be non-negative, got -0.5"),
+    (QualityProfile, dict(nci=-math.inf), "Alpha/chemistry: nci must be non-negative, got -inf"),
+    (ScoreSet, dict(s=101.0), "Alpha: s = 101.0 outside [0, 100]"),
+    (ScoreSet, dict(s_prime=-1.0), "Alpha: s_prime = -1.0 outside [0, 100]"),
+    (ScoreSet, dict(s_output=100.5), "Alpha: s_output = 100.5 outside [0, 100]"),
+    (ScoreSet, dict(s=math.nan), "Alpha: s = nan outside [0, 100]"),
+    (RankEntry, dict(rank=0), "rank must be >= 1, got 0"),
+    (RankEntry, dict(movement="sideways"),
+     "movement must be one of ('up', 'down', 'none', 'new'), got 'sideways'"),
+]
+
+
+@pytest.mark.parametrize("cls, changes, message", REFUSALS)
+def test_refusals_keep_their_messages(cls, changes, message):
+    for attempt in (lambda: build(cls, **changes), lambda: replace(build(cls), **changes)):
+        with pytest.raises(ValueError) as err:
+            attempt()
+        assert str(err.value) == message
+
+
+def test_checks_accept_their_bounds():
+    assert build(ScoreSet, s=100.0 + 1e-9, s_prime=0.0, s_output=None).s == 100.0 + 1e-9
+    assert build(QualityProfile, nci=0.0, staff_fte=1e-300).nci == 0.0
+    assert RankMove(None, 1, "new").old_rank is None  # RankMove checks nothing

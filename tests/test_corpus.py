@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -95,6 +96,16 @@ class TestProfileInvariants:
     def test_negative_nci_rejected(self):
         with pytest.raises(ValueError, match="nci"):
             profile(nci=-0.5)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"staff_fte": math.inf}, "Alpha/chemistry: staff_fte must be finite, got inf"),
+        ({"nci": math.nan}, "Alpha/chemistry: nci must be finite, got nan"),
+        ({"nci": math.inf}, "Alpha/chemistry: nci must be finite, got inf"),
+    ])
+    def test_non_finite_staff_fte_and_nci_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            profile(**kwargs)
+        assert str(err.value) == message
 
 
 class TestCorpusConstruction:

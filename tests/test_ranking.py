@@ -185,6 +185,18 @@ class TestRendering:
         assert "| C | ↓ |" in text
         assert "| D | (new) |" in text
 
+    def test_markdown_escapes_pipes_in_names(self):
+        baseline = rank_table({"A|B": 2.0, "C": 1.0}, "s")
+        table = rank_table({"A|B": 1.0, "C": 2.0}, "i")
+        assert render_table(table, "markdown").splitlines()[2:] == [
+            "| 1 | C |  | 2 |",
+            "| 2 | A\\|B |  | 1 |",
+        ]
+        assert render_comparison_markdown(baseline, table).splitlines()[2:] == [
+            "| 1. A\\|B (2) | 1. C ↑ (2) |",
+            "| 2. C (1) | 2. A\\|B ↓ (1) |",
+        ]
+
     def test_csv_movement_tokens(self):
         entries = (RankEntry(1, "A", 5.0, "up"),)
         text = render_table(RankedTable("d", "x", entries), "csv")
