@@ -73,47 +73,7 @@ def __getattr__(name: str):
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Corpus",
-    "CorpusValidationError",
-    "CorrelationReport",
-    "CorrelationSeries",
-    "DisciplineMap",
-    "GroupMetrics",
-    "InsufficientDataError",
-    "Lognormal",
-    "MovementReport",
-    "PowerLaw",
-    "PublicationRecord",
-    "PublicationWindow",
-    "QualityProfile",
-    "RankEntry",
-    "RankedTable",
-    "ScoreSet",
-    "SynthConfig",
-    "UnknownDisciplineError",
-    "citations_to_end_of",
-    "compute_h",
-    "correlation_series",
-    "correlation_table",
-    "departmental_h",
-    "filter_documents",
-    "fractional_ranks",
-    "generate",
-    "group_metrics",
-    "h_series",
-    "ingest_corpus",
-    "movement",
-    "pearson",
-    "rank_table",
-    "render_table",
-    "score_profile",
-    "score_s",
-    "score_s_output",
-    "score_s_prime",
-    "significance",
-    "spearman",
-    "strength",
-    "with_movement",
-    "write_corpus",
-]
+# the names imported from refh.corpus above, then every lazy name
+__all__ = sorted("Corpus CorpusValidationError DisciplineMap PublicationRecord PublicationWindow "
+                 "QualityProfile UnknownDisciplineError filter_documents ingest_corpus "
+                 "write_corpus".split() + list(_LAZY_NAMES))

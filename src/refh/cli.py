@@ -204,7 +204,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
             table = ranking.with_movement(table, ranking.movement(baseline, table))
 
     args.out.mkdir(parents=True, exist_ok=True)
-    stem = f"rank_{args.discipline}_{args.measure.replace(':', '_')}"
+    stem = f"rank_{args.discipline.replace('/', '_')}_{args.measure.replace(':', '_')}"
     path = args.out / f"{stem}.{RANK_SUFFIXES[args.format]}"
     if args.format == "markdown" and baseline is not None:
         text = ranking.render_comparison_markdown(baseline, table)

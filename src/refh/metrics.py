@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from refh.corpus import (
     Corpus,
@@ -27,7 +27,6 @@ from refh.corpus import (
     PublicationWindow,
     QualityProfile,
     _fields_setter,
-    filter_documents,
     matching_publications,
     write_csv,
 )
@@ -86,47 +85,18 @@ class GroupMetrics:
         object.__setattr__(self, "h_by_year", dict(sorted(values.items())))
 
 
-def _bucket_metrics(
-    buckets: Mapping[str, list[PublicationRecord]],
-    discipline: str,
-    window: PublicationWindow,
-    years: Sequence[int],
-) -> list[GroupMetrics]:
-    """The h series of each institution's bucket of matching records, in
-    institution order; the only place h is evaluated.  ``years`` must be
-    strictly ascending and after the window start."""
-    years = list(years)
-    if any(b <= a for a, b in zip(years, years[1:])):
-        raise ValueError(f"measurement years must be strictly ascending, got {years}")
-    for year in years:
-        if year <= window.start_year:
-            raise ValueError(
-                f"measurement year {year} must come after window start {window.start_year}"
-            )
-    return [
-        GroupMetrics(
-            institution=institution,
-            discipline=discipline,
-            window=window,
-            h_by_year={
-                year: compute_h(citations_to_end_of(r, year - 1) for r in records)
-                for year in years
-            },
-        )
-        for institution, records in sorted(buckets.items())
-    ]
-
-
 def group_metrics(
     corpus: Corpus,
     country: str,
     window: PublicationWindow,
     discipline: str,
-    years: Sequence[int],
+    years: Iterable[int],
 ) -> list[GroupMetrics]:
     """Per-institution h series for every institution with at least one
-    matching publication, in institution order.  A multi-affiliation record
-    counts fully for each institution.
+    matching publication, in institution order; the only place h is
+    evaluated.  A multi-affiliation record counts fully for each institution.
+    ``years`` must be strictly ascending and after the window start; an
+    unknown discipline is reported before either.
 
     Institutions whose publications never pass the filter are omitted,
     mirroring how groups absent from a citation database drop out of
@@ -136,7 +106,19 @@ def group_metrics(
     for r in matching_publications(corpus, country, window, discipline):
         for institution in r.affiliations:
             buckets.setdefault(institution, []).append(r)
-    return _bucket_metrics(buckets, discipline, window, years)
+    years = list(years)
+    if any(b <= a for a, b in zip(years, years[1:])):
+        raise ValueError(f"measurement years must be strictly ascending, got {years}")
+    if years and years[0] <= window.start_year:  # ascending: the first year is the earliest
+        raise ValueError(
+            f"measurement year {years[0]} must come after window start {window.start_year}"
+        )
+    return [
+        GroupMetrics(institution, discipline, window, {
+            year: compute_h(citations_to_end_of(r, year - 1) for r in records) for year in years
+        })
+        for institution, records in sorted(buckets.items())
+    ]
 
 
 def h_series(
@@ -145,13 +127,17 @@ def h_series(
     window: PublicationWindow,
     discipline: str,
     institution: str,
-    years: Sequence[int],
+    years: Iterable[int],
 ) -> GroupMetrics:
-    """One institution's entry of :func:`group_metrics`, evaluated over that
-    institution's records only; all-zero h when the group has no matching
-    publications."""
-    records = filter_documents(corpus, country, window, discipline, institution)
-    return _bucket_metrics({institution.strip(): records}, discipline, window, years)[0]
+    """One institution's entry of :func:`group_metrics`; all-zero h when the
+    group has no matching publications.  Each call evaluates the whole
+    discipline, so a loop over institutions should call :func:`group_metrics`
+    once instead."""
+    years, wanted = list(years), institution.strip()
+    for series in group_metrics(corpus, country, window, discipline, years):
+        if series.institution == wanted:
+            return series
+    return GroupMetrics(wanted, discipline, window, dict.fromkeys(years, 0))
 
 
 def departmental_h(
@@ -163,7 +149,8 @@ def departmental_h(
     measurement_year: int,
 ) -> int:
     """h-index of the filtered group, with citations counted to the end of
-    ``measurement_year - 1``."""
+    ``measurement_year - 1``.  Like :func:`h_series`, each call evaluates the
+    whole discipline."""
     series = h_series(corpus, country, window, discipline, institution, [measurement_year])
     return series.h_by_year[measurement_year]
 

@@ -75,14 +75,14 @@ class RankedTable:
 def rank_table(values: Mapping[str, float], measure: str, discipline: str = "") -> RankedTable:
     """Competition-rank a value map.
 
-    Values are quantized to 6 decimals first, so ties are decided at the
-    same precision the table is rendered at and a rendered table parses
-    back equal.  Each rank is the position where its value first appears
-    in the sorted order.  Non-finite values are refused: NaN has no order.
+    Values are quantized to 6 decimals first, and -0.0 becomes 0.0, so ties
+    are decided at the same precision the table is rendered at, every tie
+    prints one value, and a rendered table parses back equal.  Each rank is
+    the position where its value first appears in the sorted order.  Non-finite values are refused: NaN has no order.
     """
     if not values:
         raise ValueError("cannot rank an empty value map")
-    quantized = {inst: round(float(v), VALUE_DECIMALS) for inst, v in values.items()}
+    quantized = {inst: round(float(v), VALUE_DECIMALS) + 0.0 for inst, v in values.items()}
     for inst, v in quantized.items():
         if not math.isfinite(v):
             raise ValueError(f"cannot rank non-finite value {v} for {inst!r}")

@@ -309,6 +309,18 @@ class TestHindexCommand:
         assert code == 1
         assert "no matching publications" in err
 
+    @pytest.mark.parametrize("discipline, message", [
+        ("nonexistent", "no discipline map for 'nonexistent'"),
+        ("synthetic", "measurement year 2001 must come after window start 2001"),
+    ])
+    def test_unknown_discipline_reported_before_bad_years(self, synth_dir, tmp_path, capsys,
+                                                          discipline, message):
+        code, _, err = run([
+            "hindex", *corpus_args(synth_paths(synth_dir)), "--discipline", discipline,
+            "--window", "2001:2007", "--years", "2001", "--out", str(tmp_path / "o"),
+        ], capsys)
+        assert (code, err) == (1, f"refh: {message}\n")
+
 
 class TestScoreCommand:
     def test_scores_match_formula_examples(self, tmp_path):
@@ -558,6 +570,22 @@ def golden_corpus_files(tmp_path, baseline_rows, comparison_rows):
     )
 
 
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    """README's library quick start, run against corpus files under its file names."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    golden_corpus_files(tmp_path, gt.CHEMISTRY_H2008, gt.CHEMISTRY_H2014)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    published = gt.values(gt.CHEMISTRY_H2008)["Cambridge"]
+    assert namespace["h"] == published
+    assert namespace["series"].h_by_year == {2008: published, 2009: published}
+    by_institution = {m.institution: m for m in namespace["metrics"]}
+    assert len(by_institution) == len(gt.CHEMISTRY_H2008)
+    assert by_institution["Cambridge"] == namespace["series"]
+
+
 class TestRankCommand:
     @pytest.mark.parametrize("discipline", ["biology", "chemistry"])
     def test_published_tables_reproduced_end_to_end(self, tmp_path, discipline):
@@ -682,6 +710,37 @@ class TestRankCommand:
             ])
             assert code == 0
             assert (out / f"rank_synthetic_s.{suffix}").exists()
+
+    def test_tie_at_zero_prints_one_value(self, tmp_path):
+        profiles = [f"{inst},chemistry,100,0,0,0,0,,,,,,10,{nci}"
+                    for inst, nci in (("A", "-0"), ("B", "0"), ("C", "1.5"))]
+        paths = write_files(tmp_path, profiles="\n".join(profiles), dmap="chemistry,Chemistry")
+        out = tmp_path / "out"
+        for fmt in ("csv", "markdown"):
+            assert main(["rank", *corpus_args(paths), "--discipline", "chemistry",
+                         "--measure", "i", "--format", fmt, "--out", str(out)]) == 0
+        assert (out / "rank_chemistry_i.csv").read_text().splitlines()[-2:] == [
+            "2,A,0.000000,none", "2,B,0.000000,none"]
+        assert (out / "rank_chemistry_i.md").read_text().splitlines()[-2:] == [
+            "| 2 | A |  | 0 |", "| 2 | B |  | 0 |"]
+        # scores.csv prints nci as given
+        assert main(["score", "--profiles", str(paths["profiles"]), "--out", str(out)]) == 0
+        assert (out / "scores.csv").read_text().splitlines()[1].endswith(",-0.000000")
+
+    def test_slash_in_discipline_becomes_underscore_in_file_name(self, tmp_path):
+        paths = write_files(
+            tmp_path,
+            publications="P1,2003,GB,A,Chemistry",
+            citations="P1,2004,3",
+            profiles="A,Chem/Phys,100,0,0,0,0,,,,,,10,",
+            dmap="Chem/Phys,Chemistry",
+        )
+        out = tmp_path / "out"
+        assert main(["rank", *corpus_args(paths), "--discipline", "Chem/Phys", "--window",
+                     "2001:2007", "--measure", "h_2008", "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["rank_Chem_Phys_h_2008.csv"]
+        assert (out / "rank_Chem_Phys_h_2008.csv").read_text() == (
+            "rank,institution,value,movement\n1,A,1.000000,none\n")
 
     def test_unknown_measure_exits_1(self, synth_dir, tmp_path, capsys):
         code, _, err = run([

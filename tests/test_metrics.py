@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from refh.corpus import Corpus, DisciplineMap, PublicationWindow
+from refh.corpus import Corpus, DisciplineMap, PublicationWindow, UnknownDisciplineError
 from refh.metrics import (
     GroupMetrics,
     citations_to_end_of,
@@ -340,6 +340,48 @@ class TestHSeriesMatchesGroupMetrics:
             assert h_series(corpus, "GB", WINDOW, "synthetic", f" {metrics.institution} ", years) == metrics
         absent = h_series(corpus, "GB", WINDOW, "synthetic", "No Such HEI", years)
         assert absent.h_by_year == dict.fromkeys(years, 0)
+
+    def test_one_shot_years_for_present_and_absent_groups(self):
+        corpus = three_paper_corpus()
+        years = [2008, 2009, 2010]
+        present = h_series(corpus, "GB", WINDOW, "chemistry", "Alpha", (y for y in years))
+        assert present == group_metrics(corpus, "GB", WINDOW, "chemistry", years)[0]
+        assert present.h_by_year == {2008: 2, 2009: 2, 2010: 2}
+        absent = h_series(corpus, "GB", WINDOW, "chemistry", "Beta", iter(years))
+        assert absent.h_by_year == dict.fromkeys(years, 0)
+        assert group_metrics(corpus, "GB", WINDOW, "chemistry", iter(years)) == [present]
+        assert departmental_h(corpus, "GB", WINDOW, "chemistry", "Alpha", 2009) == 2
+        assert departmental_h(corpus, "GB", WINDOW, "chemistry", "Beta", 2009) == 0
+
+    def test_absent_padded_name_gives_stripped_all_zero_series(self):
+        years = [2008, 2009]
+        absent = h_series(three_paper_corpus(), "GB", WINDOW, "chemistry", " No Such HEI ", years)
+        assert absent == GroupMetrics("No Such HEI", "chemistry", WINDOW, {2008: 0, 2009: 0})
+
+
+# each public h entry point, taking the corpus, the discipline and the years
+H_CALLS = {
+    "group_metrics": lambda corpus, d, years: group_metrics(corpus, "GB", WINDOW, d, years),
+    "h_series": lambda corpus, d, years: h_series(corpus, "GB", WINDOW, d, "Alpha", years),
+    "h_series_absent": lambda corpus, d, years: h_series(corpus, "GB", WINDOW, d, "Beta", years),
+}
+
+
+@pytest.mark.parametrize("call", H_CALLS.values(), ids=H_CALLS)
+class TestErrorPrecedence:
+    @pytest.mark.parametrize("years", [[2009, 2008], [2001]])
+    def test_unknown_discipline_before_bad_years(self, call, years):
+        with pytest.raises(UnknownDisciplineError):
+            call(three_paper_corpus(), "nonexistent", years)
+
+    def test_ascending_before_window_start(self, call):
+        # both checks fail on [2001, 2000]; the order check is reported
+        with pytest.raises(ValueError, match="strictly ascending, got \\[2001, 2000\\]"):
+            call(three_paper_corpus(), "chemistry", [2001, 2000])
+
+    def test_year_at_window_start_refused(self, call):
+        with pytest.raises(ValueError, match="^measurement year 2001 must come after window start 2001$"):
+            call(three_paper_corpus(), "chemistry", [2001, 2008])
 
 
 class TestWriters:

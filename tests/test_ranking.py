@@ -69,6 +69,13 @@ class TestRankTable:
         table = rank_table({"Zeta": 5, "Alpha": 5, "Mid": 5}, "x")
         assert [e.institution for e in table.entries] == ["Alpha", "Mid", "Zeta"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "markdown", "json"])
+    def test_tie_at_zero_prints_one_value(self, fmt):
+        # -1e-9 quantizes to -0.0, which must not print as "-0" beside the tied 0.0
+        table = rank_table({"A": -1e-9, "B": 0.0}, "s")
+        assert [(e.rank, e.value) for e in table.entries] == [(1, 0.0), (1, 0.0)]
+        assert "-0" not in render_table(table, fmt)
+
     def test_empty_map_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             rank_table({}, "x")
