@@ -13,7 +13,6 @@ import argparse
 import gc
 import os
 import sys
-from functools import cache
 from pathlib import Path
 
 # lazily loaded (see refh/__init__.py): a name read from one of these runs its
@@ -41,9 +40,14 @@ PRESETS = {
 RANK_SUFFIXES = {"csv": "csv", "markdown": "md", "json": "json"}
 
 
+# --years takes at most this many years, each of four digits as in an h_YYYY label
+MAX_YEARS = 50
+
+
 def parse_years(text: str) -> list[int]:
-    """Parse ``2008..2014`` / ``2008,2010`` / mixtures of both."""
-    years: list[int] = []
+    """Parse ``2008..2014`` / ``2008,2010`` / mixtures of both into at most
+    ``MAX_YEARS`` years from 1000 to 9999."""
+    years: set[int] = set()
     for part in text.split(","):
         part = part.strip()
         if not part:
@@ -55,10 +59,15 @@ def parse_years(text: str) -> list[int]:
             raise ValueError(f"measurement years must be YEAR or START..END, got {part!r}") from None
         if hi < lo:
             raise ValueError(f"bad year range {part!r}")
-        years.extend(range(lo, hi + 1))
+        if lo < 1000 or hi > 9999:
+            raise ValueError(f"measurement years must be from 1000 to 9999, got {part!r}")
+        # MAX_YEARS + 1 years of a longer range are enough to refuse it
+        years.update(range(lo, min(hi, lo + MAX_YEARS) + 1))
+        if len(years) > MAX_YEARS:
+            raise ValueError(f"at most {MAX_YEARS} measurement years, got more in {text!r}")
     if not years:
         raise ValueError(f"no measurement years in {text!r}")
-    return sorted(set(years))
+    return sorted(years)
 
 
 def parse_papers(text: str) -> tuple[int, int]:
@@ -174,42 +183,31 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 def cmd_rank(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args)
     scores = _scores_for(args, corpus)
-    # one h pass per window over every year its labels need; a year at or
-    # before the window start gets a pass of its own, which refuses it as before
-    shared: dict[PublicationWindow, set[int]] = {}
-    for label, window in ((args.measure, args.window), (args.baseline, args.baseline_window)):
-        year = stats.h_label_year(label) if label else None
-        if year is not None and year > window.start_year:
-            shared.setdefault(window, set()).add(year)
-    h_pass = cache(lambda window, years: _metrics_for(args, corpus, list(years), window))
-
-    def values_for(measure: str, window: PublicationWindow | None, role: str) -> dict[str, float]:
-        metrics: list[metrics_module.GroupMetrics] = []
-        year = stats.h_label_year(measure)
-        if year is not None:
-            years = shared.get(window, ())
-            metrics = h_pass(window, tuple(sorted(years)) if year in years else (year,))
-        values = stats.measure_values(measure, scores, metrics)
-        if not values:
-            raise ValueError(f"no values available for {role} {measure!r}")
-        return values
-
-    values = values_for(args.measure, args.window, "measure")
-    table = ranking.rank_table(values, args.measure, args.discipline)
-    baseline = None
+    labels = [(args.measure, args.window, "measure")]
     if args.baseline:
-        baseline_values = values_for(args.baseline, args.baseline_window, "baseline measure")
-        baseline = ranking.rank_table(baseline_values, args.baseline, args.discipline)
-        if args.format != "markdown":  # render_comparison_markdown marks the table itself
-            table = ranking.with_movement(table, ranking.movement(baseline, table))
-
+        labels.append((args.baseline, args.baseline_window, "baseline measure"))
+    passes: dict[PublicationWindow, list[metrics_module.GroupMetrics]] = {}
+    tables = []
+    for label, window, role in labels:
+        if stats.h_label_year(label) is not None and window not in passes:
+            # the window's one h pass, over every year its labels name
+            years = {stats.h_label_year(other) for other, at, _ in labels if at == window}
+            passes[window] = _metrics_for(args, corpus, sorted(years - {None}), window)
+        values = stats.measure_values(label, scores, passes.get(window, ()))
+        if not values:
+            raise ValueError(f"no values available for {role} {label!r}")
+        tables.append(ranking.rank_table(values, label, args.discipline))
+    table = tables[0]
+    if not args.baseline:
+        text = ranking.render_table(table, args.format)
+    elif args.format == "markdown":
+        text = ranking.render_comparison_markdown(tables[1], table)
+    else:
+        marked = ranking.with_movement(table, ranking.movement(tables[1], table))
+        text = ranking.render_table(marked, args.format)
     args.out.mkdir(parents=True, exist_ok=True)
     stem = f"rank_{args.discipline.replace('/', '_')}_{args.measure.replace(':', '_')}"
     path = args.out / f"{stem}.{RANK_SUFFIXES[args.format]}"
-    if args.format == "markdown" and baseline is not None:
-        text = ranking.render_comparison_markdown(baseline, table)
-    else:
-        text = ranking.render_table(table, args.format)
     path.write_text(text, encoding="utf-8")
     log_info("refh", "wrote %s (%d entries)", path, len(table.entries))
     return 0
@@ -261,7 +259,8 @@ def _add_run_options(p: argparse.ArgumentParser, with_years: bool = True) -> Non
     if with_years:
         p.add_argument(
             "--years", type=_flag_type(parse_years),
-            help="measurement years, e.g. 2008..2014 or 2008,2010 (contiguous for correlate)",
+            help="measurement years, e.g. 2008..2014 or 2008,2010 (contiguous for correlate); "
+            f"at most {MAX_YEARS}, each from 1000 to 9999",
         )
     p.add_argument(
         "--preset",

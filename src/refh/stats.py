@@ -303,8 +303,8 @@ def _report(
     points: list[tuple[str, float, float]],
     dropped: int,
 ) -> CorrelationReport:
-    """Correlate one pair's joined points; fewer than 3 raises
-    :class:`InsufficientDataError` naming the pair."""
+    """Correlate one pair's joined points; fewer than 3 raise
+    :class:`InsufficientDataError`, a constant vector ValueError, each naming the pair."""
     if len(points) < 3:
         raise InsufficientDataError(
             f"pair ({x_label}, {y_label}): only {len(points)} complete "
@@ -314,7 +314,10 @@ def _report(
         log_info(__name__, "pair (%s, %s): dropped %d incomplete rows", x_label, y_label, dropped)
     xs = [p[1] for p in points]
     ys = [p[2] for p in points]
-    r = pearson(xs, ys)
+    try:
+        r = pearson(xs, ys)
+    except ValueError as exc:
+        raise ValueError(f"pair ({x_label}, {y_label}): {exc}") from None
     rho = spearman(xs, ys)
     p_r, sig_r = significance(r, len(points))
     p_rho, sig_rho = significance(rho, len(points))
@@ -359,7 +362,7 @@ def correlation_series(
     years: Sequence[int],
 ) -> CorrelationSeries:
     """Correlate ``x_label`` against h for each measurement year in ``years``,
-    plus against nci once, when any group carries one.
+    plus against nci once, when at least 3 joined groups carry both.
 
     The join universe and the x values are resolved once for the series.
     """
@@ -373,10 +376,8 @@ def correlation_series(
         return _report(metrics, x_label, y_label, *_pair(universe, xs, ys))
 
     by_year = {year: report(f"h_{year}") for year in years}
-    baseline = None
-    roster = {m.institution for m in metrics}
-    if any(s.nci is not None and s.institution in roster for s in scores):
-        baseline = report("i")
+    nci_points, dropped = _pair(universe, xs, measure_values("i", scores, metrics))
+    baseline = _report(metrics, x_label, "i", nci_points, dropped) if len(nci_points) >= 3 else None
     return CorrelationSeries(measure_x=x_label, baseline=baseline, by_year=by_year)
 
 

@@ -57,6 +57,14 @@ def synth_paths(out):
     }
 
 
+def blank_nci(profiles, count=None):
+    """Blank the nci, the last column, of the first ``count`` profiles (all by default)."""
+    header, *rows = profiles.read_text().splitlines()
+    rows = [row.rsplit(",", 1)[0] + "," if count is None or k < count else row
+            for k, row in enumerate(rows)]
+    profiles.write_text("\n".join([header, *rows]) + "\n")
+
+
 RAE2008 = ["--discipline", "synthetic", "--preset", "rae2008"]
 
 
@@ -149,6 +157,38 @@ class TestParsing:
     def test_parse_years_bad(self):
         with pytest.raises(ValueError):
             parse_years("2014..2008")
+
+    def test_parse_years_bounds(self):
+        assert parse_years("1000,9999") == [1000, 9999]
+        assert parse_years("2008..2057") == list(range(2008, 2058))
+        assert parse_years("2008..2057,2008") == list(range(2008, 2058))
+        for text in ("2008..20140", "999", "2008,10000"):
+            with pytest.raises(ValueError, match="from 1000 to 9999"):
+                parse_years(text)
+        for text in ("2008..2058", "2008..2040,2050..2070", "1000..9999"):
+            with pytest.raises(ValueError, match="at most 50 measurement years"):
+                parse_years(text)
+
+    @pytest.mark.parametrize("command, years, message", [
+        (["hindex"], "2008..20140", "measurement years must be from 1000 to 9999, got '2008..20140'"),
+        (["correlate", "--pairs", "s:h_2008"], "2008..2058",
+         "at most 50 measurement years, got more in '2008..2058'"),
+    ], ids=["four-digits", "at-most-50"])
+    def test_out_of_range_years_exit_2_before_any_read(self, tmp_path, monkeypatch, capsys,
+                                                       command, years, message):
+        def refuse(*args):
+            raise AssertionError("a file was read")
+
+        monkeypatch.setattr(cli, "ingest_corpus", refuse)
+        monkeypatch.setattr(metrics_module, "group_metrics", refuse)
+        paths = {name: tmp_path / f"{name}.csv"
+                 for name in ("publications", "citations", "profiles", "discipline_map")}
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, *corpus_args(paths), *RAE2008, "--years", years, "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"refh {command[0]}: error: argument --years: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_parse_pairs(self):
         assert parse_pairs("s:h_2008,s_prime:i") == [("s", "h_2008"), ("s_prime", "i")]
@@ -489,6 +529,39 @@ class TestCorrelateCommand:
         assert code == 1
         assert "(s, i)" in err
 
+    def test_sparse_nci_leaves_out_the_baseline_row(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        assert main(["synth", "--seed", "3", "--institutions", "8", "--out", str(corpus_dir)]) == 0
+        blank_nci(corpus_dir / "profiles.csv", 6)
+        code, _, err = run(["correlate", *corpus_args(synth_paths(corpus_dir)), *RAE2008,
+                            "--pairs", "s:h_2008", "--out", str(tmp_path / "o")], capsys)
+        assert (code, err) == (0, "")
+        series = list(csv.DictReader(io.StringIO((tmp_path / "o" / "corr_series.csv").read_text())))
+        assert [r["y"] for r in series] == [f"h_{year}" for year in range(2008, 2015)]
+        # a pair that names i still needs 3 points
+        code, _, err = run(["correlate", *corpus_args(synth_paths(corpus_dir)), *RAE2008,
+                            "--pairs", "s:i", "--out", str(tmp_path / "o2")], capsys)
+        assert (code, err) == (
+            1, "refh: pair (s, i): only 2 complete joined pairs (6 dropped); need at least 3\n"
+        )
+
+    def test_constant_vector_names_its_pair(self, tmp_path, capsys):
+        # three institutions, one paper each, each cited once: h_2008 is 1 for all
+        paths = write_files(
+            tmp_path,
+            publications="\n".join(f"P{k},2003,GB,I{k},Chemistry" for k in range(1, 4)),
+            citations="\n".join(f"P{k},2004,1" for k in range(1, 4)),
+            profiles="\n".join(f"I{k},chemistry,{10 * k},0,0,0,{100 - 10 * k},,,,,,10,"
+                               for k in range(1, 4)),
+            dmap="chemistry,Chemistry",
+        )
+        code, _, err = run([
+            "correlate", *corpus_args(paths),
+            "--discipline", "chemistry", "--window", "2001:2007", "--years", "2008",
+            "--pairs", "s:h_2008", "--out", str(tmp_path / "o"),
+        ], capsys)
+        assert (code, err) == (1, "refh: pair (s, h_2008): correlation undefined for a constant vector\n")
+
     def correlate(self, synth_dir, out, pairs, discipline="synthetic"):
         return main([
             "correlate", *corpus_args(synth_paths(synth_dir)),
@@ -642,15 +715,21 @@ class TestRankCommand:
         assert code == 0
         assert calls == [("h_2008", "h_hat_2014")]
 
-    @pytest.mark.parametrize("baseline, baseline_window, passes, code", [
-        ("h_2008", [], [[2008, 2014]], 0),
-        ("h_2014", [], [[2014]], 0),
-        ("h_2008", ["--baseline-window", "2002:2007"], [[2014], [2008]], 0),
-        # a year at or before the window start keeps its own pass, refused as before
-        ("h_2001", [], [[2014], [2001]], 1),
+    @pytest.mark.parametrize("measure, baseline, baseline_window, passes, err", [
+        ("h_2014", "h_2008", [], [[2008, 2014]], ""),
+        ("h_2014", "h_2014", [], [[2014]], ""),
+        ("h_2014", "h_2008", ["--baseline-window", "2002:2007"], [[2014], [2008]], ""),
+        # a year at or before the window start fails inside its window's one pass
+        ("h_2014", "h_2001", [], [[2001, 2014]],
+         "refh: measurement year 2001 must come after window start 2001\n"),
+        # two refused years in one window: the pass names the earlier
+        ("h_2001", "h_2000", [], [[2000, 2001]],
+         "refh: measurement year 2000 must come after window start 2001\n"),
+        # a profile measure needs no pass, so its missing values are reported first
+        ("i", "h_2001", [], [], "refh: no values available for measure 'i'\n"),
     ])
     def test_one_h_pass_per_window(self, synth_dir, tmp_path, monkeypatch, capsys,
-                                   baseline, baseline_window, passes, code):
+                                   measure, baseline, baseline_window, passes, err):
         calls, group_metrics = [], metrics_module.group_metrics
 
         def counted(corpus, country, window, discipline, years):
@@ -658,15 +737,14 @@ class TestRankCommand:
             return group_metrics(corpus, country, window, discipline, years)
 
         monkeypatch.setattr(metrics_module, "group_metrics", counted)
-        got, _, err = run([
+        blank_nci(synth_dir / "profiles.csv")
+        got, _, stderr = run([
             "rank", *corpus_args(synth_paths(synth_dir)),
             "--discipline", "synthetic", "--window", "2001:2007",
-            "--measure", "h_2014", "--baseline", baseline, *baseline_window,
+            "--measure", measure, "--baseline", baseline, *baseline_window,
             "--out", str(tmp_path / "out"),
         ], capsys)
-        assert (got, calls) == (code, passes)
-        if code:
-            assert err == "refh: measurement year 2001 must come after window start 2001\n"
+        assert (got, calls, stderr) == (1 if err else 0, passes, err)
 
     def test_baseline_equal_to_comparison_is_all_none(self, synth_dir, tmp_path):
         out = tmp_path / "out"

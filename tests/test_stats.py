@@ -262,6 +262,53 @@ class TestSignificance:
                 if expected > 0.0:
                     assert abs(p - expected) <= 1e-10 * expected, (r, n, p, expected)
 
+    def test_matches_mpmath_betainc(self):
+        # mpmath is a second test-time oracle: its regularized incomplete beta
+        # at 30 digits gives the two-sided tail I_x(df/2, 1/2), x = df/(df+t^2)
+        import mpmath
+
+        def tail(t, df):
+            with mpmath.workdps(30):
+                t2 = mpmath.mpf(t) ** 2
+                return float(mpmath.betainc(mpmath.mpf(df) / 2, 0.5, 0, df / (df + t2),
+                                            regularized=True))
+
+        def r_of(t, df):  # r = t / sqrt(df + t^2) gives back t at n = df + 2
+            return t / math.sqrt(df + t * t)
+
+        def t_max(df):  # the t where p reaches 1e-300, or r rounds to 1
+            lo, hi = 1.0, 1e10
+            for _ in range(100):
+                mid = math.sqrt(lo * hi)
+                lo, hi = (mid, hi) if significance(r_of(mid, df), df + 2)[0] >= 1e-300 else (lo, mid)
+            return lo
+
+        # df 100 and 102 sit on either side of _LGAMMA_MAX_A = 50 = df / 2
+        dfs = [1, 2, 3, 5, 10, 30, 98, 99, 100, 101, 102, 200, 1_000, 10_000, 100_000]
+        checked, smallest = 0, 1.0
+        for df in dfs:
+            switch = math.sqrt(3 * df / (df + 2))  # t^2 = 3 df / (df + 2)
+            top = math.log10(t_max(df))
+            ts = [switch * f for f in (0.9, 0.999, 1 - 1e-9, 1 + 1e-9, 1.001, 1.1)]
+            ts += [10 ** (-8 + (top + 8) * k / 26) for k in range(27)]
+            for t in ts:
+                r = r_of(t, df)
+                if abs(r) == 1.0:
+                    continue
+                # significance's own t from r, so both sides see the same t
+                t_seen = abs(r * math.sqrt(df / (1.0 - r * r)))
+                try:
+                    expected = tail(t_seen, df)
+                except (ArithmeticError, ValueError):  # mpmath gives up: no oracle here
+                    continue
+                p, _ = significance(r, df + 2)
+                checked, smallest = checked + 1, min(smallest, expected)
+                if expected > 0.0:
+                    assert abs(p - expected) <= 1e-10 * expected, (df, t, p, expected)
+                else:
+                    assert p == 0.0, (df, t, p)
+        assert checked >= 450 and smallest < 1e-299
+
     @pytest.mark.parametrize(
         "df", [1, 2, 3, 4, 9, 10, 37, 98, 99, 100, 101, 102, 198, 998, 9_998, 99_998]
     )
@@ -349,6 +396,15 @@ class TestCorrelationTable:
         (report,) = correlation_table(scores, metrics, [("s", "i")])
         assert report.n == 3
         assert report.n_dropped == 1
+
+    def test_constant_vector_names_its_pair(self):
+        scores = make_scores({"A": 1.0, "B": 2.0, "C": 3.0})
+        metrics = make_metrics({"A": 4, "B": 4, "C": 4}, years=(2008, 2009, 2010))
+        message = r"^pair \(s, h_2010\): correlation undefined for a constant vector$"
+        with pytest.raises(ValueError, match=message):
+            correlation_table(scores, metrics, [("s", "h_2010")])
+        with pytest.raises(ValueError, match=message.replace("s,", "s_prime,")):
+            correlation_series(scores, metrics, "s_prime", [2010])
 
     def test_unknown_labels_rejected(self):
         scores = make_scores({"A": 1.0, "B": 2.0, "C": 3.0})
@@ -444,6 +500,19 @@ class TestCorrelationSeries:
             assert series.by_year[year] == expected
         (expected_baseline,) = correlation_table(scores, metrics, [("s", "i")])
         assert series.baseline == expected_baseline
+
+    def test_nci_baseline_needs_three_joined_groups(self):
+        svals = {f"I{k}": float(k) for k in range(1, 7)}
+        metrics = make_metrics({i: 7 - v for i, v in svals.items()})
+        sparse = make_scores(svals, nci={"I1": 1.0, "I2": 2.0})
+        assert correlation_series(sparse, metrics, "s", [2008]).baseline is None
+        # a pair that names i still needs 3 points
+        with pytest.raises(InsufficientDataError, match=r"^pair \(s, i\): only 2 complete"):
+            correlation_table(sparse, metrics, [("s", "i")])
+        three = make_scores(svals, nci={"I1": 1.0, "I2": 2.0, "I3": 2.5})
+        (expected,) = correlation_table(three, metrics, [("s", "i")])
+        assert correlation_series(three, metrics, "s", [2008]).baseline == expected
+        assert expected.n == 3 and expected.n_dropped == 3
 
     def test_x_resolved_once_per_series(self, monkeypatch):
         import refh.stats
