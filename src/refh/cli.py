@@ -295,6 +295,10 @@ def _resolve_correlate(args: argparse.Namespace) -> None:
         raise ValueError(
             f"argument --years: correlate needs contiguous measurement years, got {args.years}"
         )
+    for label in (label for pair in args.pairs for label in pair):
+        if (year := stats.h_label_year(label)) is not None and year not in args.years:
+            raise ValueError(f"argument --pairs: {label} measures {year}, outside --years "
+                             f"{args.years[0]}..{args.years[-1]}")
 
 
 def _resolve_rank(args: argparse.Namespace) -> None:
@@ -314,7 +318,8 @@ def _resolve_rank(args: argparse.Namespace) -> None:
 # SynthConfig field -> the synth flag that sets it
 _SYNTH_FLAGS = {"seed": "--seed", "n_institutions": "--institutions",
                 "papers_per_institution": "--papers", "window": "--window",
-                "accrual": "--accrual", "quality_link": "--quality-link"}
+                "accrual": "--accrual", "quality_link": "--quality-link",
+                "n_institutions * HI": "--institutions * --papers HI"}
 
 
 def _resolve_synth(args: argparse.Namespace) -> None:
@@ -371,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--pairs",
         required=True,
         type=_flag_type(parse_pairs),
-        help="comma-separated X:Y measure pairs, e.g. s:h_2008,s_prime:h_2008,s:i",
+        help="comma-separated X:Y measure pairs, e.g. s:h_2008,s_prime:h_2008,s:i; "
+        "an h_YYYY or h_hat_YYYY label must name one of --years",
     )
 
     p = command(
@@ -394,7 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
         "synth", cmd_synth, _resolve_synth, help="generate a deterministic synthetic corpus"
     )
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--institutions", type=int, required=True)
+    p.add_argument(
+        "--institutions", type=int, required=True,
+        help="number of groups (this times --papers HI may not exceed 2000000 records)",
+    )
     p.add_argument(
         "--out", required=True, type=Path, help="directory for the corpus CSVs and manifest.json"
     )

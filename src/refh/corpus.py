@@ -409,14 +409,14 @@ def filter_documents(
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator[tuple[int, Sequence]]:
-    """Yield CSV or JSON rows as (line_number, row) pairs, cells in header order.
+def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator[tuple[int, tuple]]:
+    """Yield CSV or JSON rows as (line_number, cells) pairs, cells in header order.
 
-    A CSV row is the reader's list of cells, unstripped: a loader strips
-    the cells it reads, and :func:`_cells` strips a row for a validator.  A
-    JSON row is a tuple of native values, ``None`` for a missing key or
-    null.  CSV line numbers are physical lines, a record that spans lines (a
-    quoted cell holding a line break) is refused, and a blank row is skipped.
+    This is the validators' reader: a loader reads a CSV file here only once
+    its own clean pass has given up on it.  CSV cells come stripped, JSON
+    values as they are, ``None`` for a missing key or null.  CSV line numbers
+    are physical lines, a record that spans lines (a quoted cell holding a
+    line break) is refused, and a blank row is skipped.
     The header must match ``header`` exactly for CSV; JSON objects may omit optional keys.
     Violations of the file's shape are added to ``violations`` once the
     rows are exhausted, ahead of any the caller added while reading them.
@@ -467,9 +467,9 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
                 if end != line_no:
                     shape.append(f"{path.name}:{line_no}: record spans lines {line_no}-{end}; "
                                  f"a cell contains a line break")
-                elif len(row) == width and (row[0].strip() or any(map(str.strip, row))):
-                    yield line_no, row
-                elif any(map(str.strip, row)):
+                elif len(cells := tuple(map(str.strip, row))) == width and any(cells):
+                    yield line_no, cells
+                elif any(cells):  # a blank row is skipped
                     shape.append(f"{path.name}:{line_no}: expected {width} fields, got {len(row)}")
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit(); the read stops here
             shape.append(f"{path.name}:{reader.line_num}: {exc}")
@@ -487,11 +487,6 @@ def _not_utf8(path: Path) -> ValueError:
     except UnicodeDecodeError as exc:
         raw = raw[: exc.start + 1]  # the bad byte is never a line break, so it ends a partial line
     return ValueError(f"{path.name}:{len(raw.splitlines())}: not valid UTF-8")
-
-
-def _cells(row: Sequence) -> tuple:
-    """A row as the validators take it: CSV cells stripped, JSON values as they are."""
-    return tuple(map(str.strip, row)) if isinstance(row, list) else row
 
 
 def _flag(violations: list[str], where: tuple[str, int], message: str) -> None:
@@ -540,7 +535,7 @@ class _Sets(dict):
     """A ``;``-separated cell -> the frozenset of its stripped, non-blank items, made once."""
 
     def __missing__(self, cell: str) -> frozenset[str]:
-        value = self[cell] = frozenset(v for v in (p.strip() for p in cell.split(";")) if v)
+        value = self[cell] = _stripped_set(cell.split(";"))
         return value
 
 
@@ -553,8 +548,8 @@ def _get_set(raw, key: str, where: tuple[str, int], violations: list[str], inter
         if not isinstance(item, str):
             _flag(violations, where, f"field {key!r}: not a string: {item!r}")
             return None
-    items = tuple(v for v in (p.strip() for p in raw) if v)
-    return interned.setdefault(items, frozenset(items))
+    items = _stripped_set(raw)
+    return interned.setdefault(items, items)
 
 
 @contextmanager
@@ -608,7 +603,7 @@ _CHUNK_ROWS = 4096
 
 def _regular_chunks(path: Path, header: list[str]) -> Iterator[list[list[str]]]:
     """A regular CSV file's data rows in chunks, less blank rows of the wrong width; a
-    ``ValueError`` here, or where a non-blank row of the wrong width fails to unpack."""
+    ``ValueError`` here, and the caller gives up on a non-blank row of the wrong width."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != header:
@@ -671,7 +666,7 @@ def _validate_publications(pub_path: Path, cite_path: Path) -> tuple[tuple[Publi
     # pub_id -> (line_no, pub_year, country, affiliations, categories, citations)
     parsed: dict[str, tuple] = {}
     for line_no, row in _read_rows(pub_path, PUBLICATIONS_HEADER, violations):
-        pub_id, pub_year, country, affiliations, categories = _cells(row)
+        pub_id, pub_year, country, affiliations, categories = row
         where = (pub_name, line_no)
         pub_id = _get_str(pub_id, "pub_id", where, violations)
         if not pub_id:
@@ -691,7 +686,7 @@ def _validate_publications(pub_path: Path, cite_path: Path) -> tuple[tuple[Publi
             parsed[pub_id] = (line_no, pub_year, country or None, affiliations, categories, {})
 
     for line_no, row in _read_rows(cite_path, CITATIONS_HEADER, violations):
-        pub_id, citing_year, count = _cells(row)
+        pub_id, citing_year, count = row
         where = (cite_name, line_no)
         pub_id = _get_str(pub_id, "pub_id", where, violations)
         entry = parsed.get(pub_id)
@@ -731,41 +726,42 @@ _OPTIONAL_PROFILE_FIELDS = frozenset(["p4_out", "p3_out", "p2_out", "p1_out", "p
 _NO_OUTPUT = (None,) * 5
 
 
+def _clean_profiles(path: Path) -> tuple[QualityProfile, ...]:
+    """The profiles of a clean CSV file; raises at the first doubt."""
+    profiles: dict[tuple[str, str], QualityProfile] = {}
+    for chunk in _regular_chunks(path, PROFILES_HEADER):
+        for institution, discipline, p4, p3, p2, p1, pu, *outs, staff_fte, nci in chunk:
+            key = (institution, discipline.casefold())  # normalize_label of an unpadded label
+            if (len(outs) != 5 or not institution or institution != institution.strip()
+                    or not discipline or discipline != discipline.strip() or key in profiles):
+                raise ValueError("a row of another width, or a blank, padded or duplicate name")
+            profiles[key] = QualityProfile(
+                institution, discipline, float(p4), float(p3), float(p2), float(p1), float(pu),
+                float(staff_fte), *(map(float, outs) if any(outs) else _NO_OUTPUT),
+                float(nci) if nci else None)
+    return tuple(profiles.values())
+
+
 def load_profiles(profile_file: str | Path) -> tuple[tuple[QualityProfile, ...], list[str]]:
     """Parse the profile file into (profiles, violations); raises only on a file
     it cannot read or that is not valid UTF-8.
 
-    This is the validator for file input, as :func:`load_publications` is
-    for publications.  A CSV row takes a short path when its institution and
-    discipline are non-blank, unpadded and not seen before, every number
-    cell parses with ``float`` and the output cells are all blank (``None``)
-    or all filled.  It is built with one positional ``QualityProfile`` call,
-    whose ``__init__`` checks the bands, the sub-profile's shape, staff_fte
-    and nci in turn, refuses a non-finite one and raises for the first it
-    finds broken.  Any other row, and one that call refuses, goes to the
-    per-row validator, which strips every cell, checks each name and number
-    at the offending ``file:line`` and alone writes messages.
+    Profiles load as publications do (see :func:`load_publications`): a
+    clean CSV file takes one pass in chunks, which builds each profile with
+    one positional ``QualityProfile`` call and gives up at the first doubt,
+    such as a blank, padded or duplicate name, a cell ``float`` refuses or a
+    profile that call refuses.  On giving up, and for JSON input, the
+    per-row validator below reads the file anew; it alone writes messages.
     """
     path = Path(profile_file)
+    with suppress(csv.Error, ValueError):  # not clean: the validator says where
+        if path.suffix.lower() != ".json":
+            return _clean_profiles(path), []
     violations: list[str] = []
     profiles = []
     seen: set[tuple[str, str]] = set()
     for line_no, row in _read_rows(path, PROFILES_HEADER, violations):
-        try:  # the short path, for CSV rows; normalize_label(discipline) is casefold here
-            if type(row) is list:
-                institution, discipline, p4, p3, p2, p1, pu, *outs, staff_fte, nci = row
-                key = (institution, discipline.casefold())
-                if (institution and discipline and key not in seen
-                        and institution == institution.strip() and discipline == discipline.strip()):
-                    profiles.append(QualityProfile(
-                        institution, discipline, float(p4), float(p3), float(p2), float(p1), float(pu),
-                        float(staff_fte), *(map(float, outs) if any(outs) else _NO_OUTPUT),
-                        float(nci) if nci else None))
-                    seen.add(key)
-                    continue
-        except ValueError:  # a malformed cell, a blank among filled output cells or a refused profile
-            pass
-        institution, discipline, *cells = _cells(row)
+        institution, discipline, *cells = row
         where = (path.name, line_no)
         institution = _get_str(institution, "institution", where, violations)
         discipline = _get_str(discipline, "discipline", where, violations)

@@ -51,6 +51,9 @@ _ACCRUAL_HORIZON = 15
 
 _MICRO = 10**6  # percentages live on a 1e-6 grid so files round-trip exactly
 _INT64_END = 2**63  # numpy's integers and multinomial take signed 64-bit bounds and counts
+# the most records (n_institutions * HI) a config may ask for: over 10x a
+# national discipline of 4,000 groups of up to 40 papers, far below what fills memory
+MAX_RECORDS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -91,8 +94,9 @@ CitationModel = Lognormal | PowerLaw
 
 
 class SynthConfigError(ValueError):
-    """A :class:`SynthConfig` field out of range: ``field`` names it and
-    ``problem`` says what is wrong, so a caller can name its own option."""
+    """A :class:`SynthConfig` field out of range: ``field`` names it (or the
+    product of two) and ``problem`` says what is wrong, so a caller can name
+    its own option."""
 
     def __init__(self, field: str, problem: str):
         super().__init__(f"{field} {problem}")
@@ -128,6 +132,10 @@ class SynthConfig:
             raise SynthConfigError("accrual", f"must be in (0, 1), got {self.accrual}")
         if not 0.0 <= self.quality_link <= 1.0:
             raise SynthConfigError("quality_link", f"must be in [0, 1], got {self.quality_link}")
+        if self.n_institutions * hi > MAX_RECORDS:
+            raise SynthConfigError(
+                "n_institutions * HI", f"must be at most {MAX_RECORDS} records, got {self.n_institutions} * {hi}"
+            )
 
     def to_dict(self) -> dict:
         model: dict[str, float | str]

@@ -11,9 +11,9 @@ import pytest
 
 import golden_tables as gt
 import refh
-from refh import cli, metrics as metrics_module, ranking
+from refh import cli, metrics as metrics_module, ranking, synth
 from refh.cli import main, parse_pairs, parse_years
-from refh.corpus import PublicationWindow, ingest_corpus
+from refh.corpus import Corpus, PublicationWindow, ingest_corpus
 
 from conftest import write_files
 from oracles import oracle_filter, oracle_h
@@ -190,6 +190,29 @@ class TestParsing:
         assert f"refh {command[0]}: error: argument --years: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("years, pairs, label, year, window", [
+        ([], "s:h_2016", "h_2016", 2016, "2008..2014"),
+        ([], "h_2001:s", "h_2001", 2001, "2008..2014"),
+        ([], "s:h_2008,s_prime:h_hat_2015", "h_hat_2015", 2015, "2008..2014"),
+        (["--years", "2008..2010"], "s:h_2010,h_2012:s_prime", "h_2012", 2012, "2008..2010"),
+    ], ids=["y-side", "x-side", "h-hat", "explicit-years"])
+    def test_h_label_outside_years_exits_2_before_any_read(self, tmp_path, monkeypatch, capsys,
+                                                           years, pairs, label, year, window):
+        def refuse(*args):
+            raise AssertionError("a file was read")
+
+        monkeypatch.setattr(cli, "ingest_corpus", refuse)
+        monkeypatch.setattr(metrics_module, "group_metrics", refuse)
+        paths = {name: tmp_path / f"{name}.csv"
+                 for name in ("publications", "citations", "profiles", "discipline_map")}
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["correlate", *corpus_args(paths), *RAE2008, *years, "--pairs", pairs, "--out", str(out)])
+        assert exc.value.code == 2
+        assert (f"refh correlate: error: argument --pairs: {label} measures {year}, outside --years {window}\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_parse_pairs(self):
         assert parse_pairs("s:h_2008,s_prime:i") == [("s", "h_2008"), ("s_prime", "i")]
         with pytest.raises(ValueError):
@@ -239,6 +262,41 @@ class TestParsing:
         assert exc.value.code == 2
         assert f"argument {flag}: {self.SYNTH_FLAG_MESSAGES[value]}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("institutions, papers", [("50001", "1:40"), ("3", "1:2000000")])
+    def test_over_cap_synth_exits_2_without_generating(self, monkeypatch, tmp_path, capsys,
+                                                       institutions, papers):
+        def refuse(config):
+            raise AssertionError("an over-cap corpus was generated")
+
+        monkeypatch.setattr(synth, "generate", refuse)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--seed", "1", "--institutions", institutions, "--papers", papers,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        hi = papers.split(":")[1]
+        assert (f"refh synth: error: argument --institutions * --papers HI: must be at most "
+                f"{synth.MAX_RECORDS} records, got {institutions} * {hi}\n") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("institutions, papers", [("4000", "1:40"), ("50000", "1:40")])
+    def test_synth_accepts_up_to_the_record_cap(self, monkeypatch, tmp_path, capsys, institutions, papers):
+        configs = []
+        monkeypatch.setattr(synth, "generate", lambda config: configs.append(config) or Corpus())
+        assert run(["synth", "--seed", "1", "--institutions", institutions, "--papers", papers,
+                    "--out", str(tmp_path)], capsys) == (0, "", "")
+        assert [(c.n_institutions, c.papers_per_institution) for c in configs] == [
+            (int(institutions), (1, 40))]
+        assert 50000 * 40 == synth.MAX_RECORDS
+
+    def test_help_states_the_record_cap_and_the_pairs_rule(self, capsys):
+        for command in ("synth", "correlate"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert f"may not exceed {synth.MAX_RECORDS} records" in text
+        assert "label must name one of --years" in text
 
     @pytest.mark.parametrize("model, message", [
         ("power_law:1.001:1", "citation model PowerLaw(alpha=1.001, x_min=1.0): P000001 drew inf"),

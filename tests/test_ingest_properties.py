@@ -9,10 +9,10 @@ A malformed corpus or profile file gives one exact violation list, in
 order, from CSV and JSON alike; the loaders check file input themselves,
 and library-built records keep their own checks.  Padded or JSON profiles,
 which take the per-row validator, load equal to the clean CSV, which takes
-the short path.  Publications load through a clean pass or the validator:
-both give equal records and violations on seeded corpora rewritten without
-changing their meaning, and the benchmark's corpus shapes never need the
-validator.
+the clean pass.  Publications and profiles load through a clean pass or the
+validator: both give equal records and violations on seeded corpora
+rewritten without changing their meaning, and the benchmark's corpus shapes
+never need the validator.
 """
 
 import csv
@@ -658,15 +658,25 @@ def test_malformed_profiles_violations_in_order(tmp_path, fmt, case):
     assert [(p.institution, p.discipline) for p in profiles] == loaded
 
 
-@pytest.mark.parametrize("variant", ["padded", "json"])
+@pytest.mark.parametrize("variant", ["padded", "json", "padded_header", "blank_row", "padded_discipline"])
 def test_profiles_load_equal_from_padded_csv_and_json(base, tmp_path, monkeypatch, variant):
-    # padded CSV cells and JSON rows both take the per-row validator; the
-    # clean CSV takes the short path throughout
+    # padded CSV cells, a padded header, a blank row, one padded name and
+    # JSON rows all take the per-row validator; the clean CSV takes the
+    # clean pass throughout
     header, *rows = read_rows(base / FILES[2])
     assert any("" in row for row in rows)  # blank optional cells, padded to blanks
     if variant == "padded":
         path = tmp_path / "profiles.csv"
         write_rows(path, [header] + [[f" {cell}  " for cell in row] for row in rows])
+    elif variant == "padded_header":
+        path = tmp_path / "profiles.csv"
+        write_rows(path, [[f" {name} " for name in header], *rows])
+    elif variant == "blank_row":
+        path = tmp_path / "profiles.csv"
+        write_rows(path, [header, *rows[:3], [""] * len(header), *rows[3:]])
+    elif variant == "padded_discipline":
+        path = tmp_path / "profiles.csv"
+        write_rows(path, [header, *rows[:-1], [rows[-1][0], f" {rows[-1][1]}", *rows[-1][2:]]])
     else:
         path = tmp_path / "profiles.json"
         path.write_text(json.dumps([
@@ -826,11 +836,20 @@ def clean_load(monkeypatch, pub_path, cite_path):
 
 
 @pytest.mark.parametrize("shape", WORKLOAD_SHAPES)
-def test_workload_shaped_corpora_load_without_the_validator(shaped, shape, monkeypatch):
+def test_workload_shaped_corpora_load_without_the_validator(shaped, shape, monkeypatch, tmp_path):
     paths = shaped[shape] / FILES[0], shaped[shape] / FILES[1]
     expected = validated(*paths)
     assert expected[0] and expected[1] == []
     assert clean_load(monkeypatch, *paths) == expected
+    # profiles: the clean pass equals the validator on a padded copy
+    path, padded = shaped[shape] / FILES[2], tmp_path / FILES[2]
+    header, *rows = read_rows(path)
+    write_rows(padded, [header, *([f" {cell} " for cell in row] for row in rows)])
+    expected = load_profiles(padded)  # padded names take the validator
+    assert len(expected[0]) == len(rows) and expected[1] == []
+    with monkeypatch.context() as m:
+        m.setattr(corpus_module, "_get_str", refuse("the validator"))
+        assert load_profiles(path) == expected
 
 
 def pad(body, rng):
@@ -969,6 +988,60 @@ def test_a_late_violation_gives_the_validators_messages(seeded, tmp_path, monkey
     records, violations = load_publications(*paths)
     assert violations == [f"{where}: {message}"]
     assert snapshot((records, violations)) == validated(*paths)
+
+
+def validated_profiles(path, monkeypatch):
+    """``load_profiles`` with the clean pass patched to give up at once."""
+    def give_up(path):
+        raise ValueError("not clean")
+
+    with monkeypatch.context() as m:
+        m.setattr(corpus_module, "_clean_profiles", give_up)
+        return load_profiles(path)
+
+
+@pytest.mark.parametrize("chunk_rows", [7, 4096])
+@pytest.mark.parametrize("late", ["bad_sum", "duplicate", "duplicate_in_another_case", "blank_discipline",
+                                  "half_output_profile", "nan_nci", "short_row", "long_row", "spans_lines"])
+def test_a_late_profile_violation_gives_the_validators_messages(seeded, tmp_path, monkeypatch,
+                                                               late, chunk_rows):
+    # one violation in the last row: with 7-row chunks, the clean pass
+    # abandons its profiles after a clean chunk
+    monkeypatch.setattr(corpus_module, "_CHUNK_ROWS", chunk_rows)
+    header, *rows = read_rows(seeded / FILES[2])
+    assert len(rows) > 7
+    last = list(rows[-1])
+    who = f"{last[0]}/{last[1]}"
+    if late == "duplicate":
+        last, message = list(rows[0]), f"duplicate profile for {rows[0][0]}/{rows[0][1]}"
+    elif late == "duplicate_in_another_case":
+        last[:2] = rows[0][0], rows[0][1].upper()
+        message = f"duplicate profile for {rows[0][0]}/{rows[0][1].upper()}"
+    elif late == "blank_discipline":
+        last[1], message = "", "institution and discipline are required"
+    elif late == "bad_sum":
+        last[2:7] = ["25", "25", "25", "24", "0"]
+        message = f"profile sum/shape error: {who}: profile sum 99.0 != 100"
+    elif late == "half_output_profile":
+        last[7:12] = ["20", "30", "25", "25", ""]
+        message = f"profile sum/shape error: {who}: output sub-profile must be complete or absent"
+    elif late == "nan_nci":
+        last[13], message = "nan", "field 'nci': not a finite number: 'nan'"
+    elif late == "short_row":
+        last, message = last[:-1], "expected 14 fields, got 13"
+    elif late == "long_row":
+        last, message = [*last, "1"], "expected 14 fields, got 15"
+    else:
+        last[13] = "1\n"
+        message = f"record spans lines {len(rows) + 1}-{len(rows) + 2}; a cell contains a line break"
+    path = tmp_path / FILES[2]
+    write_rows(path, [header, *rows[:-1], last] if late != "duplicate" else [header, *rows, last])
+    line = len(rows) + (2 if late == "duplicate" else 1)
+    profiles, violations = load_profiles(path)
+    assert violations == [f"profiles.csv:{line}: {message}"]
+    assert (profiles, violations) == validated_profiles(path, monkeypatch)
+    kept = rows if late == "duplicate" else rows[:-1]
+    assert [(p.institution, p.discipline) for p in profiles] == [(row[0], row[1]) for row in kept]
 
 
 @pytest.mark.parametrize("country", ["GB", " gb ", "US"])

@@ -1,9 +1,17 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from refh.corpus import Corpus, DisciplineMap, PublicationWindow, UnknownDisciplineError
+from refh.corpus import (
+    Corpus,
+    DisciplineMap,
+    PublicationRecord,
+    PublicationWindow,
+    UnknownDisciplineError,
+    matching_publications,
+)
 from refh.metrics import (
     GroupMetrics,
     citations_to_end_of,
@@ -405,3 +413,90 @@ class TestWriters:
         lines = path.read_text().splitlines()
         assert lines[0] == "institution,discipline,s,s_prime,s_output,strength,nci"
         assert lines[1] == "Alpha,chemistry,41.428571,33.333333,,414.285714,1.250000"
+
+
+# ---------------------------------------------------------------------------
+# Semantic invariants of h on seeded synth corpora
+# ---------------------------------------------------------------------------
+
+RAE_YEARS = list(range(2008, 2015))
+
+
+def seeded(seed, papers):
+    return generate(SynthConfig(seed=seed, n_institutions=12, papers_per_institution=papers,
+                                window=WINDOW, citation_model=Lognormal(1.5, 0.8),
+                                accrual=0.35, quality_link=0.7))
+
+
+@pytest.fixture(scope="module", params=[(41, (5, 30)), (42, (1, 2)), (43, (2, 12))],
+                ids=lambda param: f"seed{param[0]}")
+def seeded_corpus(request):
+    return seeded(*request.param)
+
+
+def h_table(corpus):
+    return {g.institution: dict(g.h_by_year)
+            for g in group_metrics(corpus, "GB", WINDOW, "synthetic", RAE_YEARS)}
+
+
+def with_records(corpus, drop=(), add=()):
+    kept = tuple(r for r in corpus.publications if r.pub_id not in {d.pub_id for d in drop})
+    return dataclasses.replace(corpus, publications=kept + tuple(add))
+
+
+class TestSemanticInvariants:
+    def test_zero_citation_record_leaves_every_h_unchanged(self, seeded_corpus):
+        rng = np.random.default_rng(500)
+        before = h_table(seeded_corpus)
+        matching = matching_publications(seeded_corpus, "GB", WINDOW, "synthetic")
+        for k in rng.choice(len(matching), size=5, replace=False):
+            r = matching[k]
+            group = sorted(r.affiliations)[0]
+            added = PublicationRecord(f"Z{k}", int(rng.integers(2001, 2008)), "GB", {group}, r.categories)
+            variant = with_records(seeded_corpus, add=[added])
+            assert added in matching_publications(variant, "GB", WINDOW, "synthetic")
+            assert h_table(variant) == before
+
+    def test_one_more_citation_raises_only_its_groups_h_by_at_most_one(self, seeded_corpus):
+        rng = np.random.default_rng(501)
+        before = h_table(seeded_corpus)
+        matching = matching_publications(seeded_corpus, "GB", WINDOW, "synthetic")
+        rises = 0
+        for k in rng.choice(len(matching), size=8, replace=False):
+            r = matching[k]
+            year = int(rng.integers(r.pub_year, RAE_YEARS[-1]))  # counted from year + 1 on
+            citations = dict(r.citations_by_year)
+            citations[year] = citations.get(year, 0) + 1
+            cited = dataclasses.replace(r, citations_by_year=citations)
+            after = h_table(with_records(seeded_corpus, drop=[r], add=[cited]))
+            assert after.keys() == before.keys()
+            for institution, series in before.items():
+                for y, h in series.items():
+                    if institution in r.affiliations:
+                        assert after[institution][y] - h in (0, 1), (r.pub_id, institution, y)
+                        rises += after[institution][y] - h
+                    else:
+                        assert after[institution][y] == h, (r.pub_id, institution, y)
+        assert rises  # some citation reached an h-core
+
+    def test_record_moved_before_the_window_is_as_if_removed(self, seeded_corpus):
+        rng = np.random.default_rng(502)
+        matching = matching_publications(seeded_corpus, "GB", WINDOW, "synthetic")
+        for k in rng.choice(len(matching), size=6, replace=False):
+            r = matching[k]
+            moved = dataclasses.replace(r, pub_year=WINDOW.start_year - 1)
+            got = h_table(with_records(seeded_corpus, drop=[r], add=[moved]))
+            assert got == h_table(with_records(seeded_corpus, drop=[r]))
+
+    def test_a_group_whose_only_record_moves_out_disappears(self):
+        corpus = seeded(42, (1, 2))  # one- and two-paper groups
+        before = h_table(corpus)
+        matching = matching_publications(corpus, "GB", WINDOW, "synthetic")
+        sizes = {g: sum(g in m.affiliations for m in matching) for g in before}
+        singles = [r for r in matching if any(sizes[g] == 1 for g in r.affiliations)]
+        assert len(singles) >= 3
+        for r in singles:
+            moved = dataclasses.replace(r, pub_year=WINDOW.start_year - 1)
+            got = h_table(with_records(corpus, drop=[r], add=[moved]))
+            assert got == h_table(with_records(corpus, drop=[r]))
+            assert got.keys() == {g for g in before if g not in r.affiliations or sizes[g] > 1}

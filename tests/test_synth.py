@@ -5,14 +5,17 @@ import typing
 import numpy as np
 import pytest
 
+from refh import synth as synth_module
 from refh.cli import main
 from refh.corpus import PublicationRecord, PublicationWindow, write_corpus
 from refh.metrics import compute_h, group_metrics, score_profile
 from refh.stats import pearson, spearman
 from refh.synth import (
+    MAX_RECORDS,
     Lognormal,
     PowerLaw,
     SynthConfig,
+    SynthConfigError,
     _accrual_weights,
     generate,
     parse_citation_model,
@@ -38,6 +41,10 @@ def config(seed=1, **overrides):
     return SynthConfig(**base)
 
 
+def refuse_to_generate(config):
+    raise AssertionError("a corpus was generated")
+
+
 class TestConfigValidation:
     def test_valid(self):
         config()
@@ -57,6 +64,28 @@ class TestConfigValidation:
     def test_invalid_config(self, overrides):
         with pytest.raises(ValueError):
             config(**overrides)
+
+    @pytest.mark.parametrize("n, papers", [(4000, (1, 40)), (MAX_RECORDS // 40, (40, 40)), (1, (1, MAX_RECORDS))])
+    def test_record_cap_accepts_up_to_max_records(self, n, papers, monkeypatch):
+        monkeypatch.setattr(synth_module, "generate", refuse_to_generate)
+        assert MAX_RECORDS >= 10 * 4000 * 40
+        config(n_institutions=n, papers_per_institution=papers)
+
+    @pytest.mark.parametrize("n, papers, overrides, field, problem", [
+        (MAX_RECORDS // 40 + 1, (1, 40), {}, "n_institutions * HI",
+         f"must be at most {MAX_RECORDS} records, got {MAX_RECORDS // 40 + 1} * 40"),
+        (2, (1, MAX_RECORDS), {}, "n_institutions * HI",
+         f"must be at most {MAX_RECORDS} records, got 2 * {MAX_RECORDS}"),
+        # the cap is checked last: an over-cap config names any other bad field first
+        (10**9, (1, 2**63), {}, "papers_per_institution", f"HI must be below 2**63, got {2**63}"),
+        (10**9, (5, 1), {}, "papers_per_institution", "must be LO:HI with 1 <= LO <= HI, got 5:1"),
+        (10**9, (1, 40), {"quality_link": 2.0}, "quality_link", "must be in [0, 1], got 2.0"),
+    ])
+    def test_record_cap_refuses_more(self, n, papers, overrides, field, problem, monkeypatch):
+        monkeypatch.setattr(synth_module, "generate", refuse_to_generate)
+        with pytest.raises(SynthConfigError) as exc:
+            config(n_institutions=n, papers_per_institution=papers, **overrides)
+        assert (exc.value.field, exc.value.problem) == (field, problem)
 
     @pytest.mark.parametrize(
         "model",
