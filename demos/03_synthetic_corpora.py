@@ -1,12 +1,12 @@
 """Seeded synthetic corpora.
 
-The generator drives everything from one PCG64 stream, so a seed fully
-determines the corpus.  ``quality_link`` couples a latent institutional
+The generator draws everything from one ``random.Random(seed)`` through
+``random()`` alone, so a seed fully determines the corpus.  ``quality_link`` couples a latent institutional
 quality to both citation rates and graded profiles: at 0 the two families
 of measures decorrelate, at 1 they rank institutions almost identically.
 """
 
-import numpy as np
+from statistics import fmean
 
 from refh import (
     Lognormal,
@@ -60,4 +60,4 @@ for link in (0.0, 0.5, 1.0):
         xs, ys = s_vs_h(make(seed=100 + seed, quality_link=link))
         rs.append(pearson(xs, ys))
         rhos.append(spearman(xs, ys))
-    print(f"{link:>12.1f}   {np.mean(rs):>9.3f}   {np.mean(rhos):>12.3f}")
+    print(f"{link:>12.1f}   {fmean(rs):>9.3f}   {fmean(rhos):>12.3f}")

@@ -287,6 +287,9 @@ def _resolve_hindex(args: argparse.Namespace) -> None:
                if value is None]
     if missing:
         raise ValueError(f"the following arguments are required: {', '.join(missing)} (or --preset)")
+    if args.years[0] <= args.window.start_year:
+        raise ValueError(f"argument --years: measurement year {args.years[0]} must come after "
+                         f"window start {args.window.start_year}")
 
 
 def _resolve_correlate(args: argparse.Namespace) -> None:

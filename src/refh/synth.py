@@ -1,11 +1,13 @@
 """Deterministic synthetic corpora for desk-scale pipeline verification.
 
-A single seeded PCG64 stream (``numpy.random.default_rng``) drives the
-whole generation, so under one numpy version one seed yields one
-byte-identical corpus.  Each
-institution gets a latent quality in [0, 1]; ``quality_link`` controls how
-strongly that latent value drives both its citation rates and its graded
-profile.  At 0 the profiles are independent noise, so quality scores and
+One ``random.Random(seed)`` drives the whole generation through its
+``random()`` method alone, whose sequence Python keeps the same across
+versions for a given seed; the lognormal, power-law, integer and accrual
+draws are written from it with ``math``, so one seed yields one
+byte-identical corpus wherever ``math`` rounds alike.  Each institution
+gets a latent quality in [0, 1]; ``quality_link`` controls how strongly
+that latent value drives both its citation rates and its graded profile.
+At 0 the profiles are independent noise, so quality scores and
 h-indices decorrelate; at 1 both sides follow the latent quality and the
 rank correlation between them approaches 1 on quiet citation models.
 
@@ -17,10 +19,11 @@ affiliation), so filtering is exercised rather than vacuous.
 from __future__ import annotations
 
 import math
+from bisect import bisect
+from collections.abc import Callable
 from dataclasses import dataclass
-
-# refh registers this module lazily, so only code that uses synth loads numpy
-import numpy as np
+from itertools import accumulate
+from random import Random
 
 from refh.corpus import (
     Corpus,
@@ -50,10 +53,18 @@ _CITE_QUALITY_GAIN = 2.5
 _ACCRUAL_HORIZON = 15
 
 _MICRO = 10**6  # percentages live on a 1e-6 grid so files round-trip exactly
-_INT64_END = 2**63  # numpy's integers and multinomial take signed 64-bit bounds and counts
+_INT64_END = 2**63  # the benchmark's reference reads years and counts as int64
+# the most citations one paper may draw, over 3x the most-cited paper known; the
+# split across accrual years costs one draw per citation
+MAX_CITATIONS = 10**6
 # the most records (n_institutions * HI) a config may ask for: over 10x a
 # national discipline of 4,000 groups of up to 40 papers, far below what fills memory
 MAX_RECORDS = 2_000_000
+
+
+def _normal(random: Callable[[], float]) -> float:
+    """A standard normal draw: Box-Muller over two ``random()`` draws."""
+    return math.sqrt(-2.0 * math.log(1.0 - random())) * math.cos(2.0 * math.pi * random())
 
 
 @dataclass(frozen=True)
@@ -67,8 +78,11 @@ class Lognormal:
         if not self.sigma > 0 or not math.isfinite(self.mu) or not math.isfinite(self.sigma):
             raise ValueError(f"invalid lognormal parameters mu={self.mu}, sigma={self.sigma}")
 
-    def draw(self, rng: np.random.Generator) -> float:
-        return float(rng.lognormal(self.mu, self.sigma))
+    def draw(self, random: Callable[[], float]) -> float:
+        try:
+            return math.exp(self.mu + self.sigma * _normal(random))
+        except OverflowError:  # exp exceeds the float range
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -82,10 +96,9 @@ class PowerLaw:
         if not 1 < self.alpha < math.inf or not 0 < self.x_min < math.inf:
             raise ValueError(f"invalid power-law parameters alpha={self.alpha}, x_min={self.x_min}")
 
-    def draw(self, rng: np.random.Generator) -> float:
-        u = rng.random()
+    def draw(self, random: Callable[[], float]) -> float:
         try:
-            return float(self.x_min * (1.0 - u) ** (-1.0 / (self.alpha - 1.0)))
+            return self.x_min * (1.0 - random()) ** (-1.0 / (self.alpha - 1.0))
         except OverflowError:  # alpha near 1: the power exceeds the float range
             return math.inf
 
@@ -190,25 +203,28 @@ def _grid_profile(mix: float) -> tuple[float, ...]:
     return tuple(m / _MICRO for m in micros)
 
 
-def _accrual_weights(accrual: float) -> np.ndarray:
-    t = np.arange(_ACCRUAL_HORIZON)
-    w = accrual * (1.0 - accrual) ** t
-    return w / w.sum()
+def _accrual_weights(accrual: float) -> list[float]:
+    w = [accrual * (1.0 - accrual) ** t for t in range(_ACCRUAL_HORIZON)]
+    total = sum(w)
+    return [x / total for x in w]
 
 
 @collector_paused()
 def generate(config: SynthConfig) -> Corpus:
     """Generate a corpus; the same config always yields the same corpus.
 
-    A citation draw that is not finite, or whose count does not fit in 64
-    bits, raises ``ValueError`` naming the model and the pub_id.
+    A citation draw that is not finite, or above ``MAX_CITATIONS``, raises
+    ``ValueError`` naming the model and the pub_id.  ``lo + int(random() * n)``
+    draws uniformly from ``range(lo, lo + n)``.  Each citation falls in the
+    first accrual year whose cumulative weight exceeds its draw; the last year
+    takes the rest, so weights whose sum rounds below 1 lose no citation.
     """
-    rng = np.random.default_rng(config.seed)
-    random, integers, multinomial = rng.random, rng.integers, rng.multinomial
+    random = Random(config.seed).random
     model = config.citation_model
     draw = model.draw
     start_year, end_year = config.window.start_year, config.window.end_year
-    weights = _accrual_weights(config.accrual)
+    span = end_year - start_year + 1
+    cuts = list(accumulate(_accrual_weights(config.accrual)))[:-1]
     lam = config.quality_link
     lo, hi = config.papers_per_institution
     n_institutions = config.n_institutions
@@ -224,7 +240,7 @@ def generate(config: SynthConfig) -> Corpus:
         quality = random()
         noise = random()
         mix = lam * quality + (1.0 - lam) * noise
-        n_papers = int(integers(lo, hi + 1))
+        n_papers = lo + int(random() * (hi - lo + 1))
         cite_scale = math.exp(_CITE_QUALITY_GAIN * lam * (quality - 0.5))
         home = frozenset({institution})
 
@@ -233,30 +249,31 @@ def generate(config: SynthConfig) -> Corpus:
             pub_id = f"P{seq:06d}"
             u = random()
             if u < _P_OFF_WINDOW / 2:
-                pub_year = start_year - 1 - int(integers(0, 2))
+                pub_year = start_year - 1 - int(random() * 2)
             elif u < _P_OFF_WINDOW:
-                pub_year = end_year + 1 + int(integers(0, 2))
+                pub_year = end_year + 1 + int(random() * 2)
             else:
-                pub_year = int(integers(start_year, end_year + 1))
+                pub_year = start_year + int(random() * span)
             country = FOREIGN_COUNTRY if random() < _P_FOREIGN else HOME_COUNTRY
             if random() < _P_OFF_CATEGORY:
                 categories = off_category
             else:
-                categories = in_category[int(integers(0, len(SYNTH_CATEGORIES)))]
+                categories = in_category[int(random() * len(SYNTH_CATEGORIES))]
             affiliations = home
             if n_institutions > 1 and random() < _P_EXTRA_AFFILIATION:
-                other = int(integers(0, n_institutions - 1))
+                other = int(random() * (n_institutions - 1))
                 affiliations = home | {names[other if other < k else other + 1]}
-            expected = draw(rng) * cite_scale
-            if not expected < _INT64_END:  # also refuses inf and nan
+            expected = draw(random) * cite_scale
+            if not expected <= MAX_CITATIONS:  # also refuses inf and nan
                 raise ValueError(
                     f"citation model {model}: {pub_id} drew {expected!r} citations; "
-                    "a count must be finite and below 2**63"
+                    f"a count must be finite and at most {MAX_CITATIONS}"
                 )
-            total = int(expected)
             citations: dict[int, int] = {}
-            if total > 0:
-                counts = multinomial(total, weights).tolist()
+            if total := int(expected):
+                counts = [0] * _ACCRUAL_HORIZON
+                for _ in range(total):
+                    counts[bisect(cuts, random())] += 1
                 citations = {year: c for year, c in enumerate(counts, pub_year) if c}
             publications.append(
                 PublicationRecord(pub_id, pub_year, country, affiliations, categories, citations)
@@ -265,11 +282,11 @@ def generate(config: SynthConfig) -> Corpus:
         bands = _grid_profile(mix)
         outs: tuple[float, ...] | tuple[None, ...]
         if random() < _P_OUTPUT_PROFILE:
-            mix_out = mix if lam == 1.0 else min(1.0, max(0.0, mix + (1.0 - lam) * float(rng.normal(0.0, 0.05))))
+            mix_out = mix if lam == 1.0 else min(1.0, max(0.0, mix + (1.0 - lam) * 0.05 * _normal(random)))
             outs = _grid_profile(mix_out)
         else:
             outs = (None,) * 5
-        staff_fte = float(int(integers(5, 81)))
+        staff_fte = float(5 + int(random() * 76))
         nci = None
         if random() < _P_NCI:
             raw = 0.5 + 1.5 * (lam * quality + (1.0 - lam) * random())

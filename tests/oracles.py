@@ -50,6 +50,26 @@ def oracle_filter(
     ]
 
 
+def h_core_boundary(
+    corpus: Corpus, country: str, window: PublicationWindow, discipline: str, years: Iterable[int]
+) -> PublicationRecord:
+    """The first matching record (groups in name order, then years, then
+    records in corpus order) whose one more citation in its publication year
+    raises its group's h at one of ``years``: by that year the record is
+    cited exactly h times, and exactly h other records of the group more
+    often."""
+    for institution in sorted(corpus.institutions()):
+        records = oracle_filter(corpus, country, window, discipline, institution)
+        for year in years:
+            h = oracle_h(records, year - 1)
+            counts = [sum(c for y, c in r.citations_by_year.items() if y < year) for r in records]
+            if sum(c > h for c in counts) == h:
+                for r, c in zip(records, counts):
+                    if c == h:
+                        return r
+    raise AssertionError("no record at an h-core boundary")
+
+
 def parse_table_csv(text: str, discipline: str = "", measure: str = "") -> RankedTable:
     """Inverse of ``render_table(..., "csv")``."""
     reader = csv.reader(io.StringIO(text))

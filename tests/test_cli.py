@@ -65,6 +65,14 @@ def blank_nci(profiles, count=None):
     profiles.write_text("\n".join([header, *rows]) + "\n")
 
 
+def blank_output(profiles):
+    """Blank the output sub-profile (p4_out..pu_out) of the first profile."""
+    header, first, *rows = profiles.read_text().splitlines()
+    cells = first.split(",")
+    cells[7:12] = [""] * 5
+    profiles.write_text("\n".join([header, ",".join(cells), *rows]) + "\n")
+
+
 RAE2008 = ["--discipline", "synthetic", "--preset", "rae2008"]
 
 
@@ -173,7 +181,10 @@ class TestParsing:
         (["hindex"], "2008..20140", "measurement years must be from 1000 to 9999, got '2008..20140'"),
         (["correlate", "--pairs", "s:h_2008"], "2008..2058",
          "at most 50 measurement years, got more in '2008..2058'"),
-    ], ids=["four-digits", "at-most-50"])
+        (["hindex"], "2001..2007", "measurement year 2001 must come after window start 2001"),
+        (["correlate", "--pairs", "s:h_2001"], "1999..2002",
+         "measurement year 1999 must come after window start 2001"),
+    ], ids=["four-digits", "at-most-50", "at-window-start", "before-window-start"])
     def test_out_of_range_years_exit_2_before_any_read(self, tmp_path, monkeypatch, capsys,
                                                        command, years, message):
         def refuse(*args):
@@ -299,7 +310,7 @@ class TestParsing:
         assert "label must name one of --years" in text
 
     @pytest.mark.parametrize("model, message", [
-        ("power_law:1.001:1", "citation model PowerLaw(alpha=1.001, x_min=1.0): P000001 drew inf"),
+        ("power_law:1.00001:1", "citation model PowerLaw(alpha=1.00001, x_min=1.0): P000001 drew inf"),
         ("lognormal:45:1", "citation model Lognormal(mu=45.0, sigma=1.0): P000001 drew "),
     ])
     def test_overflowing_citation_draw_exits_1_and_writes_nothing(self, model, message, tmp_path, capsys):
@@ -308,7 +319,19 @@ class TestParsing:
                             "--out", str(out)], capsys)
         assert code == 1
         assert err.startswith(f"refh: {message}")
-        assert err.endswith("citations; a count must be finite and below 2**63\n")
+        assert err.endswith(f"citations; a count must be finite and at most {synth.MAX_CITATIONS}\n")
+        assert not out.exists()
+
+    def test_draw_above_the_citation_cap_exits_1_before_splitting_it(self, tmp_path):
+        # a finite draw of about 2.4e17, below 2**63: split one citation at a
+        # time, it would never finish
+        out = tmp_path / "out"
+        code, stdout, err = run_fresh(["synth", "--seed", "1", "--institutions", "3", "--model",
+                                       "lognormal:40:0.1", "--out", str(out)], tmp_path, timeout=10)
+        assert (code, stdout) == (1, "")
+        assert re.fullmatch(r"refh: citation model Lognormal\(mu=40\.0, sigma=0\.1\): P000001 drew "
+                            r"[0-9.]+e\+17 citations; a count must be finite and at most "
+                            + str(synth.MAX_CITATIONS) + "\n", err)
         assert not out.exists()
 
     @pytest.mark.parametrize("case", list(USAGE_ERRORS))
@@ -413,9 +436,10 @@ class TestHindexCommand:
     ])
     def test_unknown_discipline_reported_before_bad_years(self, synth_dir, tmp_path, capsys,
                                                           discipline, message):
+        # hindex and correlate refuse such --years before any read; rank meets h_2001 in its pass
         code, _, err = run([
-            "hindex", *corpus_args(synth_paths(synth_dir)), "--discipline", discipline,
-            "--window", "2001:2007", "--years", "2001", "--out", str(tmp_path / "o"),
+            "rank", *corpus_args(synth_paths(synth_dir)), "--discipline", discipline,
+            "--window", "2001:2007", "--measure", "h_2001", "--out", str(tmp_path / "o"),
         ], capsys)
         assert (code, err) == (1, f"refh: {message}\n")
 
@@ -901,6 +925,7 @@ class TestLogging:
                 "--preset", "rae2008", "--out", "out"]
         hindex = run_fresh(["hindex", *args], tmp_path, level)
         # s_output is missing for a group without an output sub-profile
+        blank_output(synth_paths(synth_dir)["profiles"])
         code, out, err = run_fresh(["correlate", *args, "--pairs", "s_output:h_2008"], tmp_path, level)
         if level is None:
             assert (hindex, (code, out, err)) == ((0, "", ""), (0, "", ""))
@@ -922,14 +947,14 @@ class TestLogging:
         assert (code, out.startswith("corpus OK"), err) == (0, True, "")
 
 
-def run_fresh(argv, cwd, level=None):
+def run_fresh(argv, cwd, level=None, timeout=120):
     """``python -m refh`` in a fresh interpreter, with ``REFH_LOG`` set only to ``level``."""
     env = {k: v for k, v in os.environ.items() if k != "REFH_LOG"}
     env["PYTHONPATH"] = str(ROOT / "src")
     if level is not None:
         env["REFH_LOG"] = level
     proc = subprocess.run([sys.executable, "-m", "refh", *argv], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
     return proc.returncode, proc.stdout, proc.stderr
 
 

@@ -46,7 +46,7 @@ from refh.corpus import (
 from refh.synth import Lognormal, SynthConfig, generate
 
 from conftest import record, write_files
-from oracles import oracle_filter
+from oracles import h_core_boundary, oracle_filter
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = ("publications.csv", "citations.csv", "profiles.csv", "discipline_map.csv")
@@ -186,26 +186,33 @@ def h_by_group(d, out):
 @pytest.mark.parametrize("seed", range(4))
 def test_added_citation_row_never_lowers_h(base, tmp_path, seed):
     rng = np.random.default_rng(200 + seed)
-    variant = copy_corpus(base, tmp_path / "cited")
-    header, *citations = read_rows(variant / FILES[1])
+    header, *citations = read_rows(base / FILES[1])
     total = {}
     for pub_id, _, count in citations:
         total[pub_id] = total.get(pub_id, 0) + int(count)
     # the less-cited half of hindex's country (GB), so the new row can reach an h-core
-    pubs = sorted((r for r in read_rows(variant / FILES[0])[1:] if r[2] == "GB"),
+    pubs = sorted((r for r in read_rows(base / FILES[0])[1:] if r[2] == "GB"),
                   key=lambda r: (total.get(r[0], 0), r[0]))
     pub_id, pub_year, _, affiliations, _ = pubs[int(rng.integers(len(pubs) // 2))]
-    row = [pub_id, pub_year, str(int(rng.integers(1, 40)))]
-    write_rows(variant / FILES[1], [header, *citations, row])
+    # and one citation to a record at an h-core boundary, which raises an h
+    edge = h_core_boundary(load(base), "GB", PublicationWindow(2001, 2007), "synthetic",
+                           range(2008, 2015))
+    picks = [([pub_id, pub_year, str(int(rng.integers(1, 40)))], affiliations.split(";")),
+             ([edge.pub_id, str(edge.pub_year), "1"], edge.affiliations)]
     before = h_by_group(base, tmp_path / "before")
-    after = h_by_group(variant, tmp_path / "after")
-    assert after.keys() == before.keys()
-    assert after != before
-    for (institution, year), h in before.items():
-        if institution in affiliations.split(";"):
-            assert after[institution, year] >= h, (row, institution, year)
-        else:
-            assert after[institution, year] == h, (row, institution, year)
+    changed = False
+    for k, (row, groups) in enumerate(picks):
+        variant = copy_corpus(base, tmp_path / f"cited{k}")
+        write_rows(variant / FILES[1], [header, *citations, row])
+        after = h_by_group(variant, tmp_path / f"after{k}")
+        assert after.keys() == before.keys()
+        changed |= after != before
+        for (institution, year), h in before.items():
+            if institution in groups:
+                assert after[institution, year] >= h, (row, institution, year)
+            else:
+                assert after[institution, year] == h, (row, institution, year)
+    assert changed
 
 
 LOCATED = re.compile(r"^(refh: )?(publications|citations|profiles|discipline_map)\.csv:\d+: ")
@@ -289,7 +296,7 @@ print(json.dumps([code, "numpy" in sys.modules]))
 
 @pytest.mark.parametrize("command, loads_numpy", [
     ("ingest", False), ("hindex", False), ("score", False), ("rank", False),
-    ("correlate", False), ("synth", True),
+    ("correlate", False), ("synth", False),
 ])
 def test_only_synth_imports_numpy(base, tmp_path, command, loads_numpy):
     # one fresh interpreter per command: a command run earlier in the same
@@ -308,6 +315,31 @@ def test_only_synth_imports_numpy(base, tmp_path, command, loads_numpy):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, loads_numpy]
+
+
+# runs each argv of the JSON list in argv[1] where numpy cannot be imported, and
+# prints their exit codes
+NO_NUMPY = """
+import json
+import sys
+sys.modules["numpy"] = None  # import numpy now raises ImportError
+from refh.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+def test_every_command_runs_without_numpy(tmp_path):
+    corpus, out = tmp_path / "corpus", str(tmp_path / "out")
+    argvs = [["synth", "--seed", "5", "--institutions", "6", "--out", str(corpus)],
+             ["ingest", *corpus_args(corpus)],
+             ["score", "--profiles", str(corpus / FILES[2]), "--out", out]]
+    argvs += [[command, *corpus_args(corpus), *flags, "--out", out] for command, flags in COMMANDS.items()]
+    assert [argv[0] for argv in argvs] == ["synth", "ingest", "score", "hindex", "correlate", "rank"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY, json.dumps(argvs)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * 6
 
 
 # prints, on its last line, the exit code, the lazily registered refh modules that ran

@@ -31,7 +31,7 @@ from refh.stats import joined_points
 from refh.synth import Lognormal, SynthConfig, generate
 
 from conftest import profile, record
-from oracles import oracle_filter, oracle_h
+from oracles import h_core_boundary, oracle_filter, oracle_h
 
 WINDOW = PublicationWindow(2001, 2007)
 
@@ -461,10 +461,15 @@ class TestSemanticInvariants:
         rng = np.random.default_rng(501)
         before = h_table(seeded_corpus)
         matching = matching_publications(seeded_corpus, "GB", WINDOW, "synthetic")
-        rises = 0
+        picks = []
         for k in rng.choice(len(matching), size=8, replace=False):
             r = matching[k]
-            year = int(rng.integers(r.pub_year, RAE_YEARS[-1]))  # counted from year + 1 on
+            picks.append((r, int(rng.integers(r.pub_year, RAE_YEARS[-1]))))  # counted from year + 1 on
+        # and a record at an h-core boundary, whose citation in its publication year raises an h
+        edge = h_core_boundary(seeded_corpus, "GB", WINDOW, "synthetic", RAE_YEARS)
+        picks.append((edge, edge.pub_year))
+        rises = 0
+        for r, year in picks:
             citations = dict(r.citations_by_year)
             citations[year] = citations.get(year, 0) + 1
             cited = dataclasses.replace(r, citations_by_year=citations)
