@@ -83,6 +83,13 @@ def _load_corpus(args: argparse.Namespace) -> Corpus:
     return ingest_corpus(args.pubs, args.cites, args.profiles, args.map)
 
 
+def _load_profiles(args: argparse.Namespace) -> tuple[QualityProfile, ...]:
+    profiles, violations = load_profiles(args.profiles)
+    if violations:
+        raise CorpusValidationError(violations)
+    return profiles
+
+
 def _metrics_for(
     args: argparse.Namespace, corpus: Corpus, years: list[int], window: PublicationWindow
 ) -> list[metrics_module.GroupMetrics]:
@@ -100,10 +107,11 @@ def _in_discipline(profiles: tuple[QualityProfile, ...], discipline: str) -> tup
     return tuple(p for p in profiles if normalize_label(p.discipline) == wanted)
 
 
-def _scores_for(args: argparse.Namespace, corpus: Corpus) -> list[metrics_module.ScoreSet]:
+def _scores_for(
+    args: argparse.Namespace, profiles: tuple[QualityProfile, ...]
+) -> list[metrics_module.ScoreSet]:
     """Scores of every profile in the run's discipline."""
-    profiles = _in_discipline(corpus.profiles, args.discipline)
-    return [metrics_module.score_profile(p) for p in profiles]
+    return [metrics_module.score_profile(p) for p in _in_discipline(profiles, args.discipline)]
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +139,7 @@ def cmd_hindex(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    profiles, violations = load_profiles(args.profiles)
-    if violations:
-        raise CorpusValidationError(violations)
+    profiles = _load_profiles(args)
     if args.discipline:
         profiles = _in_discipline(profiles, args.discipline)
         if not profiles:
@@ -164,7 +170,7 @@ def parse_pairs(text: str) -> list[tuple[str, str]]:
 def cmd_correlate(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args)
     metrics = _metrics_for(args, corpus, args.years, args.window)
-    scores = _scores_for(args, corpus)
+    scores = _scores_for(args, corpus.profiles)
     reports = stats.correlation_table(scores, metrics, args.pairs)
     series = [
         stats.correlation_series(scores, metrics, x_label, args.years)
@@ -181,11 +187,16 @@ def cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args)
-    scores = _scores_for(args, corpus)
     labels = [(args.measure, args.window, "measure")]
     if args.baseline:
         labels.append((args.baseline, args.baseline_window, "baseline measure"))
+    # profile labels alone read --profiles alone: --pubs, --cites and --map stay unopened
+    if any(stats.h_label_year(label) is not None for label, _, _ in labels):
+        corpus = _load_corpus(args)
+        profiles = corpus.profiles
+    else:
+        profiles = _load_profiles(args)
+    scores = _scores_for(args, profiles)
     passes: dict[PublicationWindow, list[metrics_module.GroupMetrics]] = {}
     tables = []
     for label, window, role in labels:
@@ -292,6 +303,14 @@ def _resolve_hindex(args: argparse.Namespace) -> None:
                          f"window start {args.window.start_year}")
 
 
+def _label_year(flag: str, label: str) -> int | None:
+    """``stats.h_label_year``, its refusal of an unknown label naming ``flag``."""
+    try:
+        return stats.h_label_year(label)
+    except ValueError as exc:
+        raise ValueError(f"argument {flag}: {exc}") from None
+
+
 def _resolve_correlate(args: argparse.Namespace) -> None:
     _resolve_hindex(args)
     if args.years != list(range(args.years[0], args.years[-1] + 1)):
@@ -299,7 +318,7 @@ def _resolve_correlate(args: argparse.Namespace) -> None:
             f"argument --years: correlate needs contiguous measurement years, got {args.years}"
         )
     for label in (label for pair in args.pairs for label in pair):
-        if (year := stats.h_label_year(label)) is not None and year not in args.years:
+        if (year := _label_year("--pairs", label)) is not None and year not in args.years:
             raise ValueError(f"argument --pairs: {label} measures {year}, outside --years "
                              f"{args.years[0]}..{args.years[-1]}")
 
@@ -312,10 +331,15 @@ def _resolve_rank(args: argparse.Namespace) -> None:
         ("--measure", args.measure, args.window),
         ("--baseline", args.baseline, args.baseline_window),
     ):
-        if label and window is None and stats.h_label_year(label) is not None:
+        if label is None or (year := _label_year(flag, label)) is None:
+            continue
+        if window is None:
             raise ValueError(
                 f"argument {flag}: {label} needs a publication window (--window or --preset)"
             )
+        if year <= window.start_year:
+            raise ValueError(f"argument {flag}: {label} measures {year}, which must come after "
+                             f"window start {window.start_year}")
 
 
 # SynthConfig field -> the synth flag that sets it
@@ -340,92 +364,97 @@ def _resolve_synth(args: argparse.Namespace) -> None:
         raise ValueError(f"argument {_SYNTH_FLAGS[exc.field]}: {exc.problem}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("ingest", "hindex", "score", "correlate", "rank", "synth")
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The ``refh`` parser; when ``only`` is one of ``COMMANDS``, the others get
+    their name and help but no options, which leaves every usage text as it is."""
     parser = argparse.ArgumentParser(
         prog="refh",
         description="Departmental h-index and assessment-score analytics over citation corpora.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, resolve=None, **kwargs) -> argparse.ArgumentParser:
+    def command(name, func, resolve=None, **kwargs) -> argparse.ArgumentParser | None:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func, resolve=resolve, parser=p)
-        return p
+        return p if only not in COMMANDS or only == name else None
 
-    p = command("ingest", cmd_ingest, help="validate corpus files and report totals")
-    _add_corpus_options(p)
+    if p := command("ingest", cmd_ingest, help="validate corpus files and report totals"):
+        _add_corpus_options(p)
 
-    p = command(
+    if p := command(
         "hindex", cmd_hindex, _resolve_hindex,
         help="write per-institution h-index series (hseries.csv)",
-    )
-    _add_corpus_options(p)
-    _add_run_options(p)
-    _add_out_option(p)
+    ):
+        _add_corpus_options(p)
+        _add_run_options(p)
+        _add_out_option(p)
 
-    p = command("score", cmd_score, help="write quality scores per profile (scores.csv)")
-    _add_corpus_options(p, profiles_only=True)
-    p.add_argument("--discipline", help="restrict to one discipline")
-    _add_out_option(p)
+    if p := command("score", cmd_score, help="write quality scores per profile (scores.csv)"):
+        _add_corpus_options(p, profiles_only=True)
+        p.add_argument("--discipline", help="restrict to one discipline")
+        _add_out_option(p)
 
-    p = command(
+    if p := command(
         "correlate", cmd_correlate, _resolve_correlate,
         help="write correlations.csv, corr_series.csv, fig_points.csv for measure pairs",
-    )
-    _add_corpus_options(p)
-    _add_run_options(p)
-    _add_out_option(p)
-    p.add_argument(
-        "--pairs",
-        required=True,
-        type=_flag_type(parse_pairs),
-        help="comma-separated X:Y measure pairs, e.g. s:h_2008,s_prime:h_2008,s:i; "
-        "an h_YYYY or h_hat_YYYY label must name one of --years",
-    )
+    ):
+        _add_corpus_options(p)
+        _add_run_options(p)
+        _add_out_option(p)
+        p.add_argument(
+            "--pairs",
+            required=True,
+            type=_flag_type(parse_pairs),
+            help="comma-separated X:Y measure pairs, e.g. s:h_2008,s_prime:h_2008,s:i; "
+            "an h_YYYY or h_hat_YYYY label must name one of --years",
+        )
 
-    p = command(
+    if p := command(
         "rank", cmd_rank, _resolve_rank, help="write a competition-ranked table for one measure"
-    )
-    _add_corpus_options(p)
-    _add_run_options(p, with_years=False)
-    _add_out_option(p)
-    p.add_argument("--format", choices=list(RANK_SUFFIXES), default="csv")
-    p.add_argument("--measure", required=True, help="s | s_prime | s_output | strength | i | h_YYYY | h_hat_YYYY")
-    p.add_argument("--baseline", help="baseline measure for movement markers")
-    p.add_argument(
-        "--baseline-window",
-        type=_flag_type(PublicationWindow.parse),
-        help="publication window START:END for the baseline measure "
-        "(defaults to --window; lets h_2008 baselines meet h_hat_2014 comparisons)",
-    )
+    ):
+        _add_corpus_options(p)
+        _add_run_options(p, with_years=False)
+        _add_out_option(p)
+        p.add_argument("--format", choices=list(RANK_SUFFIXES), default="csv")
+        p.add_argument("--measure", required=True, help="s | s_prime | s_output | strength | i | h_YYYY | h_hat_YYYY")
+        p.add_argument("--baseline", help="baseline measure for movement markers")
+        p.add_argument(
+            "--baseline-window",
+            type=_flag_type(PublicationWindow.parse),
+            help="publication window START:END for the baseline measure "
+            "(defaults to --window; lets h_2008 baselines meet h_hat_2014 comparisons)",
+        )
 
-    p = command(
+    if p := command(
         "synth", cmd_synth, _resolve_synth, help="generate a deterministic synthetic corpus"
-    )
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument(
-        "--institutions", type=int, required=True,
-        help="number of groups (this times --papers HI may not exceed 2000000 records)",
-    )
-    p.add_argument(
-        "--out", required=True, type=Path, help="directory for the corpus CSVs and manifest.json"
-    )
-    p.add_argument(
-        "--papers", type=_flag_type(parse_papers), default="20:40",
-        help="papers per institution LO:HI (default 20:40)",
-    )
-    p.add_argument(
-        "--window", type=_flag_type(PublicationWindow.parse), default="2001:2007",
-        help="publication window START:END",
-    )
-    p.add_argument(
-        "--model",
-        type=_flag_type(lambda text: synth.parse_citation_model(text)),  # synth loads on use
-        default="lognormal:1.8:0.6",
-        help="citation model KIND:A:B (lognormal:MU:SIGMA or power_law:ALPHA:XMIN)",
-    )
-    p.add_argument("--accrual", type=float, default=0.35, help="per-year citation accrual decay in (0,1)")
-    p.add_argument("--quality-link", type=float, default=0.7, help="quality coupling in [0,1]")
+    ):
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument(
+            "--institutions", type=int, required=True,
+            help="number of groups (this times --papers HI may not exceed 2000000 records)",
+        )
+        p.add_argument(
+            "--out", required=True, type=Path, help="directory for the corpus CSVs and manifest.json"
+        )
+        p.add_argument(
+            "--papers", type=_flag_type(parse_papers), default="20:40",
+            help="papers per institution LO:HI (default 20:40)",
+        )
+        p.add_argument(
+            "--window", type=_flag_type(PublicationWindow.parse), default="2001:2007",
+            help="publication window START:END",
+        )
+        p.add_argument(
+            "--model",
+            type=_flag_type(lambda text: synth.parse_citation_model(text)),  # synth loads on use
+            default="lognormal:1.8:0.6",
+            help="citation model KIND:A:B (lognormal:MU:SIGMA or power_law:ALPHA:XMIN)",
+        )
+        p.add_argument("--accrual", type=float, default=0.35, help="per-year citation accrual decay in (0,1)")
+        p.add_argument("--quality-link", type=float, default=0.7, help="quality coupling in [0,1]")
 
     return parser
 
@@ -439,7 +468,8 @@ def main(argv: list[str] | None = None) -> int:
             level=level if isinstance(level, int) else logging.WARNING,
             format="%(levelname)s %(name)s: %(message)s",
         )
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     if args.resolve:
         try:
             args.resolve(args)

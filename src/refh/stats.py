@@ -38,7 +38,7 @@ CORRELATIONS_HEADER = [
 CORR_SERIES_HEADER = CORRELATIONS_HEADER + ["measurement_year"]
 FIG_POINTS_HEADER = ["x_value", "y_value", "institution"]
 
-_H_LABEL = re.compile(r"^h(?:_hat)?_(\d{4})$")
+_H_LABEL = re.compile(r"h(?:_hat)?_([0-9]{4})")  # fullmatch: no trailing newline, ASCII digits
 # profile-side measure label -> ScoreSet field
 _PROFILE_MEASURES = {"s": "s", "s_prime": "s_prime", "s_output": "s_output",
                      "strength": "strength", "i": "nci"}
@@ -235,27 +235,30 @@ class CorrelationSeries:
 
 
 def h_label_year(label: str) -> int | None:
-    """Measurement year of an ``h_YYYY`` / ``h_hat_YYYY`` label, else None."""
-    m = _H_LABEL.match(label)
-    return int(m.group(1)) if m else None
+    """Measurement year of an ``h_YYYY`` / ``h_hat_YYYY`` label, None for a
+    profile label; a ValueError for any other label."""
+    if label in _PROFILE_MEASURES:
+        return None
+    if m := _H_LABEL.fullmatch(label):
+        return int(m.group(1))
+    raise ValueError(f"unknown measure label {label!r} (s, s_prime, s_output, strength, i, "
+                     "h_YYYY or h_hat_YYYY)")
 
 
 def measure_values(
     label: str, scores: Iterable[ScoreSet], metrics: Iterable[GroupMetrics]
 ) -> dict[str, float]:
-    """``{institution: value}`` for one measure label; the only place labels
-    are resolved.
+    """``{institution: value}`` for one measure label; with :func:`h_label_year`,
+    which classifies labels, the only place labels are resolved.
 
     ``s``, ``s_prime``, ``s_output``, ``strength`` and ``i`` (the nci) are
     read from ``scores``; ``h_YYYY`` and ``h_hat_YYYY`` from ``metrics``.
     Groups without a value are left out.
     """
-    if label in _PROFILE_MEASURES:
+    if (year := h_label_year(label)) is None:
         pairs = ((s.institution, getattr(s, _PROFILE_MEASURES[label])) for s in scores)
-    elif (year := h_label_year(label)) is not None:
-        pairs = ((g.institution, g.h_by_year.get(year)) for g in metrics)
     else:
-        raise ValueError(f"unknown measure label: {label!r}")
+        pairs = ((g.institution, g.h_by_year.get(year)) for g in metrics)
     return {inst: float(v) for inst, v in pairs if v is not None}
 
 

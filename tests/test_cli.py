@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gc
 import io
@@ -74,6 +75,7 @@ def blank_output(profiles):
 
 
 RAE2008 = ["--discipline", "synthetic", "--preset", "rae2008"]
+LABELS = "(s, s_prime, s_output, strength, i, h_YYYY or h_hat_YYYY)"
 
 
 def without(flag, argv):
@@ -131,6 +133,14 @@ USAGE_ERRORS = {
     "correlate malformed --pairs": (
         lambda c, out: ["correlate", *c, *RAE2008, "--pairs", "s-h_2008", "--out", out],
         "refh correlate: error: argument --pairs: pair must be X:Y, got 's-h_2008'"),
+    "correlate unknown --pairs label": (
+        lambda c, out: ["correlate", *c, *RAE2008, "--pairs", "s:h_2008,s:bogus", "--out", out],
+        f"refh correlate: error: argument --pairs: unknown measure label 'bogus' {LABELS}"),
+    "rank h measure at the preset's window start": (
+        lambda c, out: ["rank", *c, "--discipline", "synthetic", "--preset", "ref2014",
+                        "--measure", "h_2008", "--out", out],
+        "refh rank: error: argument --measure: h_2008 measures 2008, which must come after "
+        "window start 2008"),
     "correlate non-contiguous --years": (
         lambda c, out: ["correlate", *c, "--discipline", "synthetic", "--window", "2001:2007",
                         "--years", "2008,2010", "--pairs", "s:i", "--out", out],
@@ -344,6 +354,35 @@ class TestParsing:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv0", [*cli.COMMANDS, "--help", "bogus", None])
+    def test_only_the_named_command_gets_options(self, argv0):
+        parser = cli.build_parser(argv0)
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert tuple(sub.choices) == cli.COMMANDS
+        bare = {name: p.format_usage() == f"usage: refh {name} [-h]\n" for name, p in sub.choices.items()}
+        assert bare == {name: argv0 in cli.COMMANDS and name != argv0 for name in cli.COMMANDS}
+
+    TEXT_CASES = {"--help": ["--help"], "no command": [], "unknown command": ["bogus"],
+                  "option before the command": ["--bogus", "rank", "--measure", "s"],
+                  **{f"{command} --help": [command, "--help"] for command in cli.COMMANDS}}
+
+    @pytest.mark.parametrize("case", [*TEXT_CASES, *USAGE_ERRORS])
+    def test_help_and_usage_texts_are_the_full_trees(self, case, tmp_path, monkeypatch, capsys):
+        paths = {name: tmp_path / f"{name}.csv"
+                 for name in ("publications", "citations", "profiles", "discipline_map")}
+        argv = (self.TEXT_CASES[case] if case in self.TEXT_CASES
+                else USAGE_ERRORS[case][0](corpus_args(paths), str(tmp_path / "out")))
+
+        def texts():
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            return exc.value.code, *capsys.readouterr()
+
+        one_command = texts()
+        full_tree = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda only=None: full_tree())
+        assert texts() == one_command
+
 
 class TestIngestCommand:
     def test_ok_summary(self, synth_dir, capsys):
@@ -430,18 +469,13 @@ class TestHindexCommand:
         assert code == 1
         assert "no matching publications" in err
 
-    @pytest.mark.parametrize("discipline, message", [
-        ("nonexistent", "no discipline map for 'nonexistent'"),
-        ("synthetic", "measurement year 2001 must come after window start 2001"),
-    ])
-    def test_unknown_discipline_reported_before_bad_years(self, synth_dir, tmp_path, capsys,
-                                                          discipline, message):
-        # hindex and correlate refuse such --years before any read; rank meets h_2001 in its pass
+    def test_rank_unknown_discipline_exits_1(self, synth_dir, tmp_path, capsys):
+        # a year at or before the window start is a usage error (TestRankCommand)
         code, _, err = run([
-            "rank", *corpus_args(synth_paths(synth_dir)), "--discipline", discipline,
-            "--window", "2001:2007", "--measure", "h_2001", "--out", str(tmp_path / "o"),
+            "rank", *corpus_args(synth_paths(synth_dir)), "--discipline", "nonexistent",
+            "--window", "2001:2007", "--measure", "h_2008", "--out", str(tmp_path / "o"),
         ], capsys)
-        assert (code, err) == (1, f"refh: {message}\n")
+        assert (code, err) == (1, "refh: no discipline map for 'nonexistent'\n")
 
 
 class TestScoreCommand:
@@ -797,21 +831,13 @@ class TestRankCommand:
         assert code == 0
         assert calls == [("h_2008", "h_hat_2014")]
 
-    @pytest.mark.parametrize("measure, baseline, baseline_window, passes, err", [
-        ("h_2014", "h_2008", [], [[2008, 2014]], ""),
-        ("h_2014", "h_2014", [], [[2014]], ""),
-        ("h_2014", "h_2008", ["--baseline-window", "2002:2007"], [[2014], [2008]], ""),
-        # a year at or before the window start fails inside its window's one pass
-        ("h_2014", "h_2001", [], [[2001, 2014]],
-         "refh: measurement year 2001 must come after window start 2001\n"),
-        # two refused years in one window: the pass names the earlier
-        ("h_2001", "h_2000", [], [[2000, 2001]],
-         "refh: measurement year 2000 must come after window start 2001\n"),
-        # a profile measure needs no pass, so its missing values are reported first
-        ("i", "h_2001", [], [], "refh: no values available for measure 'i'\n"),
+    @pytest.mark.parametrize("measure, baseline, baseline_window, passes", [
+        ("h_2014", "h_2008", [], [[2008, 2014]]),
+        ("h_2014", "h_2014", [], [[2014]]),
+        ("h_2014", "h_2008", ["--baseline-window", "2002:2007"], [[2014], [2008]]),
     ])
     def test_one_h_pass_per_window(self, synth_dir, tmp_path, monkeypatch, capsys,
-                                   measure, baseline, baseline_window, passes, err):
+                                   measure, baseline, baseline_window, passes):
         calls, group_metrics = [], metrics_module.group_metrics
 
         def counted(corpus, country, window, discipline, years):
@@ -826,7 +852,43 @@ class TestRankCommand:
             "--measure", measure, "--baseline", baseline, *baseline_window,
             "--out", str(tmp_path / "out"),
         ], capsys)
-        assert (got, calls, stderr) == (1 if err else 0, passes, err)
+        assert (got, calls, stderr) == (0, passes, "")
+
+    @pytest.mark.parametrize("labels, flag, message", [
+        (["--measure", "h_2014", "--baseline", "h_2001"], "--baseline",
+         "h_2001 measures 2001, which must come after window start 2001"),
+        # two refused years: the flags are checked in order
+        (["--measure", "h_2001", "--baseline", "h_2000"], "--measure",
+         "h_2001 measures 2001, which must come after window start 2001"),
+        (["--measure", "i", "--baseline", "h_2001"], "--baseline",
+         "h_2001 measures 2001, which must come after window start 2001"),
+        # each label against its own window
+        (["--measure", "h_2008", "--baseline", "h_2008", "--baseline-window", "2008:2013"],
+         "--baseline", "h_2008 measures 2008, which must come after window start 2008"),
+        (["--measure", "bogus"], "--measure", f"unknown measure label 'bogus' {LABELS}"),
+        (["--measure", "s", "--baseline", "h_2008\n"], "--baseline",
+         f"unknown measure label 'h_2008\\n' {LABELS}"),
+        (["--measure", ""], "--measure", f"unknown measure label '' {LABELS}"),
+        (["--measure", "s", "--baseline", ""], "--baseline", f"unknown measure label '' {LABELS}"),
+    ], ids=["baseline-at-start", "both-before", "profile-measure", "own-window",
+            "unknown-measure", "unknown-baseline", "empty-measure", "empty-baseline"])
+    def test_bad_label_exits_2_before_any_read(self, tmp_path, monkeypatch, capsys,
+                                               labels, flag, message):
+        def refuse(*args):
+            raise AssertionError("a file was read")
+
+        for module, name in ((cli, "ingest_corpus"), (cli, "load_profiles"),
+                             (metrics_module, "group_metrics")):
+            monkeypatch.setattr(module, name, refuse)
+        paths = {name: tmp_path / f"{name}.csv"
+                 for name in ("publications", "citations", "profiles", "discipline_map")}
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["rank", *corpus_args(paths), "--discipline", "nonexistent", "--window", "2001:2007",
+                  *labels, "--out", str(out)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"refh rank: error: argument {flag}: {message}\n")
+        assert not out.exists()
 
     def test_baseline_equal_to_comparison_is_all_none(self, synth_dir, tmp_path):
         out = tmp_path / "out"
@@ -901,15 +963,6 @@ class TestRankCommand:
         assert sorted(p.name for p in out.iterdir()) == ["rank_Chem_Phys_h_2008.csv"]
         assert (out / "rank_Chem_Phys_h_2008.csv").read_text() == (
             "rank,institution,value,movement\n1,A,1.000000,none\n")
-
-    def test_unknown_measure_exits_1(self, synth_dir, tmp_path, capsys):
-        code, _, err = run([
-            "rank", *corpus_args(synth_paths(synth_dir)),
-            "--discipline", "synthetic", "--measure", "nonsense",
-            "--out", str(tmp_path / "o"),
-        ], capsys)
-        assert code == 1
-        assert "unknown measure" in err
 
 
 class TestLogging:

@@ -393,6 +393,74 @@ def test_help_loads_no_lazy_module(tmp_path, command):
     assert ran([command, "--help"] if command else ["--help"], tmp_path) == ["0"]
 
 
+# runs each argv of the JSON list in argv[1] and prints, per run, its exit code and the
+# names of the corpus files it opened, as an audit hook sees each open
+OPENS = """
+import json
+import os
+import sys
+from refh.cli import main
+names, opened = set(json.loads(sys.argv[2])), set()
+
+
+def hook(event, args):
+    if event == "open" and isinstance(args[0], (str, bytes, os.PathLike)):
+        opened.add(os.path.basename(os.fsdecode(args[0])))
+
+
+sys.addaudithook(hook)
+runs = []
+for argv in json.loads(sys.argv[1]):
+    opened.clear()
+    runs.append([main(argv), sorted(opened & names)])
+print(json.dumps(runs))
+"""
+WINDOW = ["--discipline", "synthetic", "--window", "2001:2007"]
+# argv after the corpus flags (None: --profiles alone) -> the corpus files it opens
+OPENED_FILES = [
+    (["ingest"], sorted(FILES)),
+    (["hindex", *COMMANDS["hindex"]], sorted(FILES)),
+    (["correlate", *COMMANDS["correlate"]], sorted(FILES)),
+    (["rank", *COMMANDS["rank"]], sorted(FILES)),
+    (["rank", *WINDOW, "--measure", "h_hat_2008", "--baseline", "s"], sorted(FILES)),
+    (["rank", *WINDOW, "--measure", "strength", "--baseline", "h_2008"], sorted(FILES)),
+    (["score", None], ["profiles.csv"]),
+    (["rank", *WINDOW, "--measure", "strength", "--baseline", "i", "--format", "markdown"],
+     ["profiles.csv"]),
+    (["rank", "--discipline", "synthetic", "--measure", "s_prime"], ["profiles.csv"]),
+]
+
+
+def test_each_command_opens_only_the_corpus_files_it_uses(base, tmp_path):
+    argvs = []
+    for k, ((command, *flags), _) in enumerate(OPENED_FILES):
+        files = ["--profiles", str(base / FILES[2])] if flags == [None] else corpus_args(base)
+        argvs.append([command, *files, *[f for f in flags if f is not None]])
+        if command != "ingest":
+            argvs[-1] += ["--out", str(tmp_path / f"out{k}")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", OPENS, json.dumps(argvs), json.dumps(FILES)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0, opened] for _, opened in OPENED_FILES]
+
+
+@pytest.mark.parametrize("labels", [
+    ["--measure", "strength", "--baseline", "i", "--format", "markdown"],
+    ["--measure", "s", "--baseline", "s_prime", "--format", "json"],
+    ["--measure", "s_output"],
+])
+def test_profile_only_rank_needs_no_publication_side(base, tmp_path, labels):
+    flags = ["--discipline", "synthetic", *labels]
+    assert main(["rank", *corpus_args(base), *flags, "--out", str(tmp_path / "real")]) == 0
+    gone = tmp_path / "nonexistent"
+    assert main(["rank", "--pubs", str(gone / FILES[0]), "--cites", str(gone / FILES[1]),
+                 "--profiles", str(base / FILES[2]), "--map", str(gone / FILES[3]),
+                 *flags, "--out", str(tmp_path / "gone")]) == 0
+    real, without = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()} for d in ("real", "gone"))
+    assert real and without == real
+
+
 # ---------------------------------------------------------------------------
 # Malformed corpora: the exact violation list, in order, for CSV and JSON
 # ---------------------------------------------------------------------------
@@ -688,6 +756,26 @@ def test_malformed_profiles_violations_in_order(tmp_path, fmt, case):
     line = (lambda row: row + 1) if fmt == "csv" else (lambda row: row)
     assert violations == [f"profiles.{fmt}:{line(row)}: {message}" for row, message in expected]
     assert [(p.institution, p.discipline) for p in profiles] == loaded
+
+
+@pytest.mark.parametrize("case", [name for name, (formats, _, expected, _) in MALFORMED_PROFILES.items()
+                                  if "csv" in formats and expected])
+def test_profile_only_rank_reports_what_score_reports(tmp_path, capsys, case):
+    _, rows, expected, _ = MALFORMED_PROFILES[case]
+    path = tmp_path / FILES[2]
+    write_table(path, PROFILES_HEADER, rows)
+    gone = tmp_path / "nonexistent"
+    score = main(["score", "--profiles", str(path), "--out", str(tmp_path / "out")]), capsys.readouterr()
+    rank = main(["rank", "--pubs", str(gone / FILES[0]), "--cites", str(gone / FILES[1]),
+                 "--profiles", str(path), "--map", str(gone / FILES[3]), "--discipline", "chemistry",
+                 "--measure", "strength", "--baseline", "i", "--out", str(tmp_path / "out")]), capsys.readouterr()
+    assert rank == score
+    assert score[0] == 1 and score[1].out == ""
+    assert score[1].err.splitlines() == [
+        f"{'refh: ' if k == 0 else ''}profiles.csv:{row + 1}: {message}"
+        for k, (row, message) in enumerate(expected)
+    ]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("variant", ["padded", "json", "padded_header", "blank_row", "padded_discipline"])

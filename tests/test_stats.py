@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from refh.stats import (
     correlation_series,
     correlation_table,
     fractional_ranks,
+    h_label_year,
     joined_points,
     measure_values,
     pearson,
@@ -428,10 +430,18 @@ class TestMeasureValues:
         assert measure_values("h_hat_2008", scores, metrics) == {"A": 3.0, "C": 5.0}
         assert measure_values("h_2014", scores, metrics) == {}
 
-    @pytest.mark.parametrize("label", ["nci", "h_08", "h2008", "S", ""])
+    @pytest.mark.parametrize("label", ["nci", "h_08", "h2008", "S", "", "h_2008\n", " s",
+                                       "h_\u0662\u0660\u0660\u0668"])
     def test_unknown_label(self, label):
         with pytest.raises(ValueError, match="unknown measure label"):
             measure_values(label, [], [])
+        with pytest.raises(ValueError, match=f"^unknown measure label {re.escape(repr(label))} "
+                                             r"\(s, s_prime, s_output, strength, i, h_YYYY or h_hat_YYYY\)$"):
+            h_label_year(label)
+
+    def test_h_label_year_classifies_every_label(self):
+        assert [h_label_year(label) for label in ("s", "s_prime", "s_output", "strength", "i")] == [None] * 5
+        assert [h_label_year(label) for label in ("h_2008", "h_hat_2014", "h_0000")] == [2008, 2014, 0]
 
 
 class TestJoin:
