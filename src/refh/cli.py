@@ -217,7 +217,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
         marked = ranking.with_movement(table, ranking.movement(tables[1], table))
         text = ranking.render_table(marked, args.format)
     args.out.mkdir(parents=True, exist_ok=True)
-    stem = f"rank_{args.discipline.replace('/', '_')}_{args.measure.replace(':', '_')}"
+    stem = f"rank_{args.discipline.replace('/', '_')}_{args.measure}"
     path = args.out / f"{stem}.{RANK_SUFFIXES[args.format]}"
     path.write_text(text, encoding="utf-8")
     log_info("refh", "wrote %s (%d entries)", path, len(table.entries))

@@ -42,6 +42,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 PERCENT_SUM_TOL = 1e-9
+MAX_STAFF_FTE = 1e300  # keeps strength = s * staff_fte finite, s being at most 100
 
 PUBLICATIONS_HEADER = ["pub_id", "pub_year", "country", "affiliations", "categories"]
 CITATIONS_HEADER = ["pub_id", "citing_year", "count"]
@@ -243,8 +244,8 @@ class QualityProfile:
     ``p4 .. pu`` are the percentages of work rated 4*, 3*, 2*, 1* and
     Unclassified; they must sum to 100.  The optional ``*_out`` fields are
     the output-only sub-profile (all five present or all absent).
-    ``staff_fte`` is the submitted staff count and must be positive and
-    finite.  ``nci`` is an externally supplied normalized citation impact; it
+    ``staff_fte`` is the submitted staff count, in (0, ``MAX_STAFF_FTE``].
+    ``nci`` is an externally supplied normalized citation impact; it
     is ingested, never computed, and must be non-negative and finite.
     ``institution`` is stripped of surrounding whitespace, as affiliations
     are, and must not be blank.  ``__init__`` checks every profile, loaded or
@@ -280,8 +281,9 @@ class QualityProfile:
             raise ValueError(f"{who}: output sub-profile must be complete or absent")
         if not absent:
             self._check_bands(who, outs, "output sub-profile")
-        if not 0 < staff_fte < math.inf:  # NaN is not positive; inf is not finite
-            rule = "finite" if staff_fte > 0 else "positive"
+        if not 0 < staff_fte <= MAX_STAFF_FTE:  # NaN is not positive
+            rule = ("positive" if not staff_fte > 0 else "finite" if staff_fte == math.inf
+                    else f"at most {MAX_STAFF_FTE:g}")
             raise ValueError(f"{who}: staff_fte must be {rule}, got {staff_fte}")
         if nci is not None and not 0 <= nci < math.inf:
             raise ValueError(f"{who}: nci must be {'non-negative' if nci < 0 else 'finite'}, got {nci}")
@@ -415,8 +417,9 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
     This is the validators' reader: a loader reads a CSV file here only once
     its own clean pass has given up on it.  CSV cells come stripped, JSON
     values as they are, ``None`` for a missing key or null.  CSV line numbers
-    are physical lines, a record that spans lines (a quoted cell holding a
-    line break) is refused, and a blank row is skipped.
+    are physical lines.  A row with a line break in a cell (a CSV record
+    that spans lines) or a line break or NUL in a JSON string is refused.
+    A blank row is skipped.
     The header must match ``header`` exactly for CSV; JSON objects may omit optional keys.
     Violations of the file's shape are added to ``violations`` once the
     rows are exhausted, ahead of any the caller added while reading them.
@@ -441,6 +444,8 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
                 shape.append(f"{path.name}:{i}: expected an object")
             elif unknown := set(obj) - set(header):
                 shape.append(f"{path.name}:{i}: unknown field(s) {sorted(unknown)}")
+            elif broken := [k for k, v in obj.items() if _breaks_line(v)]:
+                shape.extend(f"{path.name}:{i}: field {k!r}: line break or NUL in {obj[k]!r}" for k in broken)
             else:
                 yield i, tuple(map(obj.get, header))
         violations[start:start] = shape
@@ -476,6 +481,13 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
     violations[start:start] = shape
+
+
+def _breaks_line(value) -> bool:
+    """Whether a JSON string, or a string in a JSON list, holds a line break or
+    a NUL; either would reach an output row, which a line break splits."""
+    return any(isinstance(s, str) and ("\n" in s or "\r" in s or "\0" in s)
+               for s in (value if isinstance(value, list) else [value]))
 
 
 def _not_utf8(path: Path) -> ValueError:

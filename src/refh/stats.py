@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from refh.corpus import log_info, normalize_label, write_csv
 from refh.metrics import GroupMetrics, ScoreSet, _fmt6
@@ -42,6 +42,8 @@ _H_LABEL = re.compile(r"h(?:_hat)?_([0-9]{4})")  # fullmatch: no trailing newlin
 # profile-side measure label -> ScoreSet field
 _PROFILE_MEASURES = {"s": "s", "s_prime": "s_prime", "s_output": "s_output",
                      "strength": "strength", "i": "nci"}
+# (institution, x, y) rows of one joined pair, in institution order
+_Points = list[tuple[str, float, float]]
 # the continued fraction stops within 3 MACHEP (2^-53) of its limit, as
 # cephes does; _TINY stands in for a vanishing Lentz denominator
 _EPS = 2.0 ** -53
@@ -262,20 +264,28 @@ def measure_values(
     return {inst: float(v) for inst, v in pairs if v is not None}
 
 
-def _universe(scores: list[ScoreSet], metrics: list[GroupMetrics]) -> list[str]:
-    """Sorted institutions with both a score set and metrics; all of the
-    input must belong to one discipline."""
+def _join(
+    scores: Iterable[ScoreSet], metrics: Iterable[GroupMetrics]
+) -> tuple[Callable[[str, str], tuple[_Points, int]], str]:
+    """One table's or series' institution join: ``points(x_label, y_label)``,
+    which is :func:`joined_points` with each label resolved once per join,
+    and the discipline of the first metrics, which its reports carry."""
+    scores, metrics = list(scores), list(metrics)
     disciplines = {normalize_label(g.discipline) for g in [*scores, *metrics]}
     if len(disciplines) > 1:
         raise ValueError(f"scores and metrics span more than one discipline: {sorted(disciplines)}")
-    return sorted({s.institution for s in scores} & {g.institution for g in metrics})
+    universe = sorted({s.institution for s in scores} & {g.institution for g in metrics})
+    resolved: dict[str, dict[str, float]] = {}
 
+    def points(x_label: str, y_label: str) -> tuple[_Points, int]:
+        for label in (x_label, y_label):
+            if label not in resolved:
+                resolved[label] = measure_values(label, scores, metrics)
+        xs, ys = resolved[x_label], resolved[y_label]
+        joined = [(inst, xs[inst], ys[inst]) for inst in universe if inst in xs and inst in ys]
+        return joined, len(universe) - len(joined)
 
-def _pair(
-    universe: list[str], xs: Mapping[str, float], ys: Mapping[str, float]
-) -> tuple[list[tuple[str, float, float]], int]:
-    points = [(inst, xs[inst], ys[inst]) for inst in universe if inst in xs and inst in ys]
-    return points, len(universe) - len(points)
+    return points, metrics[0].discipline if metrics else ""
 
 
 def joined_points(
@@ -283,7 +293,7 @@ def joined_points(
     metrics: Iterable[GroupMetrics],
     x_label: str,
     y_label: str,
-) -> tuple[list[tuple[str, float, float]], int]:
+) -> tuple[_Points, int]:
     """Join scores and metrics on institution for one pair.
 
     The join universe is the institutions with both a score set and
@@ -292,20 +302,11 @@ def joined_points(
     order, for the members carrying both values and dropped counts the
     other members.
     """
-    scores, metrics = list(scores), list(metrics)
-    universe = _universe(scores, metrics)
-    return _pair(
-        universe, measure_values(x_label, scores, metrics), measure_values(y_label, scores, metrics)
-    )
+    points, _ = _join(scores, metrics)
+    return points(x_label, y_label)
 
 
-def _report(
-    metrics: list[GroupMetrics],
-    x_label: str,
-    y_label: str,
-    points: list[tuple[str, float, float]],
-    dropped: int,
-) -> CorrelationReport:
+def _report(discipline: str, x_label: str, y_label: str, points: _Points, dropped: int) -> CorrelationReport:
     """Correlate one pair's joined points; fewer than 3 raise
     :class:`InsufficientDataError`, a constant vector ValueError, each naming the pair."""
     if len(points) < 3:
@@ -325,7 +326,7 @@ def _report(
     p_r, sig_r = significance(r, len(points))
     p_rho, sig_rho = significance(rho, len(points))
     return CorrelationReport(
-        discipline=metrics[0].discipline,
+        discipline=discipline,
         measure_x=x_label,
         measure_y=y_label,
         n=len(points),
@@ -344,18 +345,14 @@ def correlation_table(
     metrics: Iterable[GroupMetrics],
     pairs: Sequence[tuple[str, str]],
 ) -> list[CorrelationReport]:
-    """One report per requested (x, y) measure pair.
+    """One report per requested (x, y) measure pair, all over one join.
 
     Groups missing either value are dropped pairwise; the drop count is
     carried on the report and logged.  Fewer than 3 complete pairs raises
     :class:`InsufficientDataError` naming the pair.
     """
-    scores = list(scores)
-    metrics = list(metrics)
-    return [
-        _report(metrics, x_label, y_label, *joined_points(scores, metrics, x_label, y_label))
-        for x_label, y_label in pairs
-    ]
+    points, discipline = _join(scores, metrics)
+    return [_report(discipline, x, y, *points(x, y)) for x, y in pairs]
 
 
 def correlation_series(
@@ -365,22 +362,13 @@ def correlation_series(
     years: Sequence[int],
 ) -> CorrelationSeries:
     """Correlate ``x_label`` against h for each measurement year in ``years``,
-    plus against nci once, when at least 3 joined groups carry both.
-
-    The join universe and the x values are resolved once for the series.
+    plus against nci once, when x is not ``i`` itself and at least 3 joined
+    groups carry both.  All of them share one join.
     """
-    scores = list(scores)
-    metrics = list(metrics)
-    universe = _universe(scores, metrics)
-    xs = measure_values(x_label, scores, metrics)
-
-    def report(y_label: str) -> CorrelationReport:
-        ys = measure_values(y_label, scores, metrics)
-        return _report(metrics, x_label, y_label, *_pair(universe, xs, ys))
-
-    by_year = {year: report(f"h_{year}") for year in years}
-    nci_points, dropped = _pair(universe, xs, measure_values("i", scores, metrics))
-    baseline = _report(metrics, x_label, "i", nci_points, dropped) if len(nci_points) >= 3 else None
+    points, discipline = _join(scores, metrics)
+    by_year = {y: _report(discipline, x_label, f"h_{y}", *points(x_label, f"h_{y}")) for y in years}
+    nci_points, dropped = points(x_label, "i") if x_label != "i" else ([], 0)
+    baseline = _report(discipline, x_label, "i", nci_points, dropped) if len(nci_points) >= 3 else None
     return CorrelationSeries(measure_x=x_label, baseline=baseline, by_year=by_year)
 
 
@@ -414,7 +402,7 @@ def write_corr_series_csv(series: Iterable[CorrelationSeries], path: str | Path)
     for s in series:
         if s.baseline is not None:
             rows.append(_report_row(s.baseline) + [""])
-        rows.extend(_report_row(report) + [str(year)] for year, report in sorted(s.by_year.items()))
+        rows.extend(_report_row(report) + [str(year)] for year, report in s.by_year.items())
     write_csv(path, CORR_SERIES_HEADER, rows)
 
 

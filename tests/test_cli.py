@@ -2,6 +2,7 @@ import argparse
 import csv
 import gc
 import io
+import json
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import golden_tables as gt
 import refh
-from refh import cli, metrics as metrics_module, ranking, synth
+from refh import cli, metrics as metrics_module, ranking, stats, synth
 from refh.cli import main, parse_pairs, parse_years
 from refh.corpus import Corpus, PublicationWindow, ingest_corpus
 
@@ -72,6 +73,21 @@ def blank_output(profiles):
     cells = first.split(",")
     cells[7:12] = [""] * 5
     profiles.write_text("\n".join([header, ",".join(cells), *rows]) + "\n")
+
+
+def json_corpus(csv_dir, out):
+    """The corpus of ``csv_dir`` as JSON files, list cells as lists of strings."""
+    out.mkdir()
+    paths = {}
+    for name, path in synth_paths(csv_dir).items():
+        rows = list(csv.DictReader(io.StringIO(path.read_text(encoding="utf-8"))))
+        for row in rows:
+            for key in ("affiliations", "categories"):
+                if key in row:
+                    row[key] = row[key].split(";")
+        paths[name] = out / f"{name}.json"
+        paths[name].write_text(json.dumps(rows), encoding="utf-8")
+    return paths
 
 
 RAE2008 = ["--discipline", "synthetic", "--preset", "rae2008"]
@@ -422,6 +438,23 @@ class TestIngestCommand:
         code, out, err = run(["ingest", *corpus_args(paths)], capsys)
         assert (code, out, err) == (1, "", "refh: discipline_map.json:3: not valid UTF-8\n")
 
+    @pytest.mark.parametrize("char", ["\n", "\r", "\0"])
+    @pytest.mark.parametrize("name, field", [("publications", "affiliations"), ("citations", "pub_id"),
+                                             ("profiles", "institution"), ("discipline_map", "category")])
+    def test_json_string_with_a_line_break_or_nul_is_located(self, synth_dir, tmp_path, capsys,
+                                                            name, field, char):
+        paths = json_corpus(synth_dir, tmp_path / "json")
+        code, out, err = run(["ingest", *corpus_args(paths)], capsys)
+        assert (code, err) == (0, "") and "corpus OK" in out  # the JSON copy itself is clean
+        rows = json.loads(paths[name].read_text(encoding="utf-8"))
+        value = rows[0][field]
+        rows[0][field] = [value[0] + char, *value[1:]] if isinstance(value, list) else f"A{char}{value}"
+        paths[name].write_text(json.dumps(rows), encoding="utf-8")
+        code, out, err = run(["ingest", *corpus_args(paths)], capsys)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0] == (
+            f"refh: {name}.json:1: field {field!r}: line break or NUL in {rows[0][field]!r}")
+
 
 class TestHindexCommand:
     def test_rae_preset_writes_seven_years_matching_oracle(self, synth_dir, tmp_path):
@@ -705,6 +738,40 @@ class TestCorrelateCommand:
         assert self.correlate(synth_dir, out, "h_2008:i,i:s") == 0
         rows = list(csv.DictReader(io.StringIO((out / "correlations.csv").read_text())))
         assert [(r["x"], r["y"]) for r in rows] == [("h_2008", "i"), ("i", "s")]
+
+    def test_i_as_x_writes_no_nci_line_against_itself(self, synth_dir, tmp_path):
+        assert self.correlate(synth_dir, tmp_path / "o", "i:h_2008,s:h_2008") == 0
+        series = list(csv.DictReader(io.StringIO((tmp_path / "o" / "corr_series.csv").read_text())))
+        years = [str(year) for year in range(2008, 2015)]
+        assert [(r["x"], r["y"], r["measurement_year"]) for r in series] == [
+            *(("i", f"h_{year}", year) for year in years),
+            ("s", "i", ""), *(("s", f"h_{year}", year) for year in years)]
+
+    def test_table_rows_equal_series_rows_and_fig_points_hold_the_first_pair(self, synth_dir, tmp_path):
+        pairs = [("s_prime", "h_2010"), ("s", "h_2008"), ("s", "i"), ("i", "h_2009"),
+                 ("h_2008", "i"), ("strength", "s"), ("s_prime", "h_2014")]
+        out = tmp_path / "o"
+        assert self.correlate(synth_dir, out, ",".join(f"{x}:{y}" for x, y in pairs)) == 0
+        table = list(csv.reader(io.StringIO((out / "correlations.csv").read_text())))
+        series = list(csv.reader(io.StringIO((out / "corr_series.csv").read_text())))
+        assert series[0] == table[0] + ["measurement_year"]
+        by_pair = {tuple(row[1:3]): row[:-1] for row in series[1:]}
+        assert len(by_pair) == len(series) - 1
+        assert [tuple(row[1:3]) for row in table[1:]] == pairs
+        compared = [row for row in table[1:] if row[2] == "i" or row[2].startswith("h_")]
+        assert len(compared) == 6
+        for row in compared:
+            assert by_pair[tuple(row[1:3])] == row
+
+        corpus = ingest_corpus(*synth_paths(synth_dir).values())
+        metrics = metrics_module.group_metrics(corpus, "GB", PublicationWindow(2001, 2007), "synthetic",
+                                               range(2008, 2015))
+        scores = [metrics_module.score_profile(p) for p in corpus.profiles]
+        points, _ = stats.joined_points(scores, metrics, *pairs[0])
+        assert len(points) == int(table[1][3]) >= 3
+        assert list(csv.reader(io.StringIO((out / "fig_points.csv").read_text()))) == [
+            ["x_value", "y_value", "institution"],
+            *([f"{x:.6f}", f"{y:.6f}", inst] for inst, x, y in points)]
 
     @pytest.mark.parametrize("label", ["s", "s_prime", "s_output", "strength", "i", "h_2008"])
     def test_pair_values_equal_rank_values(self, synth_dir, tmp_path, label):

@@ -94,6 +94,10 @@ REFUSALS = [
     (QualityProfile, dict(staff_fte=0.0), "Alpha/chemistry: staff_fte must be positive, got 0.0"),
     (QualityProfile, dict(staff_fte=math.nan), "Alpha/chemistry: staff_fte must be positive, got nan"),
     (QualityProfile, dict(staff_fte=-math.inf), "Alpha/chemistry: staff_fte must be positive, got -inf"),
+    (QualityProfile, dict(staff_fte=math.inf), "Alpha/chemistry: staff_fte must be finite, got inf"),
+    (QualityProfile, dict(staff_fte=1e307), "Alpha/chemistry: staff_fte must be at most 1e+300, got 1e+307"),
+    (QualityProfile, dict(staff_fte=math.nextafter(1e300, math.inf)),
+     "Alpha/chemistry: staff_fte must be at most 1e+300, got 1.0000000000000002e+300"),
     (QualityProfile, dict(nci=-0.5), "Alpha/chemistry: nci must be non-negative, got -0.5"),
     (QualityProfile, dict(nci=-math.inf), "Alpha/chemistry: nci must be non-negative, got -inf"),
     (ScoreSet, dict(s=101.0), "Alpha: s = 101.0 outside [0, 100]"),
@@ -117,4 +121,5 @@ def test_refusals_keep_their_messages(cls, changes, message):
 def test_checks_accept_their_bounds():
     assert build(ScoreSet, s=100.0 + 1e-9, s_prime=0.0, s_output=None).s == 100.0 + 1e-9
     assert build(QualityProfile, nci=0.0, staff_fte=1e-300).nci == 0.0
+    assert build(QualityProfile, staff_fte=1e300).staff_fte == 1e300
     assert RankMove(None, 1, "new").old_rank is None  # RankMove checks nothing

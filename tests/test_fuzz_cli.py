@@ -4,12 +4,16 @@ A hypothesis test flips bytes, rewrites cells and drops or repeats rows of
 a small synthetic corpus, then runs ``ingest``, ``hindex``, ``correlate``
 and ``rank`` (with and without a baseline) through ``main``.  Each run must
 exit 0 or 1, and every line an exit-1 run writes to stderr must name a
-``file:line`` or ``file:``, or be one of the data errors listed below.  The
+``file:line`` or ``file:``, or be one of the data errors listed below.  A
+second test rewrites values of a JSON copy of the corpus and also checks
+that every file a successful run writes keeps one record per line.  The
 examples are derandomized, so every run tests the same cases.
 """
 
 import contextlib
+import csv
 import io
+import json
 import re
 import tempfile
 from pathlib import Path
@@ -127,5 +131,97 @@ def test_mutated_corpus_fails_cleanly_or_succeeds(base):
                     assert lines, command
                     for line in lines:
                         assert LOCATED.match(line) or DATA_ERRORS.match(line), (command, line)
+
+    check()
+
+
+# JSON values that probe the validators: a base text with a line break, a
+# NUL or a list or markdown separator added, or a non-string, nested list or null
+TEXT_FIELDS = {"pub_id", "country", "institution", "discipline", "category"}
+LIST_FIELDS = {"affiliations", "categories"}
+INSERTS = ["\n", "\r", "\r\n", "\0", "|", ";"]
+REPLACEMENTS = [None, "", " ", 5, 2.5, True, [], [None], [["HEI001"]], ["HEI001", 7], {"a": 1}]
+JSON_LOCATED = re.compile(LOCATED.pattern.replace(r"\.csv", r"\.json"))
+
+
+@pytest.fixture(scope="module")
+def json_base(base):
+    """The base corpus as JSON: text as strings, lists as lists, numbers as numbers."""
+    files = {}
+    for name, content in base.items():
+        rows = list(csv.DictReader(io.StringIO(content.decode("utf-8"))))
+        for row in rows:
+            for key, cell in row.items():
+                if key in LIST_FIELDS:
+                    row[key] = cell.split(";")
+                elif key not in TEXT_FIELDS:
+                    row[key] = json.loads(cell) if cell else None
+        files[name.replace(".csv", ".json")] = rows
+    return files
+
+
+@st.composite
+def json_corpora(draw, json_base):
+    files = {name: [dict(row) for row in rows] for name, rows in json_base.items()}
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from(sorted(files)))
+        k = draw(st.integers(0, len(files[name]) - 1))
+        row = files[name][k]
+        if draw(st.integers(0, 2)):  # two in three take a base text and add a character
+            key = draw(st.sampled_from(sorted(row.keys() & (TEXT_FIELDS | LIST_FIELDS))))
+            items = json_base[name][k][key] if key in LIST_FIELDS else [json_base[name][k][key]]
+            at = draw(st.integers(0, len(items[0])))
+            items = [items[0][:at] + draw(st.sampled_from(INSERTS)) + items[0][at:], *items[1:]]
+            row[key] = items if key in LIST_FIELDS else items[0]
+        else:
+            row[draw(st.sampled_from(sorted(row)))] = draw(st.sampled_from(REPLACEMENTS))
+    return {name: json.dumps(rows).encode("utf-8") for name, rows in files.items()}
+
+
+def assert_one_record_per_line(path):
+    """A CSV file reads back as one record per physical line, each as wide as
+    the header; each line of a markdown table starts and ends with ``|``."""
+    text = path.read_text(encoding="utf-8")
+    *lines, last = re.split(r"\r\n?|\n", text)
+    assert last == "", text
+    if path.suffix == ".md":
+        assert all(line.startswith("|") and line.endswith("|") for line in lines), text
+    else:
+        records = list(csv.reader(io.StringIO(text, newline="")))
+        assert len(records) == len(lines) and len(set(map(len, records))) == 1, text
+
+
+def test_mutated_json_corpus_writes_one_record_per_line(json_base):
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        files = data.draw(json_corpora(json_base))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, content in files.items():
+                (tmp / name).write_bytes(content)
+            names = [name.replace(".csv", ".json") for name in FILES]
+            corpus = ["--pubs", str(tmp / names[0]), "--cites", str(tmp / names[1]),
+                      "--profiles", str(tmp / names[2]), "--map", str(tmp / names[3])]
+            code, refused = run(["ingest", *corpus])
+            assert code in (0, 1), refused
+            if code:
+                lines = refused.splitlines()
+                assert lines and all(JSON_LOCATED.match(line) for line in lines), refused
+                return
+            # score writes every profile, whether or not it joins an h
+            runs = [[*command, *corpus] for command in COMMANDS] + [["score", *corpus[4:6]]]
+            for k, argv in enumerate(runs):
+                out = tmp / f"out{k}"
+                code, err = run([*argv, "--out", str(out)])
+                assert code in (0, 1), (argv, code, err)
+                if code:
+                    for line in err.splitlines():
+                        assert JSON_LOCATED.match(line) or DATA_ERRORS.match(line), (argv, line)
+                    continue
+                written = sorted(out.iterdir())
+                assert written, argv
+                for path in written:
+                    assert_one_record_per_line(path)
 
     check()

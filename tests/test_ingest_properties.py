@@ -586,6 +586,21 @@ MALFORMED = {
          ("citations", 4, "unknown pub_id ''")],
         {"P5": {2004: 1}},
     ),
+    "json_strings_holding_line_breaks_or_nul": (
+        JSON_ONLY,
+        [pub("P1", affiliations=["Alpha", "Be\rta"]), pub("P2\0"), pub("P3", country="G\nB"),
+         pub("P4", categories=" Chemistry\n"), pub("P5", year="2003\n"), pub("P6")],
+        [["P1", "2004", "1"], ["P6\r", "2004", "1"], ["P6", "2004\0", "1"], ["P6", "2005", "2"]],
+        [("publications", 1, "field 'affiliations': line break or NUL in ['Alpha', 'Be\\rta']"),
+         ("publications", 2, "field 'pub_id': line break or NUL in 'P2\\x00'"),
+         ("publications", 3, "field 'country': line break or NUL in 'G\\nB'"),
+         ("publications", 4, "field 'categories': line break or NUL in ' Chemistry\\n'"),
+         ("publications", 5, "field 'pub_year': line break or NUL in '2003\\n'"),
+         ("citations", 2, "field 'pub_id': line break or NUL in 'P6\\r'"),
+         ("citations", 3, "field 'citing_year': line break or NUL in '2004\\x00'"),
+         ("citations", 1, "unknown pub_id 'P1'")],
+        {"P6": {2005: 2}},
+    ),
     "duplicate_pub_id_alone": (
         BOTH, [pub("P1"), pub("P2"), pub("P1", year="2004")], [["P1", "2004", "1"]],
         [("publications", 3, "duplicate pub_id 'P1'")],
@@ -704,6 +719,20 @@ MALFORMED_PROFILES = {
         [(1, "profile sum/shape error: Alpha/chemistry: staff_fte must be positive, got 0.0"),
          (2, "profile sum/shape error: Beta/chemistry: staff_fte must be positive, got -3.0"),
          (3, "profile sum/shape error: Gamma/chemistry: nci must be non-negative, got -1.0")],
+        [("Delta", "chemistry")],
+    ),
+    "staff_fte_above_its_bound": (
+        BOTH,
+        [prof(staff_fte="1e307"), prof("Beta", staff_fte="1e300")],
+        [(1, "profile sum/shape error: Alpha/chemistry: staff_fte must be at most 1e+300, got 1e+307")],
+        [("Beta", "chemistry")],
+    ),
+    "json_strings_holding_line_breaks_or_nul": (
+        JSON_ONLY,
+        [prof("Al\npha"), prof("Beta", discipline="chemistry\r"), prof("Gamma", nci="0.5\0"), prof("Delta")],
+        [(1, "field 'institution': line break or NUL in 'Al\\npha'"),
+         (2, "field 'discipline': line break or NUL in 'chemistry\\r'"),
+         (3, "field 'nci': line break or NUL in '0.5\\x00'")],
         [("Delta", "chemistry")],
     ),
     "duplicates_that_differ_in_discipline_case": (
@@ -1122,7 +1151,8 @@ def validated_profiles(path, monkeypatch):
 
 @pytest.mark.parametrize("chunk_rows", [7, 4096])
 @pytest.mark.parametrize("late", ["bad_sum", "duplicate", "duplicate_in_another_case", "blank_discipline",
-                                  "half_output_profile", "nan_nci", "short_row", "long_row", "spans_lines"])
+                                  "half_output_profile", "nan_nci", "short_row", "long_row", "spans_lines",
+                                  "staff_fte_above_its_bound"])
 def test_a_late_profile_violation_gives_the_validators_messages(seeded, tmp_path, monkeypatch,
                                                                late, chunk_rows):
     # one violation in the last row: with 7-row chunks, the clean pass
@@ -1151,6 +1181,9 @@ def test_a_late_profile_violation_gives_the_validators_messages(seeded, tmp_path
         last, message = last[:-1], "expected 14 fields, got 13"
     elif late == "long_row":
         last, message = [*last, "1"], "expected 14 fields, got 15"
+    elif late == "staff_fte_above_its_bound":
+        last[12] = "1e307"
+        message = f"profile sum/shape error: {who}: staff_fte must be at most 1e+300, got 1e+307"
     else:
         last[13] = "1\n"
         message = f"record spans lines {len(rows) + 1}-{len(rows) + 2}; a cell contains a line break"

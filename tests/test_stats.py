@@ -408,6 +408,32 @@ class TestCorrelationTable:
         with pytest.raises(ValueError, match=message.replace("s,", "s_prime,")):
             correlation_series(scores, metrics, "s_prime", [2010])
 
+    @pytest.mark.parametrize("pairs", [
+        [("s", "h_2008"), ("s", "i"), ("s_prime", "h_2008"), ("h_2008", "s")],
+        [("s", "h_2008"), ("s", "sigma"), ("s", "i")],
+        [("s", "i"), ("s_output", "h_2008"), ("s", "h_2008")],
+        [("s", "h_2008"), ("s", "h_2009")],
+    ])
+    def test_table_equals_its_pairs_taken_one_at_a_time(self, pairs):
+        scores = make_scores({f"I{k}": float(k * k % 7) for k in range(1, 8)},
+                             nci={f"I{k}": float(k) for k in range(1, 6)})
+        metrics = make_metrics({f"I{k}": k % 4 for k in range(2, 9)}, years=(2008, 2009))
+
+        def outcome(call):
+            try:
+                return call()
+            except ValueError as exc:  # InsufficientDataError too
+                return type(exc), str(exc)
+
+        one_at_a_time = []
+        for pair in pairs:
+            got = outcome(lambda: correlation_table(scores, metrics, [pair]))
+            if not isinstance(got, list):  # the table stops at its first failing pair
+                one_at_a_time = got
+                break
+            one_at_a_time += got
+        assert outcome(lambda: correlation_table(scores, metrics, pairs)) == one_at_a_time
+
     def test_unknown_labels_rejected(self):
         scores = make_scores({"A": 1.0, "B": 2.0, "C": 3.0})
         metrics = make_metrics({"A": 1, "B": 2, "C": 3})
@@ -470,6 +496,15 @@ class TestJoin:
         with pytest.raises(ValueError, match="more than one discipline"):
             correlation_table(scores + make_scores({"D": 4.0}, discipline="physics"),
                               make_metrics({"A": 1, "B": 3, "C": 2}), [("s", "h_2008")])
+
+    def test_mixed_disciplines_refused_before_any_pair(self):
+        # the join is built, and the disciplines checked, before the first pair
+        scores = make_scores({"A": 1.0, "B": 2.0, "C": 3.0}, discipline="chemistry")
+        metrics = make_metrics({"A": 1, "B": 3, "C": 2}, discipline="physics")
+        with pytest.raises(ValueError, match="more than one discipline"):
+            correlation_table(scores, metrics, [])
+        with pytest.raises(ValueError, match="more than one discipline"):
+            correlation_series(scores, metrics, "i", [])
 
 
 class TestCorrelationSeries:
@@ -543,6 +578,33 @@ class TestCorrelationSeries:
         nci = {i: 7.0 - v for i, v in svals.items()}
         correlation_series(make_scores(svals, nci=nci), metrics, "s", [2008, 2009, 2010])
         assert sorted(labels) == ["h_2008", "h_2009", "h_2010", "i", "s"]
+
+    def test_table_resolves_each_label_once(self, monkeypatch):
+        import refh.stats
+
+        labels = []
+
+        def counting(label, scores, metrics):
+            labels.append(label)
+            return measure_values(label, scores, metrics)
+
+        monkeypatch.setattr(refh.stats, "measure_values", counting)
+        svals = {f"I{k}": float(k) for k in range(1, 7)}
+        scores = make_scores(svals, nci={i: 7.0 - v for i, v in svals.items()})
+        metrics = make_metrics({i: 7 - v for i, v in svals.items()})
+        correlation_table(scores, metrics, [("s", "h_2008"), ("s", "i"), ("s_prime", "h_2008")])
+        assert sorted(labels) == ["h_2008", "i", "s", "s_prime"]
+
+    def test_i_as_x_has_no_baseline_against_itself(self):
+        svals = {f"I{k}": float(k) for k in range(1, 7)}
+        scores = make_scores(svals, nci={i: v / 2 for i, v in svals.items()})
+        metrics = make_metrics({i: 7 - v for i, v in svals.items()})
+        series = correlation_series(scores, metrics, "i", [2008])
+        assert series.baseline is None
+        (expected,) = correlation_table(scores, metrics, [("i", "h_2008")])
+        assert series.by_year == {2008: expected}
+        # any other x keeps its nci line
+        assert correlation_series(scores, metrics, "s", [2008]).baseline.measure_y == "i"
 
     def test_single_year(self):
         scores = make_scores({"A": 1.0, "B": 2.0, "C": 3.0})
