@@ -13,7 +13,9 @@ import argparse
 import gc
 import os
 import sys
+from functools import cache, partial
 from pathlib import Path
+from typing import Callable
 
 # lazily loaded (see refh/__init__.py): a name read from one of these runs its
 # module, so they are read at call time, never imported by name here
@@ -90,16 +92,25 @@ def _load_profiles(args: argparse.Namespace) -> tuple[QualityProfile, ...]:
     return profiles
 
 
-def _metrics_for(
-    args: argparse.Namespace, corpus: Corpus, years: list[int], window: PublicationWindow
-) -> list[metrics_module.GroupMetrics]:
-    metrics = metrics_module.group_metrics(corpus, args.country, window, args.discipline, years)
-    if not metrics:
-        raise ValueError(
-            f"no matching publications for country={args.country} "
-            f"window={window} discipline={args.discipline}"
-        )
-    return metrics
+def _h_passes(args: argparse.Namespace, corpus: Corpus | None, needs: list[tuple[PublicationWindow, int]]):
+    """``h_pass(window)``, which makes the window's one ``group_metrics`` call, over
+    every year that ``needs`` ((window, measurement year) pairs) names for it, when first asked."""
+    @cache
+    def h_pass(window: PublicationWindow) -> list[metrics_module.GroupMetrics]:
+        years = sorted({year for at, year in needs if at == window})
+        metrics = metrics_module.group_metrics(corpus, args.country, window, args.discipline, years)
+        if not metrics:
+            raise ValueError(f"no matching publications for country={args.country} "
+                             f"window={window} discipline={args.discipline}")
+        return metrics
+    return h_pass
+
+
+def _write(out: Path, outputs: dict[str, Callable[[Path], object]]) -> None:
+    """Make ``out`` and write each output there in order, once a command has computed them all."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, write in outputs.items():
+        write(out / name)
 
 
 def _in_discipline(profiles: tuple[QualityProfile, ...], discipline: str) -> tuple[QualityProfile, ...]:
@@ -130,11 +141,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_hindex(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args)
-    metrics = _metrics_for(args, corpus, args.years, args.window)
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / "hseries.csv"
-    metrics_module.write_hseries_csv(metrics, path)
-    log_info("refh", "wrote %s (%d institutions, %d years)", path, len(metrics), len(args.years))
+    metrics = _h_passes(args, corpus, [(args.window, year) for year in args.years])(args.window)
+    _write(args.out, {"hseries.csv": partial(metrics_module.write_hseries_csv, metrics)})
+    log_info("refh", "wrote %s (%d institutions, %d years)", args.out / "hseries.csv", len(metrics), len(args.years))
     return 0
 
 
@@ -144,10 +153,8 @@ def cmd_score(args: argparse.Namespace) -> int:
         profiles = _in_discipline(profiles, args.discipline)
         if not profiles:
             raise ValueError(f"no profiles for discipline {args.discipline!r}")
-    args.out.mkdir(parents=True, exist_ok=True)
-    path = args.out / "scores.csv"
-    metrics_module.write_scores_csv(profiles, path)
-    log_info("refh", "wrote %s (%d profiles)", path, len(profiles))
+    _write(args.out, {"scores.csv": partial(metrics_module.write_scores_csv, profiles)})
+    log_info("refh", "wrote %s (%d profiles)", args.out / "scores.csv", len(profiles))
     return 0
 
 
@@ -169,42 +176,37 @@ def parse_pairs(text: str) -> list[tuple[str, str]]:
 
 def cmd_correlate(args: argparse.Namespace) -> int:
     corpus = _load_corpus(args)
-    metrics = _metrics_for(args, corpus, args.years, args.window)
+    metrics = _h_passes(args, corpus, [(args.window, year) for year in args.years])(args.window)
     scores = _scores_for(args, corpus.profiles)
-    reports = stats.correlation_table(scores, metrics, args.pairs)
-    series = [
-        stats.correlation_series(scores, metrics, x_label, args.years)
-        for x_label in dict.fromkeys(x for x, _ in args.pairs)
-    ]
-    first_points, _ = stats.joined_points(scores, metrics, *args.pairs[0])
-
-    args.out.mkdir(parents=True, exist_ok=True)
-    stats.write_correlations_csv(reports, args.out / "correlations.csv")
-    stats.write_corr_series_csv(series, args.out / "corr_series.csv")
-    stats.write_fig_points_csv(first_points, args.out / "fig_points.csv")
-    log_info("refh", "wrote correlations.csv, corr_series.csv, fig_points.csv under %s", args.out)
+    outputs = {
+        "correlations.csv": partial(
+            stats.write_correlations_csv, stats.correlation_table(scores, metrics, args.pairs)),
+        "corr_series.csv": partial(stats.write_corr_series_csv, [
+            stats.correlation_series(scores, metrics, x_label, args.years)
+            for x_label in dict.fromkeys(x for x, _ in args.pairs)
+        ]),
+        "fig_points.csv": partial(
+            stats.write_fig_points_csv, stats.joined_points(scores, metrics, *args.pairs[0])[0]),
+    }
+    _write(args.out, outputs)
+    log_info("refh", "wrote %s under %s", ", ".join(outputs), args.out)
     return 0
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    labels = [(args.measure, args.window, "measure")]
+    labels = {"measure": (args.measure, args.window)}
     if args.baseline:
-        labels.append((args.baseline, args.baseline_window, "baseline measure"))
+        labels["baseline measure"] = (args.baseline, args.baseline_window)
+    needs = {role: (window, year) for role, (label, window) in labels.items()
+             if (year := stats.h_label_year(label)) is not None}
     # profile labels alone read --profiles alone: --pubs, --cites and --map stay unopened
-    if any(stats.h_label_year(label) is not None for label, _, _ in labels):
-        corpus = _load_corpus(args)
-        profiles = corpus.profiles
-    else:
-        profiles = _load_profiles(args)
-    scores = _scores_for(args, profiles)
-    passes: dict[PublicationWindow, list[metrics_module.GroupMetrics]] = {}
+    corpus = _load_corpus(args) if needs else None
+    scores = _scores_for(args, _load_profiles(args) if corpus is None else corpus.profiles)
+    # labels ask in order, so a label's missing values are refused before a later label's h pass
+    h_pass = _h_passes(args, corpus, list(needs.values()))
     tables = []
-    for label, window, role in labels:
-        if stats.h_label_year(label) is not None and window not in passes:
-            # the window's one h pass, over every year its labels name
-            years = {stats.h_label_year(other) for other, at, _ in labels if at == window}
-            passes[window] = _metrics_for(args, corpus, sorted(years - {None}), window)
-        values = stats.measure_values(label, scores, passes.get(window, ()))
+    for role, (label, window) in labels.items():
+        values = stats.measure_values(label, scores, h_pass(window) if role in needs else ())
         if not values:
             raise ValueError(f"no values available for {role} {label!r}")
         tables.append(ranking.rank_table(values, label, args.discipline))
@@ -216,11 +218,9 @@ def cmd_rank(args: argparse.Namespace) -> int:
     else:
         marked = ranking.with_movement(table, ranking.movement(tables[1], table))
         text = ranking.render_table(marked, args.format)
-    args.out.mkdir(parents=True, exist_ok=True)
-    stem = f"rank_{args.discipline.replace('/', '_')}_{args.measure}"
-    path = args.out / f"{stem}.{RANK_SUFFIXES[args.format]}"
-    path.write_text(text, encoding="utf-8")
-    log_info("refh", "wrote %s (%d entries)", path, len(table.entries))
+    name = f"rank_{args.discipline.replace('/', '_')}_{args.measure}.{RANK_SUFFIXES[args.format]}"
+    _write(args.out, {name: lambda path: path.write_text(text, encoding="utf-8")})
+    log_info("refh", "wrote %s (%d entries)", args.out / name, len(table.entries))
     return 0
 
 

@@ -418,7 +418,8 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
     its own clean pass has given up on it.  CSV cells come stripped, JSON
     values as they are, ``None`` for a missing key or null.  CSV line numbers
     are physical lines.  A row with a line break in a cell (a CSV record
-    that spans lines) or a line break or NUL in a JSON string is refused.
+    that spans lines), a NUL in a CSV cell or a line break or NUL in a JSON
+    string is refused.
     A blank row is skipped.
     The header must match ``header`` exactly for CSV; JSON objects may omit optional keys.
     Violations of the file's shape are added to ``violations`` once the
@@ -472,10 +473,15 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
                 if end != line_no:
                     shape.append(f"{path.name}:{line_no}: record spans lines {line_no}-{end}; "
                                  f"a cell contains a line break")
-                elif len(cells := tuple(map(str.strip, row))) == width and any(cells):
-                    yield line_no, cells
-                elif any(cells):  # a blank row is skipped
+                elif not any(cells := tuple(map(str.strip, row))):
+                    continue  # a blank row is skipped
+                elif len(cells) != width:
                     shape.append(f"{path.name}:{line_no}: expected {width} fields, got {len(row)}")
+                elif broken := [(k, c) for k, c in zip(header, row) if _breaks_line(c)]:
+                    shape.extend(f"{path.name}:{line_no}: field {k!r}: line break or NUL in {c!r}"
+                                 for k, c in broken)
+                else:
+                    yield line_no, cells
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit(); the read stops here
             shape.append(f"{path.name}:{reader.line_num}: {exc}")
         except UnicodeDecodeError:
@@ -484,8 +490,8 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
 
 
 def _breaks_line(value) -> bool:
-    """Whether a JSON string, or a string in a JSON list, holds a line break or
-    a NUL; either would reach an output row, which a line break splits."""
+    """Whether a CSV cell, a JSON string or a string in a JSON list holds a line
+    break or a NUL; either would reach an output row, which a line break splits."""
     return any(isinstance(s, str) and ("\n" in s or "\r" in s or "\0" in s)
                for s in (value if isinstance(value, list) else [value]))
 
@@ -590,9 +596,9 @@ def load_publications(
     ``PublicationRecord.__init__`` and builds the records without
     running that method.  Clean CSV files take one tight pass each, in
     chunks of rows, that skips blank rows and gives up at a breach of any
-    rule, a header not exactly the expected one, a row of another width or a
-    CSV error.  A chunk is regular when the reader's line count rose by its
-    row count: then no record spans lines.  On giving up, and for JSON
+    rule, a NUL byte, a header not exactly the expected one, a row of another
+    width or a CSV error.  A chunk is regular when the reader's line count rose
+    by its row count: then no record spans lines.  On giving up, and for JSON
     input, the per-row validator reads both files anew; it alone writes
     messages, each at its ``file:line``.  Equal list cells share one
     frozenset, saving time and memory where cells repeat: categories come
@@ -616,6 +622,8 @@ _CHUNK_ROWS = 4096
 def _regular_chunks(path: Path, header: list[str]) -> Iterator[list[list[str]]]:
     """A regular CSV file's data rows in chunks, less blank rows of the wrong width; a
     ``ValueError`` here, and the caller gives up on a non-blank row of the wrong width."""
+    if b"\0" in path.read_bytes():  # csv reads a NUL as text; the validator refuses it
+        raise ValueError("a NUL byte")
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != header:
@@ -860,15 +868,6 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         writer.writerows(rows)
 
 
-def _fmt(value) -> str:
-    """Shortest exact decimal form; floats survive a write/read round trip."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
     """Write the four corpus CSVs into ``out_dir``; returns the paths.
 
@@ -895,13 +894,8 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
         zip(itertools.repeat(r.pub_id), r.citations_by_year, r.citations_by_year.values())
         for r in corpus.publications
     ))
-    write_csv(paths["profiles"], PROFILES_HEADER, (
-        [p.institution, p.discipline]
-        + [_fmt(v) for v in p.percentages()]
-        + [_fmt(v) for v in (p.p4_out, p.p3_out, p.p2_out, p.p1_out, p.pu_out)]
-        + [_fmt(p.staff_fte), _fmt(p.nci)]
-        for p in corpus.profiles
-    ))
+    # csv writes a float as its repr, the shortest exact form, and None as an empty cell
+    write_csv(paths["profiles"], PROFILES_HEADER, map(attrgetter(*PROFILES_HEADER), corpus.profiles))
     write_csv(paths["discipline_map"], DISCIPLINE_MAP_HEADER, (
         [m.discipline, category] for m in corpus.discipline_maps for category in sorted(m.categories)
     ))

@@ -91,6 +91,7 @@ def json_corpus(csv_dir, out):
 
 
 RAE2008 = ["--discipline", "synthetic", "--preset", "rae2008"]
+WINDOW_2001 = ["--discipline", "synthetic", "--window", "2001:2007"]
 LABELS = "(s, s_prime, s_output, strength, i, h_YYYY or h_hat_YYYY)"
 
 
@@ -898,13 +899,16 @@ class TestRankCommand:
         assert code == 0
         assert calls == [("h_2008", "h_hat_2014")]
 
-    @pytest.mark.parametrize("measure, baseline, baseline_window, passes", [
-        ("h_2014", "h_2008", [], [[2008, 2014]]),
-        ("h_2014", "h_2014", [], [[2014]]),
-        ("h_2014", "h_2008", ["--baseline-window", "2002:2007"], [[2014], [2008]]),
-    ])
-    def test_one_h_pass_per_window(self, synth_dir, tmp_path, monkeypatch, capsys,
-                                   measure, baseline, baseline_window, passes):
+    @pytest.mark.parametrize("argv, passes", [
+        (["rank", *WINDOW_2001, "--measure", "h_2014", "--baseline", "h_2008"], [[2008, 2014]]),
+        (["rank", *WINDOW_2001, "--measure", "h_2014", "--baseline", "h_2014"], [[2014]]),
+        (["rank", *WINDOW_2001, "--measure", "h_2014", "--baseline", "h_2008",
+          "--baseline-window", "2002:2007"], [[2014], [2008]]),
+        (["hindex", *RAE2008], [list(range(2008, 2015))]),
+        (["correlate", *WINDOW_2001, "--years", "2009,2008,2010",
+          "--pairs", "s:h_2010,s_prime:h_2008"], [[2008, 2009, 2010]]),
+    ], ids=["rank-two-years", "rank-one-year", "rank-two-windows", "hindex", "correlate"])
+    def test_one_h_pass_per_window(self, synth_dir, tmp_path, monkeypatch, capsys, argv, passes):
         calls, group_metrics = [], metrics_module.group_metrics
 
         def counted(corpus, country, window, discipline, years):
@@ -913,13 +917,21 @@ class TestRankCommand:
 
         monkeypatch.setattr(metrics_module, "group_metrics", counted)
         blank_nci(synth_dir / "profiles.csv")
-        got, _, stderr = run([
-            "rank", *corpus_args(synth_paths(synth_dir)),
-            "--discipline", "synthetic", "--window", "2001:2007",
-            "--measure", measure, "--baseline", baseline, *baseline_window,
-            "--out", str(tmp_path / "out"),
-        ], capsys)
+        got, _, stderr = run([*argv, *corpus_args(synth_paths(synth_dir)), "--out", str(tmp_path / "out")],
+                             capsys)
         assert (got, calls, stderr) == (0, passes, "")
+
+    def test_a_label_without_values_is_refused_before_a_later_h_pass(self, synth_dir, tmp_path, capsys):
+        blank_nci(synth_dir / "profiles.csv")
+        out = tmp_path / "out"
+        code, _, err = run(["rank", *corpus_args(synth_paths(synth_dir)), *WINDOW_2001, "--country", "FR",
+                            "--measure", "i", "--baseline", "h_2008", "--out", str(out)], capsys)
+        assert (code, err) == (1, "refh: no values available for measure 'i'\n")
+        code, _, err = run(["rank", *corpus_args(synth_paths(synth_dir)), *WINDOW_2001, "--country", "FR",
+                            "--measure", "h_2008", "--baseline", "i", "--out", str(out)], capsys)
+        assert (code, err) == (1, "refh: no matching publications for country=FR window=2001:2007 "
+                                  "discipline=synthetic\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("labels, flag, message", [
         (["--measure", "h_2014", "--baseline", "h_2001"], "--baseline",
@@ -1030,6 +1042,34 @@ class TestRankCommand:
         assert sorted(p.name for p in out.iterdir()) == ["rank_Chem_Phys_h_2008.csv"]
         assert (out / "rank_Chem_Phys_h_2008.csv").read_text() == (
             "rank,institution,value,movement\n1,A,1.000000,none\n")
+
+
+# command -> (its arguments after the corpus flags, the module and name of its last
+# computation, made to raise; None where a flag makes it fail)
+LAST_COMPUTATION = {
+    "hindex": (RAE2008, (metrics_module, "group_metrics")),
+    "score": (["--discipline", "nonexistent"], None),
+    "correlate": ([*RAE2008, "--pairs", "s:h_2008,s_prime:h_2008"], (stats, "joined_points")),
+    "rank": ([*WINDOW_2001, "--measure", "h_2008", "--baseline", "s"], (ranking, "render_table")),
+}
+
+
+@pytest.mark.parametrize("command", list(LAST_COMPUTATION))
+def test_an_error_in_the_last_computation_leaves_no_out_directory(synth_dir, tmp_path, monkeypatch,
+                                                                 capsys, command):
+    flags, target = LAST_COMPUTATION[command]
+    if target is not None:
+        def refuse(*args):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(*target, refuse)
+    paths = synth_paths(synth_dir)
+    corpus = ["--profiles", str(paths["profiles"])] if command == "score" else corpus_args(paths)
+    out = tmp_path / "out"
+    code, stdout, err = run([command, *corpus, *flags, "--out", str(out)], capsys)
+    message = "no profiles for discipline 'nonexistent'" if target is None else "refused"
+    assert (code, stdout, err) == (1, "", f"refh: {message}\n")
+    assert not out.exists()
 
 
 class TestLogging:

@@ -32,12 +32,14 @@ from refh import corpus as corpus_module
 from refh.cli import main
 from refh.corpus import (
     CITATIONS_HEADER,
+    DISCIPLINE_MAP_HEADER,
     PROFILES_HEADER,
     PUBLICATIONS_HEADER,
     CorpusValidationError,
     PublicationRecord,
     PublicationWindow,
     ingest_corpus,
+    load_discipline_maps,
     load_profiles,
     load_publications,
     matching_publications,
@@ -601,6 +603,30 @@ MALFORMED = {
          ("citations", 1, "unknown pub_id 'P1'")],
         {"P6": {2005: 2}},
     ),
+    # csv reads a NUL as text: the clean pass gives up on the file, and the validator
+    # refuses each cell in JSON's words
+    "csv_cells_holding_nul": (
+        CSV_ONLY,
+        [pub("P1", affiliations="Al\0pha"), pub("P2\0"), pub("P3", year="2003\0"),
+         pub("P4", country="G\0B", categories="Chemistry\0"), pub("P5")],
+        [["P5", "2004\0", "1"], ["P5", "2005", "2\0"], ["P5", "2006", "3"], ["P1", "2004", "1"]],
+        [("publications", 1, "field 'affiliations': line break or NUL in 'Al\\x00pha'"),
+         ("publications", 2, "field 'pub_id': line break or NUL in 'P2\\x00'"),
+         ("publications", 3, "field 'pub_year': line break or NUL in '2003\\x00'"),
+         ("publications", 4, "field 'country': line break or NUL in 'G\\x00B'"),
+         ("publications", 4, "field 'categories': line break or NUL in 'Chemistry\\x00'"),
+         ("citations", 1, "field 'citing_year': line break or NUL in '2004\\x00'"),
+         ("citations", 2, "field 'count': line break or NUL in '2\\x00'"),
+         ("citations", 4, "unknown pub_id 'P1'")],
+        {"P5": {2006: 3}},
+    ),
+    # a NUL in a text cell alone breaks no rule of the clean pass
+    "csv_text_cell_holding_nul_alone": (
+        CSV_ONLY, [pub("P1", affiliations="Al\0pha"), pub("P2")], [["P1", "2004", "1"], ["P2", "2004", "1"]],
+        [("publications", 1, "field 'affiliations': line break or NUL in 'Al\\x00pha'"),
+         ("citations", 1, "unknown pub_id 'P1'")],
+        {"P2": {2004: 1}},
+    ),
     "duplicate_pub_id_alone": (
         BOTH, [pub("P1"), pub("P2"), pub("P1", year="2004")], [["P1", "2004", "1"]],
         [("publications", 3, "duplicate pub_id 'P1'")],
@@ -735,6 +761,21 @@ MALFORMED_PROFILES = {
          (3, "field 'nci': line break or NUL in '0.5\\x00'")],
         [("Delta", "chemistry")],
     ),
+    "csv_cells_holding_nul": (
+        CSV_ONLY,
+        [prof("HEI\x00001"), prof("Beta", discipline="chem\0istry"), prof("Gamma", nci="0.5\0"),
+         prof("Delta", bands=("25", "25\0", "25", "25", "0")), prof("Eps")],
+        [(1, "field 'institution': line break or NUL in 'HEI\\x00001'"),
+         (2, "field 'discipline': line break or NUL in 'chem\\x00istry'"),
+         (3, "field 'nci': line break or NUL in '0.5\\x00'"),
+         (4, "field 'p3': line break or NUL in '25\\x00'")],
+        [("Eps", "chemistry")],
+    ),
+    "csv_text_cell_holding_nul_alone": (
+        CSV_ONLY, [prof("HEI\x00001"), prof("Beta")],
+        [(1, "field 'institution': line break or NUL in 'HEI\\x00001'")],
+        [("Beta", "chemistry")],
+    ),
     "duplicates_that_differ_in_discipline_case": (
         BOTH,
         [prof(), prof(discipline="Chemistry"), prof(" Alpha ", discipline=" CHEMISTRY "),
@@ -785,6 +826,22 @@ def test_malformed_profiles_violations_in_order(tmp_path, fmt, case):
     line = (lambda row: row + 1) if fmt == "csv" else (lambda row: row)
     assert violations == [f"profiles.{fmt}:{line(row)}: {message}" for row, message in expected]
     assert [(p.institution, p.discipline) for p in profiles] == loaded
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_line_break_or_nul_in_a_discipline_map_cell_is_refused(tmp_path, fmt):
+    path = tmp_path / f"discipline_map.{fmt}"
+    rows = [["chemistry", "Chemistry"], ["chem\0istry", "Physics"], ["physics", "Phys\0ics"],
+            ["physics", "Physics"]]
+    write_table(path, DISCIPLINE_MAP_HEADER, rows)
+    maps, violations = load_discipline_maps(path)
+    line = (lambda row: row + 1) if fmt == "csv" else (lambda row: row)
+    assert violations == [
+        f"discipline_map.{fmt}:{line(2)}: field 'discipline': line break or NUL in 'chem\\x00istry'",
+        f"discipline_map.{fmt}:{line(3)}: field 'category': line break or NUL in 'Phys\\x00ics'",
+    ]
+    assert [(m.discipline, m.categories) for m in maps] == [
+        ("chemistry", frozenset({"Chemistry"})), ("physics", frozenset({"Physics"}))]
 
 
 @pytest.mark.parametrize("case", [name for name, (formats, _, expected, _) in MALFORMED_PROFILES.items()
