@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import itertools
 import math
 import sys
@@ -531,6 +532,8 @@ def _get_number(
             _flag(violations, where, f"field {key!r}: missing value")
         return None
     try:
+        if not _plain(text):
+            raise ValueError(text)
         value = parse(text)
     except ValueError:
         _flag(violations, where, f"field {key!r}: not {'an integer' if parse is int else 'a number'}: {raw!r}")
@@ -541,10 +544,18 @@ def _get_number(
     return value
 
 
+def _plain(text: str) -> bool:
+    """Whether ``text`` is ASCII with no ``_``, as a number cell must be: ``int``
+    and ``float`` also read other scripts' digits and ``_`` between digits."""
+    return text.isascii() and "_" not in text
+
+
 class _Ints(dict):
     """A number cell -> its ``int``, parsed once; a malformed cell raises ``ValueError``."""
 
     def __missing__(self, cell: str) -> int:
+        if not _plain(cell):
+            raise ValueError(cell)
         value = self[cell] = int(cell)
         return value
 
@@ -590,17 +601,20 @@ def collector_paused() -> Iterator[None]:
 def load_publications(
     pub_file: str | Path, citation_file: str | Path
 ) -> tuple[tuple[PublicationRecord, ...], list[str]]:
-    """Parse the publication and citation files into records plus violations.
+    r"""Parse the publication and citation files into records plus violations.
 
     This is the validator for file input: it applies every rule of
     ``PublicationRecord.__init__`` and builds the records without
-    running that method.  Clean CSV files take one tight pass each, in
-    chunks of rows, that skips blank rows and gives up at a breach of any
-    rule, a NUL byte, a header not exactly the expected one, a row of another
-    width or a CSV error.  A chunk is regular when the reader's line count rose
-    by its row count: then no record spans lines.  On giving up, and for JSON
-    input, the per-row validator reads both files anew; it alone writes
-    messages, each at its ``file:line``.  Equal list cells share one
+    running that method.  Clean CSV files take one tight pass each, which
+    reads the file once, ``_CHUNK_ROWS`` lines at a time, skips blank rows
+    and gives up at a breach of any rule, a NUL byte, a header not exactly
+    the expected one, a row of another width or a CSV error.  A chunk with
+    no quote, no ``\r`` and no over-long line is split at commas; any other
+    chunk takes ``csv.reader`` and is regular when the reader's line count
+    rose by its row count: then no record spans lines (see
+    :func:`_regular_chunks`).  On giving up, and for JSON input, the
+    per-row validator reads both files anew; it alone writes messages,
+    each at its ``file:line``.  Equal list cells share one
     frozenset, saving time and memory where cells repeat: categories come
     from a fixed classification, and a group names few institutions.
 
@@ -619,30 +633,61 @@ def load_publications(
 _CHUNK_ROWS = 4096
 
 
-def _regular_chunks(path: Path, header: list[str]) -> Iterator[list[list[str]]]:
-    """A regular CSV file's data rows in chunks, less blank rows of the wrong width; a
-    ``ValueError`` here, and the caller gives up on a non-blank row of the wrong width."""
-    if b"\0" in path.read_bytes():  # csv reads a NUL as text; the validator refuses it
-        raise ValueError("a NUL byte")
+def _regular_chunks(path: Path, header: list[str]) -> Iterator[tuple[list[list[str]], bool]]:
+    """A regular CSV file's data rows in chunks of ``_CHUNK_ROWS`` lines, less blank
+    rows of the wrong width, each with whether its text is plain (see :func:`_cells`).
+
+    The file is read once: the header line, then blocks of about ``_CHUNK_ROWS``
+    short lines, each completed by ``readline``, which ends a line where ``csv``
+    does.  A ``ValueError`` or ``csv.Error`` here, at a NUL, a header other than
+    ``header`` (parsed as the rows are) or a record that spans lines, and the
+    caller gives up; it also gives up on a non-blank row of the wrong width."""
+    width = len(header)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
+        if _cells([fh.readline().removesuffix("\n")], width)[0] != [header]:
             raise ValueError("header")
-        width, line = len(header), reader.line_num
-        while chunk := list(itertools.islice(reader, _CHUNK_ROWS)):
-            if reader.line_num - line != len(chunk):
-                raise ValueError("a record spans lines")
-            line = reader.line_num
-            if set(map(len, chunk)) != {width}:
-                chunk = [row for row in chunk if len(row) == width or any(map(str.strip, row))]
-            yield chunk
+        lines: list[str] = []
+        while block := fh.read(_CHUNK_ROWS * 32):
+            lines += (block + fh.readline()).split("\n")
+            if not lines[-1]:  # the block ends with a line break
+                lines.pop()
+            while len(lines) >= _CHUNK_ROWS:
+                yield _cells(lines[:_CHUNK_ROWS], width)
+                del lines[:_CHUNK_ROWS]
+        if lines:
+            yield _cells(lines, width)
+
+
+def _cells(lines: list[str], width: int) -> tuple[list[list[str]], bool]:
+    r"""The CSV rows of ``lines``, less blank rows other than ``width`` wide, and
+    whether their text is plain: ASCII with no ``_``, as every number cell must be.
+
+    Lines with no ``"``, no ``\r`` and none over ``csv.field_size_limit()`` are
+    split at ``,``, which on such text gives ``csv.reader``'s cells in about half
+    the time.  Other lines take a strict ``csv.reader``, which raises ``csv.Error`` at
+    a quoted cell the lines leave open; a record that spans lines raises
+    ``ValueError``, as the reader then reads more lines than rows."""
+    text = "\n".join(lines)
+    if "\0" in text:  # csv reads a NUL as text; the validator refuses it
+        raise ValueError("a NUL byte")
+    limit = csv.field_size_limit()
+    if '"' in text or "\r" in text or len(text) > limit and max(map(len, lines)) > limit:
+        reader = csv.reader(io.StringIO(text, newline=""), strict=True)
+        rows = list(reader)
+        if len(rows) != reader.line_num:
+            raise ValueError("a record spans lines")
+    else:
+        rows = [line.split(",") for line in lines]
+    if set(map(len, rows)) != {width}:
+        rows = [row for row in rows if len(row) == width or any(map(str.strip, row))]
+    return rows, _plain(text)
 
 
 def _load_clean(pub_path: Path, cite_path: Path) -> tuple[PublicationRecord, ...]:
     """The records of a clean pair of CSV files; raises at the first doubt."""
     interned, ints = _Sets(), _Ints()
     records: dict[str, PublicationRecord] = {}
-    for chunk in _regular_chunks(pub_path, PUBLICATIONS_HEADER):
+    for chunk, _ in _regular_chunks(pub_path, PUBLICATIONS_HEADER):
         for pub_id, pub_year, country, affiliations, categories in chunk:
             pub_id = pub_id.strip()
             if not pub_id or pub_id in records:
@@ -653,9 +698,10 @@ def _load_clean(pub_path: Path, cite_path: Path) -> tuple[PublicationRecord, ...
                 pub_id, ints[pub_year], country.strip() or None, interned[affiliations], interned[categories], {})
     if not all(interned.values()):  # every set here is a loaded record's
         raise ValueError("an empty affiliation or category set")
-    # ``ordered`` while each record's rows are one run of rows in ascending year order
+    # ``ordered`` while each record's rows are one run of rows in ascending year order;
+    # then a year above the run's last is new to the record, and its count is stored as is
     ordered, run_id = True, None
-    for chunk in _regular_chunks(cite_path, CITATIONS_HEADER):
+    for chunk, _ in _regular_chunks(cite_path, CITATIONS_HEADER):
         for pub_id, citing_year, count in chunk:
             if pub_id != run_id:
                 if (record := records.get(pub_id.strip())) is None:
@@ -665,15 +711,18 @@ def _load_clean(pub_path: Path, cite_path: Path) -> tuple[PublicationRecord, ...
                 run_id, citations, pub_year = pub_id, record.citations_by_year, record.pub_year
                 ordered, last = ordered and not citations, pub_year
             citing_year, count = ints[citing_year], ints[count]
-            if citing_year < last:
-                if citing_year < pub_year:
-                    raise ValueError("a citing year before the publication year")
-                ordered = False
+            if citing_year > last and ordered and count > 0:
+                citations[citing_year] = count
+            else:
+                if citing_year < last:
+                    if citing_year < pub_year:
+                        raise ValueError("a citing year before the publication year")
+                    ordered = False
+                if count > 0:
+                    citations[citing_year] = citations.get(citing_year, 0) + count
+                elif count:
+                    raise ValueError("a negative count")
             last = citing_year
-            if count > 0:
-                citations[citing_year] = citations.get(citing_year, 0) + count
-            elif count:
-                raise ValueError("a negative count")
     for record in () if ordered else records.values():
         object.__setattr__(record, "citations_by_year", _in_year_order(record.citations_by_year))
     return tuple(records.values())
@@ -749,7 +798,9 @@ _NO_OUTPUT = (None,) * 5
 def _clean_profiles(path: Path) -> tuple[QualityProfile, ...]:
     """The profiles of a clean CSV file; raises at the first doubt."""
     profiles: dict[tuple[str, str], QualityProfile] = {}
-    for chunk in _regular_chunks(path, PROFILES_HEADER):
+    for chunk, plain in _regular_chunks(path, PROFILES_HEADER):
+        if not plain and not all(_plain(cell) for row in chunk for cell in row[2:]):
+            raise ValueError("a number cell that is not ASCII or holds a '_'")
         for institution, discipline, p4, p3, p2, p1, pu, *outs, staff_fte, nci in chunk:
             key = (institution, discipline.casefold())  # normalize_label of an unpadded label
             if (len(outs) != 5 or not institution or institution != institution.strip()
@@ -767,11 +818,14 @@ def load_profiles(profile_file: str | Path) -> tuple[tuple[QualityProfile, ...],
     it cannot read or that is not valid UTF-8.
 
     Profiles load as publications do (see :func:`load_publications`): a
-    clean CSV file takes one pass in chunks, which builds each profile with
-    one positional ``QualityProfile`` call and gives up at the first doubt,
-    such as a blank, padded or duplicate name, a cell ``float`` refuses or a
-    profile that call refuses.  On giving up, and for JSON input, the
-    per-row validator below reads the file anew; it alone writes messages.
+    clean CSV file is read once, in chunks of lines split as there, and the
+    pass builds each profile with one positional ``QualityProfile`` call.
+    It gives up at the first doubt, such as a blank, padded or duplicate
+    name, a number cell that is not ASCII or holds a ``_`` (looked for cell
+    by cell only in a chunk whose text is not plain), a cell ``float``
+    refuses or a profile that call refuses.  On giving up, and for JSON
+    input, the per-row validator below reads the file anew; it alone writes
+    messages.
     """
     path = Path(profile_file)
     with suppress(csv.Error, ValueError):  # not clean: the validator says where

@@ -12,7 +12,8 @@ which take the per-row validator, load equal to the clean CSV, which takes
 the clean pass.  Publications and profiles load through a clean pass or the
 validator: both give equal records and violations on seeded corpora
 rewritten without changing their meaning, and the benchmark's corpus shapes
-never need the validator.
+never need the validator.  The clean reader gives ``csv.reader``'s rows or
+gives up, and holds a chunk of a file in memory, not the file.
 """
 
 import csv
@@ -23,10 +24,12 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from refh import corpus as corpus_module
 from refh.cli import main
@@ -83,9 +86,9 @@ def read_rows(path):
         return list(csv.reader(fh))
 
 
-def write_rows(path, rows):
+def write_rows(path, rows, quoting=csv.QUOTE_MINIMAL):
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    csv.writer(buf, lineterminator="\n", quoting=quoting).writerows(rows)
     path.write_text(buf.getvalue(), encoding="utf-8")
 
 
@@ -478,7 +481,7 @@ def write_table(path, header, rows):
     if path.suffix == ".csv":
         write_rows(path, [header, *rows])
         return
-    native = lambda v: int(v) if isinstance(v, str) and re.fullmatch(r"-?\d+", v) else v
+    native = lambda v: int(v) if isinstance(v, str) and re.fullmatch(r"-?[0-9]+", v) else v
     path.write_text(json.dumps([
         dict(zip(header, map(native, row))) if isinstance(row, list) else row for row in rows
     ]), encoding="utf-8")
@@ -558,10 +561,21 @@ MALFORMED = {
         [],
         {"P1": {2004: 3}},
     ),
-    "signed_and_underscored_numbers_accepted": (
-        BOTH, [pub("P1", year="+2003")], [["P1", "2004", "+5"], ["P1", "+2005", "1_0"]],
+    "signed_numbers_accepted": (
+        BOTH, [pub("P1", year="+2003")], [["P1", "2004", "+5"], ["P1", "+2005", "10"]],
         [],
         {"P1": {2004: 5, 2005: 10}},
+    ),
+    # int reads "_" between digits and other scripts' digits; a number cell is ASCII with no "_"
+    "underscored_or_non_ascii_numbers": (
+        BOTH, [pub("P1"), pub("P2", year="2_003"), pub("P3", year="\u0662\u0660\u0660\u0663"), pub("P4")],
+        [["P1", "2004", "\uff12"], ["P1", "2_005", "1"], ["P4", "2005", "1_0"], ["P4", " 2006 ", "3"]],
+        [("publications", 2, "field 'pub_year': not an integer: '2_003'"),
+         ("publications", 3, "field 'pub_year': not an integer: '\u0662\u0660\u0660\u0663'"),
+         ("citations", 1, "field 'count': not an integer: '\uff12'"),
+         ("citations", 2, "field 'citing_year': not an integer: '2_005'"),
+         ("citations", 3, "field 'count': not an integer: '1_0'")],
+        {"P1": {}, "P4": {2006: 3}},
     ),
     "zero_count_with_early_citing_year": (
         BOTH, [pub("P1")], [["P1", "2001", "0"], ["P1", "2004", "0"]],
@@ -792,11 +806,23 @@ MALFORMED_PROFILES = {
     ),
     "padded_signed_and_blank_optional_cells_accepted": (
         BOTH,
-        [prof(" Alpha ", " chemistry ", bands=(" 25 ", "+25", "2_5", "25.0 ", "0"),
+        [prof(" Alpha ", " chemistry ", bands=(" 25 ", "+25", "25", "25.0 ", "0"),
               outs=(" ", "", "  ", "", ""), staff_fte=" 1e1 ", nci="  "),
          prof("Beta", outs=("20", "30", "25", "25", "0"), nci=" 0.5 ")],
         [],
         [("Alpha", "chemistry"), ("Beta", "chemistry")],
+    ),
+    # float reads "_" between digits and other scripts' digits; a number cell is ASCII with no "_"
+    "underscored_or_non_ascii_numbers": (
+        BOTH,
+        [prof(staff_fte="1_2.0"), prof("Beta", bands=("\uff12\uff15", "25", "25", "25", "0")),
+         prof("Gamma", nci="0.5_1"), prof("Delta", outs=("25", "25", "25", "25", "\u0660")),
+         prof("Eps_\u00e9", nci="0.5")],
+        [(1, "field 'staff_fte': not a number: '1_2.0'"),
+         (2, "field 'p4': not a number: '\uff12\uff15'"),
+         (3, "field 'nci': not a number: '0.5_1'"),
+         (4, "field 'pu_out': not a number: '\u0660'")],
+        [("Eps_\u00e9", "chemistry")],
     ),
     "json_values_that_are_not_strings": (
         JSON_ONLY,
@@ -1104,17 +1130,34 @@ def repeat(body, rng):
     return [row for row in body for _ in range(2)]
 
 
+def rename(body, rng):
+    return [[*row[:3], row[3].replace("HEI", "Universit\u00e9_"), row[4]] for row in body]
+
+
+def quote_last_row(path):
+    """Quote the first cell of the file's last row, which needs no quotes."""
+    head, last = path.read_text(encoding="utf-8").removesuffix("\n").rsplit("\n", 1)
+    first, rest = last.split(",", 1)
+    path.write_text(f'{head}\n"{first}",{rest}\n', encoding="utf-8")
+
+
 # (how the publication rows change, how the citation rows change, whether
 # the meaning is unchanged); each variant is valid input
 VARIANTS = {
     "padded": (pad, pad, True),
     "blank_lines": (blank_lines, blank_lines, True),
     "crlf": (None, None, True),
+    "cr": (None, None, True),
     "shuffled_citations": (None, shuffle, True),
     "descending_citations": (None, lambda body, rng: body[::-1], True),
     "split_non_adjacent_runs": (None, split_runs, True),
     "zero_counts": (None, zero_counts, True),
     "repeated_citations": (None, repeat, False),
+    # quoted cells take csv.reader: every cell quoted, or one in the last chunk alone
+    "quoted": (None, None, True),
+    "quoted_in_the_last_chunk": (None, None, True),
+    # names in another script or holding "_": the number cells are checked one by one
+    "non_ascii_and_underscored_names": (rename, None, False),
 }
 
 
@@ -1127,13 +1170,63 @@ def test_clean_path_equals_the_validator(seeded, tmp_path, monkeypatch, variant,
     paths = tmp_path / FILES[0], tmp_path / FILES[1]
     for source, path, edit in zip((seeded / FILES[0], seeded / FILES[1]), paths, edits):
         header, *body = read_rows(source)
-        write_rows(path, [header, *(edit(body, rng) if edit else body)])
-        if variant == "crlf":
-            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        write_rows(path, [header, *(edit(body, rng) if edit else body)],
+                   csv.QUOTE_ALL if variant == "quoted" else csv.QUOTE_MINIMAL)
+        if variant in ("crlf", "cr"):
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n" if variant == "crlf" else b"\r"))
+        elif variant == "quoted_in_the_last_chunk":
+            quote_last_row(path)
     loaded = clean_load(monkeypatch, *paths)
     assert loaded == validated(*paths)
     base = validated(seeded / FILES[0], seeded / FILES[1])
     assert (loaded == base) is edits[2]
+
+
+def test_the_clean_reader_holds_a_chunk_not_the_file(tmp_path, monkeypatch):
+    # about 2 MB of citation rows, read in 256-row chunks: a chunk's rows
+    # take about ten times the memory of their text
+    monkeypatch.setattr(corpus_module, "_CHUNK_ROWS", 256)
+    path = tmp_path / FILES[1]
+    path.write_text("pub_id,citing_year,count\n" + "".join(
+        f"P{i // 4:06d},{2001 + i % 4},{1 + i % 7}\n" for i in range(140_000)), encoding="utf-8")
+    size = path.stat().st_size
+    assert size > 2_000_000
+    tracemalloc.start()
+    try:
+        rows = sum(len(chunk) for chunk, _ in corpus_module._regular_chunks(path, CITATIONS_HEADER))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 140_000
+    assert peak < size / 4
+
+
+def test_the_clean_reader_gives_csv_rows_or_gives_up(tmp_path, monkeypatch):
+    # short files of line breaks, quotes, commas and characters that
+    # str.splitlines breaks at, in chunks of one to four lines: the clean
+    # reader gives csv.reader's rows of a file with one record per line, and
+    # a chunk it calls plain holds only ASCII cells with no "_"
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.text(alphabet='ab, \n\r"\x0b\x1c\x85\u2028_\u00e9', max_size=40), st.integers(1, 4))
+    def check(body, chunk_rows):
+        monkeypatch.setattr(corpus_module, "_CHUNK_ROWS", chunk_rows)
+        path = tmp_path / "two.csv"
+        path.write_text("x,y\n" + body, encoding="utf-8", newline="")
+        try:
+            chunks = list(corpus_module._regular_chunks(path, ["x", "y"]))
+        except (ValueError, csv.Error):
+            return
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            rows = list(reader)
+        assert reader.line_num == len(rows)
+        assert rows[0] == ["x", "y"]
+        assert [row for chunk, _ in chunks for row in chunk] == [
+            row for row in rows[1:] if len(row) == 2 or any(map(str.strip, row))]
+        for chunk, plain in chunks:
+            assert not plain or all(cell.isascii() and "_" not in cell for row in chunk for cell in row)
+
+    check()
 
 
 @pytest.mark.parametrize("header, violations", [
@@ -1165,7 +1258,7 @@ def test_json_corpus_takes_the_validator_and_loads_equal(seeded, tmp_path, monke
 
 @pytest.mark.parametrize("chunk_rows", [7, 4096])
 @pytest.mark.parametrize("late", ["empty_affiliations", "negative_count", "early_citing_year",
-                                  "unknown_pub_id", "wrong_width", "spans_lines"])
+                                  "unknown_pub_id", "wrong_width", "spans_lines", "underscored_year"])
 def test_a_late_violation_gives_the_validators_messages(seeded, tmp_path, monkeypatch, late, chunk_rows):
     # one violation in the last row: with 7-row chunks, the clean pass
     # abandons its records after clean chunks of both files
@@ -1184,6 +1277,8 @@ def test_a_late_violation_gives_the_validators_messages(seeded, tmp_path, monkey
                                   f"{pub_id}: citing year {year - 1} precedes publication year {year}"),
             "unknown_pub_id": (["P-none", str(year), "1"], "unknown pub_id 'P-none'"),
             "wrong_width": ([pub_id, str(year), "1", "1"], "expected 3 fields, got 4"),
+            "underscored_year": ([pub_id, f"{year + 1:_}", "1"],
+                                 f"field 'citing_year': not an integer: '{year + 1:_}'"),
             "spans_lines": ([pub_id, str(year), "1\n"],
                             f"record spans lines {len(cites) + 1}-{len(cites) + 2}; a cell contains a line break"),
         }[late]
@@ -1209,7 +1304,8 @@ def validated_profiles(path, monkeypatch):
 @pytest.mark.parametrize("chunk_rows", [7, 4096])
 @pytest.mark.parametrize("late", ["bad_sum", "duplicate", "duplicate_in_another_case", "blank_discipline",
                                   "half_output_profile", "nan_nci", "short_row", "long_row", "spans_lines",
-                                  "staff_fte_above_its_bound"])
+                                  "staff_fte_above_its_bound", "full_width_digits",
+                                  "underscored_number_beside_a_non_ascii_name"])
 def test_a_late_profile_violation_gives_the_validators_messages(seeded, tmp_path, monkeypatch,
                                                                late, chunk_rows):
     # one violation in the last row: with 7-row chunks, the clean pass
@@ -1241,6 +1337,12 @@ def test_a_late_profile_violation_gives_the_validators_messages(seeded, tmp_path
     elif late == "staff_fte_above_its_bound":
         last[12] = "1e307"
         message = f"profile sum/shape error: {who}: staff_fte must be at most 1e+300, got 1e+307"
+    elif late == "full_width_digits":
+        last[12], message = "\uff11\uff10", "field 'staff_fte': not a number: '\uff11\uff10'"
+    elif late == "underscored_number_beside_a_non_ascii_name":
+        # a chunk whose text is not plain: its number cells are checked one by one
+        last[0], last[13] = f"{last[0]}-\u00e9", "1_0"
+        message = "field 'nci': not a number: '1_0'"
     else:
         last[13] = "1\n"
         message = f"record spans lines {len(rows) + 1}-{len(rows) + 2}; a cell contains a line break"
