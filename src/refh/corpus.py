@@ -425,14 +425,15 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
     The header must match ``header`` exactly for CSV; JSON objects may omit optional keys.
     Violations of the file's shape are added to ``violations`` once the
     rows are exhausted, ahead of any the caller added while reading them.
-    A file that is not valid UTF-8 raises ``ValueError`` at its ``file:line``.
+    A leading UTF-8 byte-order mark is dropped.  A file that is not valid
+    UTF-8 raises ``ValueError`` at its ``file:line``.
     """
     start, shape = len(violations), []
     if path.suffix.lower() == ".json":
         import json
 
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            data = json.loads(path.read_text(encoding="utf-8-sig"))
         except json.JSONDecodeError as exc:
             violations.append(f"{path.name}: invalid JSON: {exc}")
             return
@@ -453,7 +454,7 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
         violations[start:start] = shape
         return
 
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             got_header = next(reader, None)
@@ -601,18 +602,15 @@ def collector_paused() -> Iterator[None]:
 def load_publications(
     pub_file: str | Path, citation_file: str | Path
 ) -> tuple[tuple[PublicationRecord, ...], list[str]]:
-    r"""Parse the publication and citation files into records plus violations.
+    """Parse the publication and citation files into records plus violations.
 
     This is the validator for file input: it applies every rule of
     ``PublicationRecord.__init__`` and builds the records without
     running that method.  Clean CSV files take one tight pass each, which
-    reads the file once, ``_CHUNK_ROWS`` lines at a time, skips blank rows
-    and gives up at a breach of any rule, a NUL byte, a header not exactly
-    the expected one, a row of another width or a CSV error.  A chunk with
-    no quote, no ``\r`` and no over-long line is split at commas; any other
-    chunk takes ``csv.reader`` and is regular when the reader's line count
-    rose by its row count: then no record spans lines (see
-    :func:`_regular_chunks`).  On giving up, and for JSON input, the
+    reads the file once, in blocks (see :func:`_regular_chunks`), skips
+    blank rows and gives up at a breach of any rule, a NUL byte, a header
+    not exactly the expected one, a row of another width, a record that
+    spans lines or a CSV error.  On giving up, and for JSON input, the
     per-row validator reads both files anew; it alone writes messages,
     each at its ``file:line``.  Equal list cells share one
     frozenset, saving time and memory where cells repeat: categories come
@@ -634,42 +632,36 @@ _CHUNK_ROWS = 4096
 
 
 def _regular_chunks(path: Path, header: list[str]) -> Iterator[tuple[list[list[str]], bool]]:
-    """A regular CSV file's data rows in chunks of ``_CHUNK_ROWS`` lines, less blank
-    rows of the wrong width, each with whether its text is plain (see :func:`_cells`).
+    """A regular CSV file's data rows in chunks, less blank rows of the wrong
+    width, each with whether its text is plain (see :func:`_cells`).
 
-    The file is read once: the header line, then blocks of about ``_CHUNK_ROWS``
-    short lines, each completed by ``readline``, which ends a line where ``csv``
-    does.  A ``ValueError`` or ``csv.Error`` here, at a NUL, a header other than
+    The file is read once: the header line, then blocks of ``_CHUNK_ROWS * 16``
+    characters, each completed by ``readline``, which ends a line where ``csv``
+    does, and parsed as one chunk.  A leading UTF-8 byte-order mark is dropped.
+    A ``ValueError`` or ``csv.Error`` here, at a NUL, a header other than
     ``header`` (parsed as the rows are) or a record that spans lines, and the
     caller gives up; it also gives up on a non-blank row of the wrong width."""
     width = len(header)
-    with path.open(newline="", encoding="utf-8") as fh:
-        if _cells([fh.readline().removesuffix("\n")], width)[0] != [header]:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        if _cells(fh.readline().removesuffix("\n"), width)[0] != [header]:
             raise ValueError("header")
-        lines: list[str] = []
-        while block := fh.read(_CHUNK_ROWS * 32):
-            lines += (block + fh.readline()).split("\n")
-            if not lines[-1]:  # the block ends with a line break
-                lines.pop()
-            while len(lines) >= _CHUNK_ROWS:
-                yield _cells(lines[:_CHUNK_ROWS], width)
-                del lines[:_CHUNK_ROWS]
-        if lines:
-            yield _cells(lines, width)
+        while block := fh.read(_CHUNK_ROWS * 16):
+            yield _cells((block + fh.readline()).removesuffix("\n"), width)
 
 
-def _cells(lines: list[str], width: int) -> tuple[list[list[str]], bool]:
-    r"""The CSV rows of ``lines``, less blank rows other than ``width`` wide, and
-    whether their text is plain: ASCII with no ``_``, as every number cell must be.
+def _cells(text: str, width: int) -> tuple[list[list[str]], bool]:
+    r"""The CSV rows of the lines of ``text`` (a block of :func:`_regular_chunks`),
+    less blank rows other than ``width`` wide, and whether the text is plain:
+    ASCII with no ``_``, as every number cell must be.
 
     Lines with no ``"``, no ``\r`` and none over ``csv.field_size_limit()`` are
     split at ``,``, which on such text gives ``csv.reader``'s cells in about half
-    the time.  Other lines take a strict ``csv.reader``, which raises ``csv.Error`` at
-    a quoted cell the lines leave open; a record that spans lines raises
+    the time.  Other text takes a strict ``csv.reader``, which raises ``csv.Error`` at
+    a quoted cell the text leaves open; a record that spans lines raises
     ``ValueError``, as the reader then reads more lines than rows."""
-    text = "\n".join(lines)
     if "\0" in text:  # csv reads a NUL as text; the validator refuses it
         raise ValueError("a NUL byte")
+    lines = text.split("\n")
     limit = csv.field_size_limit()
     if '"' in text or "\r" in text or len(text) > limit and max(map(len, lines)) > limit:
         reader = csv.reader(io.StringIO(text, newline=""), strict=True)
@@ -818,8 +810,8 @@ def load_profiles(profile_file: str | Path) -> tuple[tuple[QualityProfile, ...],
     it cannot read or that is not valid UTF-8.
 
     Profiles load as publications do (see :func:`load_publications`): a
-    clean CSV file is read once, in chunks of lines split as there, and the
-    pass builds each profile with one positional ``QualityProfile`` call.
+    clean CSV file is read once, in blocks (see :func:`_regular_chunks`), and
+    the pass builds each profile with one positional ``QualityProfile`` call.
     It gives up at the first doubt, such as a blank, padded or duplicate
     name, a number cell that is not ASCII or holds a ``_`` (looked for cell
     by cell only in a chunk whose text is not plain), a cell ``float``

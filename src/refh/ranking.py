@@ -166,7 +166,7 @@ def with_movement(table: RankedTable, report: MovementReport) -> RankedTable:
 
 
 # ---------------------------------------------------------------------------
-# Rendering and parsing
+# Rendering
 # ---------------------------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import golden_tables as gt
 import refh
-from refh import cli, metrics as metrics_module, ranking, stats, synth
+from refh import cli, corpus as corpus_module, metrics as metrics_module, ranking, stats, synth
 from refh.cli import main, parse_pairs, parse_years
 from refh.corpus import Corpus, PublicationWindow, ingest_corpus
 
@@ -158,6 +158,17 @@ USAGE_ERRORS = {
                         "--measure", "h_2008", "--out", out],
         "refh rank: error: argument --measure: h_2008 measures 2008, which must come after "
         "window start 2008"),
+    "hindex --window with a non-integer year": (
+        lambda c, out: ["hindex", *c, "--discipline", "synthetic", "--window", "20x1:2007",
+                        "--years", "2008", "--out", out],
+        "refh hindex: error: argument --window: window years must be integers, got '20x1:2007'"),
+    "hindex --years with no year": (
+        lambda c, out: ["hindex", *c, "--discipline", "synthetic", "--window", "2001:2007",
+                        "--years", ",", "--out", out],
+        "refh hindex: error: argument --years: no measurement years in ','"),
+    "correlate --pairs with no pair": (
+        lambda c, out: ["correlate", *c, *RAE2008, "--pairs", ",", "--out", out],
+        "refh correlate: error: argument --pairs: no measure pairs in ','"),
     "correlate non-contiguous --years": (
         lambda c, out: ["correlate", *c, "--discipline", "synthetic", "--window", "2001:2007",
                         "--years", "2008,2010", "--pairs", "s:i", "--out", out],
@@ -438,6 +449,30 @@ class TestIngestCommand:
         )
         code, out, err = run(["ingest", *corpus_args(paths)], capsys)
         assert (code, out, err) == (1, "", "refh: discipline_map.json:3: not valid UTF-8\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_leading_byte_order_mark_is_dropped(self, synth_dir, tmp_path, capsys, monkeypatch, fmt):
+        # a copy of each file that starts with a UTF-8 BOM reads as the file
+        # does: ingest says the same, and score writes the same bytes, from a
+        # CSV profile file through the clean pass
+        plain = synth_paths(synth_dir) if fmt == "csv" else json_corpus(synth_dir, tmp_path / "json")
+        (tmp_path / "bom").mkdir()
+        bom = {name: tmp_path / "bom" / path.name for name, path in plain.items()}
+        for name, path in plain.items():
+            bom[name].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        said = run(["ingest", *corpus_args(plain)], capsys)
+        assert said[0] == 0 and run(["ingest", *corpus_args(bom)], capsys) == said
+
+        def refuse(*args):
+            raise AssertionError("the validator's reader ran")
+
+        if fmt == "csv":
+            monkeypatch.setattr(corpus_module, "_read_rows", refuse)
+        written = []
+        for paths, out in ((plain, tmp_path / "plain_out"), (bom, tmp_path / "bom_out")):
+            assert main(["score", "--profiles", str(paths["profiles"]), "--out", str(out)]) == 0
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("char", ["\n", "\r", "\0"])
     @pytest.mark.parametrize("name, field", [("publications", "affiliations"), ("citations", "pub_id"),

@@ -71,6 +71,16 @@ class TestRecordInvariants:
         with pytest.raises(ValueError, match="P1: citing year 2002 precedes publication year 2003"):
             replace(r, citations_by_year={2002: 1})
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: PublicationRecord("  ", 2003, "GB", ["Alpha"], ["Chemistry"]),
+         "pub_id must be a non-empty string"),
+        (lambda: DisciplineMap("chem", frozenset()), "discipline 'chem': empty category set"),
+    ], ids=["blank_pub_id", "empty_category_set"])
+    def test_constructor_refusals_keep_their_messages(self, build, message):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
 
 class TestProfileInvariants:
     def test_sum_must_be_100(self):
@@ -273,6 +283,18 @@ class TestIngest:
             jdir / "profiles.json", jdir / "discipline_map.json",
         )
         assert from_csv == from_json
+
+    def test_only_a_leading_byte_order_mark_is_dropped(self, tmp_path):
+        # a U+FEFF past the start of the file stays in its cell, through the
+        # clean pass (profiles) and the validator (the discipline map)
+        paths = write_files(tmp_path, profiles="\ufeffAlpha,chemistry,25,25,25,25,0,,,,,,10,",
+                            dmap="chemistry,\ufeffChemistry")
+        for name in ("profiles", "discipline_map"):
+            paths[name].write_text("\ufeff" + paths[name].read_text(encoding="utf-8"), encoding="utf-8")
+        profiles, violations = load_profiles(paths["profiles"])
+        assert [p.institution for p in profiles] == ["\ufeffAlpha"] and violations == []
+        assert load_discipline_maps(paths["discipline_map"]) == (
+            (DisciplineMap("chemistry", frozenset({"\ufeffChemistry"})),), [])
 
     @pytest.mark.parametrize("affiliations", [None, "MISSING"])
     def test_json_null_list_field_is_missing(self, tmp_path, affiliations):

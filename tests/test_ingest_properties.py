@@ -665,6 +665,13 @@ MALFORMED = {
          ("citations", 2, "unknown pub_id 'P3'")],
         {"P1": {2004: 1}},
     ),
+    "json_object_with_an_unknown_field": (
+        JSON_ONLY, [pub("P1"), {**dict(zip(PUBLICATIONS_HEADER, pub("P2"))), "extra": "x"}],
+        [["P1", "2004", "1"], ["P2", "2004", "1"]],
+        [("publications", 2, "unknown field(s) ['extra']"),
+         ("citations", 2, "unknown pub_id 'P2'")],
+        {"P1": {2004: 1}},
+    ),
 }
 
 
@@ -852,6 +859,18 @@ def test_malformed_profiles_violations_in_order(tmp_path, fmt, case):
     line = (lambda row: row + 1) if fmt == "csv" else (lambda row: row)
     assert violations == [f"profiles.{fmt}:{line(row)}: {message}" for row, message in expected]
     assert [(p.institution, p.discipline) for p in profiles] == loaded
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("profiles.csv", "", f"profiles.csv: empty file, expected header {','.join(PROFILES_HEADER)}"),
+    ("discipline_map.json", "", "discipline_map.json: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("profiles.json", '{"institution": "Alpha"}', "profiles.json: expected a JSON list of objects"),
+], ids=["empty_csv", "invalid_json", "json_not_a_list"])
+def test_a_file_of_the_wrong_shape_gives_one_violation(tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    load = load_profiles if name.startswith("profiles") else load_discipline_maps
+    assert load(path) == ((), [message])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1148,6 +1167,8 @@ VARIANTS = {
     "blank_lines": (blank_lines, blank_lines, True),
     "crlf": (None, None, True),
     "cr": (None, None, True),
+    # a UTF-8 byte-order mark ahead of the header is dropped
+    "bom": (None, None, True),
     "shuffled_citations": (None, shuffle, True),
     "descending_citations": (None, lambda body, rng: body[::-1], True),
     "split_non_adjacent_runs": (None, split_runs, True),
@@ -1174,6 +1195,8 @@ def test_clean_path_equals_the_validator(seeded, tmp_path, monkeypatch, variant,
                    csv.QUOTE_ALL if variant == "quoted" else csv.QUOTE_MINIMAL)
         if variant in ("crlf", "cr"):
             path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n" if variant == "crlf" else b"\r"))
+        elif variant == "bom":
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         elif variant == "quoted_in_the_last_chunk":
             quote_last_row(path)
     loaded = clean_load(monkeypatch, *paths)
