@@ -364,97 +364,93 @@ def _resolve_synth(args: argparse.Namespace) -> None:
         raise ValueError(f"argument {_SYNTH_FLAGS[exc.field]}: {exc.problem}") from None
 
 
-COMMANDS = ("ingest", "hindex", "score", "correlate", "rank", "synth")
-
-
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The ``refh`` parser; when ``only`` is one of ``COMMANDS``, the others get
-    their name and help but no options, which leaves every usage text as it is."""
+def build_parser() -> argparse.ArgumentParser:
+    """The ``refh`` parser with every subcommand and its options."""
     parser = argparse.ArgumentParser(
         prog="refh",
         description="Departmental h-index and assessment-score analytics over citation corpora.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, resolve=None, **kwargs) -> argparse.ArgumentParser | None:
+    def command(name, func, resolve=None, **kwargs) -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func, resolve=resolve, parser=p)
-        return p if only not in COMMANDS or only == name else None
+        return p
 
-    if p := command("ingest", cmd_ingest, help="validate corpus files and report totals"):
-        _add_corpus_options(p)
+    p = command("ingest", cmd_ingest, help="validate corpus files and report totals")
+    _add_corpus_options(p)
 
-    if p := command(
+    p = command(
         "hindex", cmd_hindex, _resolve_hindex,
         help="write per-institution h-index series (hseries.csv)",
-    ):
-        _add_corpus_options(p)
-        _add_run_options(p)
-        _add_out_option(p)
+    )
+    _add_corpus_options(p)
+    _add_run_options(p)
+    _add_out_option(p)
 
-    if p := command("score", cmd_score, help="write quality scores per profile (scores.csv)"):
-        _add_corpus_options(p, profiles_only=True)
-        p.add_argument("--discipline", help="restrict to one discipline")
-        _add_out_option(p)
+    p = command("score", cmd_score, help="write quality scores per profile (scores.csv)")
+    _add_corpus_options(p, profiles_only=True)
+    p.add_argument("--discipline", help="restrict to one discipline")
+    _add_out_option(p)
 
-    if p := command(
+    p = command(
         "correlate", cmd_correlate, _resolve_correlate,
         help="write correlations.csv, corr_series.csv, fig_points.csv for measure pairs",
-    ):
-        _add_corpus_options(p)
-        _add_run_options(p)
-        _add_out_option(p)
-        p.add_argument(
-            "--pairs",
-            required=True,
-            type=_flag_type(parse_pairs),
-            help="comma-separated X:Y measure pairs, e.g. s:h_2008,s_prime:h_2008,s:i; "
-            "an h_YYYY or h_hat_YYYY label must name one of --years",
-        )
+    )
+    _add_corpus_options(p)
+    _add_run_options(p)
+    _add_out_option(p)
+    p.add_argument(
+        "--pairs",
+        required=True,
+        type=_flag_type(parse_pairs),
+        help="comma-separated X:Y measure pairs, e.g. s:h_2008,s_prime:h_2008,s:i; "
+        "an h_YYYY or h_hat_YYYY label must name one of --years",
+    )
 
-    if p := command(
+    p = command(
         "rank", cmd_rank, _resolve_rank, help="write a competition-ranked table for one measure"
-    ):
-        _add_corpus_options(p)
-        _add_run_options(p, with_years=False)
-        _add_out_option(p)
-        p.add_argument("--format", choices=list(RANK_SUFFIXES), default="csv")
-        p.add_argument("--measure", required=True, help="s | s_prime | s_output | strength | i | h_YYYY | h_hat_YYYY")
-        p.add_argument("--baseline", help="baseline measure for movement markers")
-        p.add_argument(
-            "--baseline-window",
-            type=_flag_type(PublicationWindow.parse),
-            help="publication window START:END for the baseline measure "
-            "(defaults to --window; lets h_2008 baselines meet h_hat_2014 comparisons)",
-        )
+    )
+    _add_corpus_options(p)
+    _add_run_options(p, with_years=False)
+    _add_out_option(p)
+    p.add_argument("--format", choices=list(RANK_SUFFIXES), default="csv")
+    p.add_argument("--measure", required=True, help="s | s_prime | s_output | strength | i | h_YYYY | h_hat_YYYY")
+    p.add_argument("--baseline", help="baseline measure for movement markers")
+    p.add_argument(
+        "--baseline-window",
+        type=_flag_type(PublicationWindow.parse),
+        help="publication window START:END for the baseline measure "
+        "(defaults to --window; lets h_2008 baselines meet h_hat_2014 comparisons)",
+    )
 
-    if p := command(
+    p = command(
         "synth", cmd_synth, _resolve_synth, help="generate a deterministic synthetic corpus"
-    ):
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument(
-            "--institutions", type=int, required=True,
-            help="number of groups (this times --papers HI may not exceed 2000000 records)",
-        )
-        p.add_argument(
-            "--out", required=True, type=Path, help="directory for the corpus CSVs and manifest.json"
-        )
-        p.add_argument(
-            "--papers", type=_flag_type(parse_papers), default="20:40",
-            help="papers per institution LO:HI (default 20:40)",
-        )
-        p.add_argument(
-            "--window", type=_flag_type(PublicationWindow.parse), default="2001:2007",
-            help="publication window START:END",
-        )
-        p.add_argument(
-            "--model",
-            type=_flag_type(lambda text: synth.parse_citation_model(text)),  # synth loads on use
-            default="lognormal:1.8:0.6",
-            help="citation model KIND:A:B (lognormal:MU:SIGMA or power_law:ALPHA:XMIN)",
-        )
-        p.add_argument("--accrual", type=float, default=0.35, help="per-year citation accrual decay in (0,1)")
-        p.add_argument("--quality-link", type=float, default=0.7, help="quality coupling in [0,1]")
+    )
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument(
+        "--institutions", type=int, required=True,
+        help="number of groups (this times --papers HI may not exceed 2000000 records)",
+    )
+    p.add_argument(
+        "--out", required=True, type=Path, help="directory for the corpus CSVs and manifest.json"
+    )
+    p.add_argument(
+        "--papers", type=_flag_type(parse_papers), default="20:40",
+        help="papers per institution LO:HI (default 20:40)",
+    )
+    p.add_argument(
+        "--window", type=_flag_type(PublicationWindow.parse), default="2001:2007",
+        help="publication window START:END",
+    )
+    p.add_argument(
+        "--model",
+        type=_flag_type(lambda text: synth.parse_citation_model(text)),  # synth loads on use
+        default="lognormal:1.8:0.6",
+        help="citation model KIND:A:B (lognormal:MU:SIGMA or power_law:ALPHA:XMIN)",
+    )
+    p.add_argument("--accrual", type=float, default=0.35, help="per-year citation accrual decay in (0,1)")
+    p.add_argument("--quality-link", type=float, default=0.7, help="quality coupling in [0,1]")
 
     return parser
 
@@ -463,13 +459,11 @@ def main(argv: list[str] | None = None) -> int:
     if name := os.environ.get("REFH_LOG", "").upper():
         import logging
 
-        level = getattr(logging, name, None)  # a level, or another name such as BASIC_FORMAT
         logging.basicConfig(
-            level=level if isinstance(level, int) else logging.WARNING,
+            level=logging.getLevelNamesMapping().get(name, logging.WARNING),
             format="%(levelname)s %(name)s: %(message)s",
         )
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.resolve:
         try:
             args.resolve(args)

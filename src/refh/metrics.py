@@ -63,8 +63,8 @@ class GroupMetrics:
     group.
 
     With a fixed window, citations only accumulate, so h must be
-    non-decreasing across consecutive measurement years; construction
-    rejects a series violating that.
+    non-decreasing across adjacent measurement years, a skipped year
+    between them or not; construction rejects a series violating that.
     """
 
     institution: str
@@ -73,16 +73,16 @@ class GroupMetrics:
     h_by_year: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        values = {int(y): int(h) for y, h in self.h_by_year.items()}
+        values = dict(sorted({int(y): int(h) for y, h in self.h_by_year.items()}.items()))
+        earlier = None  # the (year, h) before this one
         for year, h in values.items():
+            if earlier and h < earlier[1]:
+                raise ValueError(f"{self.institution}: h must not decrease between consecutive "
+                                 f"years ({earlier[0]}: {earlier[1]}, {year}: {h})")
             if h < 0:
                 raise ValueError(f"negative h {h} at {year}")
-            if (year + 1) in values and values[year + 1] < h:
-                raise ValueError(
-                    f"{self.institution}: h must not decrease between consecutive "
-                    f"years ({year}: {h}, {year + 1}: {values[year + 1]})"
-                )
-        object.__setattr__(self, "h_by_year", dict(sorted(values.items())))
+            earlier = year, h
+        object.__setattr__(self, "h_by_year", values)
 
 
 def group_metrics(

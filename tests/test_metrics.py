@@ -200,6 +200,15 @@ class TestHSeries:
     def test_series_type_rejects_decreasing_values(self):
         with pytest.raises(ValueError, match="must not decrease"):
             GroupMetrics("Alpha", "chemistry", WINDOW, {2008: 5, 2009: 4})
+        # adjacent measurement years with a skipped year between them
+        with pytest.raises(ValueError) as err:
+            GroupMetrics("A", "x", WINDOW, {2008: 3, 2010: 2})
+        assert str(err.value) == "A: h must not decrease between consecutive years (2008: 3, 2010: 2)"
+
+    def test_series_type_rejects_negative_h(self):
+        with pytest.raises(ValueError) as err:
+            GroupMetrics("A", "x", WINDOW, {2008: -1})
+        assert str(err.value) == "negative h -1 at 2008"
 
 
 def exact_s(bands):
@@ -232,6 +241,7 @@ class TestScores:
 
     def test_s_output_absent(self):
         assert score_s_output(profile()) is None
+        assert profile().output_percentages() is None
 
     def test_s_output_examples(self):
         p = profile(out_bands=(100.0, 0.0, 0.0, 0.0, 0.0))

@@ -185,8 +185,10 @@ class TestRendering:
             RankEntry(2, "B", 4.0, "up"),
             RankEntry(3, "C", 3.0, "down"),
             RankEntry(4, "D", 2.0, "new"),
+            RankEntry(5, "E", None, "none"),
         )
         text = render_table(RankedTable("d", "x", entries), "markdown")
+        assert "| 5 | E |  |  |" in text.splitlines()
         assert "| A |  |" in text
         assert "| B | ↑ |" in text
         assert "| C | ↓ |" in text

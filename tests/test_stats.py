@@ -632,6 +632,15 @@ class TestReportInvariants:
                 significant_pearson=False, significant_spearman=False,
             )
 
+    def test_coefficient_outside_unit_interval_rejected(self):
+        with pytest.raises(ValueError) as err:
+            CorrelationReport(
+                discipline="d", measure_x="s", measure_y="h_2008", n=3,
+                pearson_r=1.5, spearman_rho=0.5, p_pearson=0.5, p_spearman=0.5,
+                significant_pearson=False, significant_spearman=False,
+            )
+        assert str(err.value) == "pearson_r outside [-1, 1]"
+
 
 class TestWriters:
     def test_csv_headers_and_shape(self, tmp_path):

@@ -100,6 +100,7 @@ class TestConfigValidation:
             lambda: PowerLaw(1.0, 1.0),
             lambda: PowerLaw(2.5, 0.0),
         ],
+        ids=["zero_sigma", "nan_mu", "alpha_one", "zero_x_min"],
     )
     def test_invalid_distribution_parameters(self, model):
         with pytest.raises(ValueError):
@@ -443,7 +444,7 @@ class TestOverflowingModels:
         lambda: PowerLaw(float("inf"), 1.0),
         lambda: PowerLaw(2.5, float("inf")),
         lambda: PowerLaw(float("nan"), 1.0),
-    ])
+    ], ids=["inf_alpha", "inf_x_min", "nan_alpha"])
     def test_non_finite_power_law_parameters_refused(self, model):
         with pytest.raises(ValueError, match="invalid power-law parameters"):
             model()
