@@ -37,7 +37,7 @@ import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import cache
-from operator import attrgetter
+from operator import attrgetter, index
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -140,10 +140,15 @@ class PublicationRecord:
 
     ``citations_by_year`` maps citing calendar year to a positive count;
     zero counts are dropped on construction so that equal citation
-    histories compare equal.  An empty or missing country is stored as
-    ``None`` and simply never matches a country filter.  The pub_id,
-    affiliations and categories are stripped of surrounding whitespace, and
-    blank affiliations and categories dropped, as the loader does.
+    histories compare equal.  The publication year, citing years and counts
+    must be integers (``int`` or a type with ``__index__``); a string or a
+    float is refused, not coerced.  An empty or missing country is stored as
+    ``None`` and simply never matches a country filter; any other country
+    must be a string.  The pub_id, affiliations and categories are stripped
+    of surrounding whitespace, and blank affiliations and categories
+    dropped, as the loader does.  A label set that is already an exact
+    ``frozenset`` of stripped, non-blank labels is kept rather than copied,
+    so records built from one set share it.
 
     A record built in the library is checked and normalised here, in
     ``__init__``, which sets each field once.  File input is checked by
@@ -164,24 +169,42 @@ class PublicationRecord:
                  citations_by_year: Mapping[int, int] = _NO_CITATIONS):
         if not isinstance(pub_id, str) or not (pub_id := pub_id.strip()):
             raise ValueError("pub_id must be a non-empty string")
+        try:
+            pub_year = index(pub_year)
+        except TypeError:
+            raise ValueError(f"{pub_id}: pub_year must be an integer, got {pub_year!r}") from None
         affiliations = _stripped_set(affiliations)
         categories = _stripped_set(categories)
         if problem := _empty_list(pub_id, affiliations, categories):
             raise ValueError(problem)
         if isinstance(country, str):
             country = country.strip()
+        elif country is not None:
+            raise ValueError(f"{pub_id}: country must be a string or None, got {country!r}")
         cleaned: dict[int, int] = {}
+        last, ordered = pub_year - 1, True
         for year, count in citations_by_year.items():
-            year, count = int(year), int(count)
+            try:
+                year, count = index(year), index(count)
+            except TypeError:
+                raise ValueError(
+                    f"{pub_id}: citations_by_year must map integer years to integer counts, "
+                    f"got {year!r}: {count!r}"
+                ) from None
             if count < 0:
                 raise ValueError(f"{pub_id}: negative citation count {count} in year {year}")
-            if year < pub_year:
+            if year > last:
+                last = year
+            elif year < pub_year:
                 raise ValueError(
                     f"{pub_id}: citing year {year} precedes publication year {pub_year}"
                 )
+            else:
+                ordered = False
             if count:
                 cleaned[year] = cleaned.get(year, 0) + count
-        _set_record(self, pub_id, pub_year, country or None, affiliations, categories, _in_year_order(cleaned))
+        _set_record(self, pub_id, pub_year, country or None, affiliations, categories,
+                    cleaned if ordered else _in_year_order(cleaned))
 
     @classmethod
     def _loaded(cls, pub_id, pub_year, country, affiliations, categories, citations_by_year):
@@ -198,7 +221,18 @@ _set_record = _fields_setter(PublicationRecord)
 
 
 def _stripped_set(labels: Iterable[str]) -> frozenset[str]:
-    """``labels`` stripped of surrounding whitespace, blanks dropped."""
+    """``labels`` stripped of surrounding whitespace, blanks dropped.
+
+    An exact ``frozenset`` whose labels are all exact, stripped, non-blank
+    strings is returned itself rather than copied; any other input (a list,
+    a set, a ``frozenset`` subclass, padded or blank labels) gets a new set.
+    """
+    if type(labels) is frozenset:
+        for label in labels:
+            if type(label) is not str or not label or label.strip() != label:
+                break
+        else:
+            return labels
     stripped = frozenset(map(str.strip, labels))
     return stripped - {""} if "" in stripped else stripped
 

@@ -23,6 +23,7 @@ from bisect import bisect
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 from random import Random
 
 from refh.corpus import (
@@ -191,10 +192,15 @@ def _grid_profile(mix: float) -> tuple[float, ...]:
     grade (and every monotone score of the profile) rises with ``mix``.
     """
     mix = min(1.0, max(0.0, mix))
-    probs = [  # comb(4, g) for g = 4, 3, 2, 1, 0
-        comb * mix**g * (1.0 - mix) ** (4 - g) for comb, g in zip((1, 4, 6, 4, 1), (4, 3, 2, 1, 0))
+    rest = 1.0 - mix
+    # comb(4, g) * mix**g * rest**(4 - g) for g = 4, 3, 2, 1, with the factors
+    # that are exactly 1 left out; U takes what the four leave of 100
+    micros = [
+        round(mix**4 * 100 * _MICRO),
+        round(4 * mix**3 * rest * 100 * _MICRO),
+        round(6 * mix**2 * rest**2 * 100 * _MICRO),
+        round(4 * mix * rest**3 * 100 * _MICRO),
     ]
-    micros = [round(p * 100 * _MICRO) for p in probs[:4]]
     last = 100 * _MICRO - sum(micros)
     if last < 0:
         micros[micros.index(max(micros))] += last
@@ -218,6 +224,11 @@ def generate(config: SynthConfig) -> Corpus:
     draws uniformly from ``range(lo, lo + n)``.  Each citation falls in the
     first accrual year whose cumulative weight exceeds its draw; the last year
     takes the rest, so weights whose sum rounds below 1 lose no citation.
+
+    Every record goes through the checked :class:`PublicationRecord`
+    constructor with integer years and counts.  Its label sets are clean
+    frozensets made once per institution and per category, which the
+    constructor keeps rather than copies, so the records share them.
     """
     random = Random(config.seed).random
     model = config.citation_model
@@ -274,7 +285,7 @@ def generate(config: SynthConfig) -> Corpus:
                 counts = [0] * _ACCRUAL_HORIZON
                 for _ in range(total):
                     counts[bisect(cuts, random())] += 1
-                citations = {year: c for year, c in enumerate(counts, pub_year) if c}
+                citations = dict(filter(itemgetter(1), enumerate(counts, pub_year)))
             publications.append(
                 PublicationRecord(pub_id, pub_year, country, affiliations, categories, citations)
             )

@@ -75,11 +75,109 @@ class TestRecordInvariants:
         (lambda: PublicationRecord("  ", 2003, "GB", ["Alpha"], ["Chemistry"]),
          "pub_id must be a non-empty string"),
         (lambda: DisciplineMap("chem", frozenset()), "discipline 'chem': empty category set"),
-    ], ids=["blank_pub_id", "empty_category_set"])
+        (lambda: PublicationRecord("P1", "2004", "GB", ["A"], ["c"]),
+         "P1: pub_year must be an integer, got '2004'"),
+        (lambda: PublicationRecord("P1", 2004.0, "GB", ["A"], ["c"]),
+         "P1: pub_year must be an integer, got 2004.0"),
+        (lambda: PublicationRecord(" P1 ", "2004", "GB", [], []),
+         "P1: pub_year must be an integer, got '2004'"),
+        (lambda: PublicationRecord("P1", 2004, 5, ["A"], ["c"]),
+         "P1: country must be a string or None, got 5"),
+        (lambda: PublicationRecord("P1", 2004, 5, [], ["c"]),
+         "P1: affiliations must be non-empty"),
+        (lambda: PublicationRecord("P1", 2004, "GB", ["A"], ["c"], {2005.9: 1.7}),
+         "P1: citations_by_year must map integer years to integer counts, got 2005.9: 1.7"),
+        (lambda: PublicationRecord("P1", 2004, "GB", ["A"], ["c"], {2005: "3"}),
+         "P1: citations_by_year must map integer years to integer counts, got 2005: '3'"),
+        (lambda: PublicationRecord("P1", 2004, "GB", ["A"], ["c"], {"2005": -1}),
+         "P1: citations_by_year must map integer years to integer counts, got '2005': -1"),
+        (lambda: record("P1", 2003, citations={2005: 1, 2001: 1.0}),
+         "P1: citations_by_year must map integer years to integer counts, got 2001: 1.0"),
+        (lambda: record("P1", 2003, citations={2005: -1, 2001: 1}),
+         "P1: negative citation count -1 in year 2005"),
+        (lambda: record("P1", 2003, citations={2001: -1}),
+         "P1: negative citation count -1 in year 2001"),
+        (lambda: record("P1", 2003, citations={2005: 1, 2004: 1, 2002: -1}),
+         "P1: negative citation count -1 in year 2002"),
+        (lambda: record("P1", 2003, citations={2005: 1, 2001: 1}),
+         "P1: citing year 2001 precedes publication year 2003"),
+        (lambda: record("P1", 2003, citations={2002: 0}),
+         "P1: citing year 2002 precedes publication year 2003"),
+    ], ids=["blank_pub_id", "empty_category_set", "string_pub_year", "float_pub_year",
+            "pub_year_before_labels", "int_country", "labels_before_country", "float_citation",
+            "string_count", "string_year_before_negative_count", "float_count_after_ordered",
+            "negative_before_early_year", "negative_early_year", "negative_after_unordered",
+            "early_year_after_ordered", "early_year_zero_count"])
     def test_constructor_refusals_keep_their_messages(self, build, message):
         with pytest.raises(ValueError) as err:
             build()
         assert str(err.value) == message
+
+    def test_integer_types_are_taken_as_int(self):
+        r = PublicationRecord("P1", np.int64(2004), "GB", ["A"], ["c"],
+                              {np.int64(2005): np.int32(2), 2006: True})
+        assert (r.pub_year, r.citations_by_year) == (2004, {2005: 2, 2006: 1})
+        assert type(r.pub_year) is int
+        assert all(type(v) is int for item in r.citations_by_year.items() for v in item)
+
+    @pytest.mark.parametrize("citations, stored", [
+        ({2004: 1, 2006: 2}, [(2004, 1), (2006, 2)]),
+        ({2006: 2, 2004: 1}, [(2004, 1), (2006, 2)]),
+        ({2003: 0, 2005: 3, 2004: 0}, [(2005, 3)]),
+        ({2005: 3, 2004: 0, 2006: 1}, [(2005, 3), (2006, 1)]),
+        ({2004: 0, 2005: 0}, []),
+        ({2007: 1, 2003: 2, 2005: 4}, [(2003, 2), (2005, 4), (2007, 1)]),
+    ], ids=["ascending", "descending", "zeros_out_of_order", "zero_between", "all_zero", "shuffled"])
+    def test_citations_are_stored_in_year_order_without_zeros(self, citations, stored):
+        assert list(record("P1", 2003, citations=citations).citations_by_year.items()) == stored
+
+    def test_repeated_years_are_summed(self):
+        class Pairs(dict):
+            """A mapping whose items repeat a year as two equal integer keys."""
+
+            def items(self):
+                return [(2005, 1), (2004, 2), (np.int64(2005), 3)]
+
+        r = PublicationRecord("P1", 2003, "GB", ["A"], ["c"], Pairs())
+        assert list(r.citations_by_year.items()) == [(2004, 2), (2005, 4)]
+
+
+class TestLabelSets:
+    def test_clean_frozensets_are_kept(self):
+        affiliations, categories = frozenset({"Alpha", "Beta"}), frozenset({"Chemistry"})
+        r = PublicationRecord("P1", 2003, "GB", affiliations, categories)
+        assert r.affiliations is affiliations and r.categories is categories
+
+    class Labels(frozenset):
+        pass
+
+    @pytest.mark.parametrize("labels", [
+        frozenset({" Alpha", "Beta"}),
+        frozenset({"Alpha", "Beta", ""}),
+        frozenset({"Alpha", "Beta", "  "}),
+        Labels({"Alpha", "Beta"}),
+        {"Alpha", "Beta"},
+        ["Alpha", " Beta ", "Alpha"],
+        ("Alpha", "Beta"),
+    ], ids=["padded", "blank", "whitespace", "frozenset_subclass", "set", "list", "tuple"])
+    def test_other_label_sets_are_copied_and_normalised(self, labels):
+        r = PublicationRecord("P1", 2003, "GB", labels, labels)
+        for stored in (r.affiliations, r.categories):
+            assert stored is not labels
+            assert type(stored) is frozenset and stored == {"Alpha", "Beta"}
+
+    def test_a_label_of_a_str_subclass_is_copied_as_str(self):
+        class Label(str):
+            pass
+
+        labels = frozenset({Label("Alpha")})
+        r = PublicationRecord("P1", 2003, "GB", labels, ["c"])
+        assert r.affiliations is not labels and r.affiliations == {"Alpha"}
+        assert all(type(label) is str for label in r.affiliations)
+
+    def test_a_frozenset_holding_a_non_string_is_refused_as_before(self):
+        with pytest.raises(TypeError):
+            PublicationRecord("P1", 2003, "GB", frozenset({"Alpha", 5}), ["c"])
 
 
 class TestProfileInvariants:

@@ -1,9 +1,11 @@
 import hashlib
 import math
 import re
+import tracemalloc
 import typing
 from collections.abc import Callable
 from pathlib import Path
+from random import Random
 
 import numpy as np
 import pytest
@@ -14,13 +16,16 @@ from refh.corpus import PublicationRecord, PublicationWindow, write_corpus
 from refh.metrics import compute_h, group_metrics, score_profile
 from refh.stats import pearson, spearman
 from refh.synth import (
+    _MICRO,
     MAX_CITATIONS,
     MAX_RECORDS,
+    SYNTH_CATEGORIES,
     Lognormal,
     PowerLaw,
     SynthConfig,
     SynthConfigError,
     _accrual_weights,
+    _grid_profile,
     generate,
     parse_citation_model,
 )
@@ -428,6 +433,75 @@ def test_every_generated_record_runs_the_checked_constructor(monkeypatch):
     monkeypatch.setattr(PublicationRecord, "__init__", counting)
     corpus = generate(config(seed=11, n_institutions=6))
     assert calls == [r.pub_id for r in corpus.publications]
+
+
+def _reference_bands(mix: float) -> list[int]:
+    """The four rounded micro-percent bands 4*..1 from one generic product
+    comb(4, g) * mix**g * (1 - mix)**(4 - g) over all five grades: the
+    reference for ``_grid_profile``'s four direct expressions, which must
+    round alike."""
+    mix = min(1.0, max(0.0, mix))
+    probs = [  # comb(4, g) for g = 4, 3, 2, 1, 0
+        comb * mix**g * (1.0 - mix) ** (4 - g) for comb, g in zip((1, 4, 6, 4, 1), (4, 3, 2, 1, 0))
+    ]
+    return [round(p * 100 * _MICRO) for p in probs[:4]]
+
+
+def _grid_profile_reference(mix: float) -> tuple[float, ...]:
+    micros = _reference_bands(mix)
+    last = 100 * _MICRO - sum(micros)
+    if last < 0:
+        micros[micros.index(max(micros))] += last
+        last = 0
+    micros.append(last)
+    return tuple(m / _MICRO for m in micros)
+
+
+# mixes whose four rounded bands sum above 100, so that U is clamped at 0
+OVERSHOOTING_MIXES = (0.990831, 0.991015, 0.9955062640731493, 0.9999026771431976)
+
+
+def test_grid_profile_matches_its_reference():
+    assert all(sum(_reference_bands(mix)) > 100 * _MICRO for mix in OVERSHOOTING_MIXES)
+    random = Random(2024).random
+    mixes = [random() for _ in range(100_000)] + [0.0, 1.0, -0.1, 1.1, *OVERSHOOTING_MIXES]
+    assert [mix for mix in mixes if _grid_profile(mix) != _grid_profile_reference(mix)] == []
+
+
+@pytest.fixture(scope="module")
+def twenty_groups():
+    return generate(config(seed=13, n_institutions=20, papers_per_institution=(10, 30)))
+
+
+def test_each_institution_shares_one_affiliations_set(twenty_groups):
+    held = {}
+    for r in twenty_groups.publications:
+        if len(r.affiliations) == 1:
+            held.setdefault(r.affiliations, set()).add(id(r.affiliations))
+    assert any(len(r.affiliations) == 2 for r in twenty_groups.publications)  # extra affiliations occur
+    assert len(held) == 20 and all(len(ids) == 1 for ids in held.values())
+
+
+def test_in_discipline_records_share_two_category_sets(twenty_groups):
+    in_discipline = set(SYNTH_CATEGORIES)
+    held = {id(r.categories) for r in twenty_groups.publications if r.categories & in_discipline}
+    assert len(held) == 2
+
+
+def test_generated_records_retain_few_bytes():
+    """The bytes a generated corpus holds per record, as tracemalloc counts
+    them: about 955 B when each record copied its label sets, 536 B when
+    records share them."""
+    shape = config(seed=7, n_institutions=12, papers_per_institution=(200, 300),
+                  citation_model=Lognormal(1.8, 0.6), accrual=0.35, quality_link=0.7)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus = generate(shape)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / len(corpus.publications) < 700
 
 
 @pytest.mark.parametrize("function, hints", [
