@@ -121,16 +121,16 @@ class PublicationWindow:
 _NO_CITATIONS: Mapping[int, int] = MappingProxyType({})
 
 
-def _fields_setter(cls: type) -> Callable[..., None]:
+def _fields_setter(cls: type) -> Callable[..., object]:
     """``set_fields(obj, *values)``, which sets each field of the slotted
     dataclass ``cls`` once, in field order, through the slot descriptors that
-    a frozen class's ``__setattr__`` does not guard.  It is written out one
-    call per field, as dataclasses writes an ``__init__``: a loop over the
-    descriptors would cost each object more than its checks do."""
+    a frozen class's ``__setattr__`` does not guard, and returns ``obj``.  It
+    is written out one call per field, as dataclasses writes an ``__init__``:
+    a loop over the descriptors would cost each object more than its checks do."""
     names = cls.__slots__
     namespace = {f"set_{name}": cls.__dict__[name].__set__ for name in names}
     exec(f"def set_fields(obj, {', '.join(names)}):\n"
-         + "".join(f"    set_{name}(obj, {name})\n" for name in names), namespace)
+         + "".join(f"    set_{name}(obj, {name})\n" for name in names) + "    return obj\n", namespace)
     return namespace["set_fields"]
 
 
@@ -153,7 +153,7 @@ class PublicationRecord:
     A record built in the library is checked and normalised here, in
     ``__init__``, which sets each field once.  File input is checked by
     :func:`load_publications`, which reports each violation at its
-    ``file:line`` and builds records with :meth:`_loaded`, without running
+    ``file:line`` and sets the fields of each record itself, without running
     these checks a second time.
     """
 
@@ -173,8 +173,14 @@ class PublicationRecord:
             pub_year = index(pub_year)
         except TypeError:
             raise ValueError(f"{pub_id}: pub_year must be an integer, got {pub_year!r}") from None
-        affiliations = _stripped_set(affiliations)
-        categories = _stripped_set(categories)
+        try:
+            affiliations = _stripped_set(affiliations)
+        except TypeError:  # a label that is not a string, or labels that are not iterable
+            raise ValueError(f"{pub_id}: affiliations must be an iterable of strings") from None
+        try:
+            categories = _stripped_set(categories)
+        except TypeError:
+            raise ValueError(f"{pub_id}: categories must be an iterable of strings") from None
         if problem := _empty_list(pub_id, affiliations, categories):
             raise ValueError(problem)
         if isinstance(country, str):
@@ -183,7 +189,11 @@ class PublicationRecord:
             raise ValueError(f"{pub_id}: country must be a string or None, got {country!r}")
         cleaned: dict[int, int] = {}
         last, ordered = pub_year - 1, True
-        for year, count in citations_by_year.items():
+        try:
+            items = citations_by_year.items()
+        except AttributeError:
+            raise ValueError(f"{pub_id}: citations_by_year must be a mapping, got {citations_by_year!r}") from None
+        for year, count in items:
             try:
                 year, count = index(year), index(count)
             except TypeError:
@@ -205,16 +215,6 @@ class PublicationRecord:
                 cleaned[year] = cleaned.get(year, 0) + count
         _set_record(self, pub_id, pub_year, country or None, affiliations, categories,
                     cleaned if ordered else _in_year_order(cleaned))
-
-    @classmethod
-    def _loaded(cls, pub_id, pub_year, country, affiliations, categories, citations_by_year):
-        """A record from values that :func:`load_publications` has already
-        checked and normalised, ``citations_by_year`` in ascending year order.
-        Fields are set through the slot descriptors, which the frozen
-        class's ``__setattr__`` does not guard; nothing is checked again."""
-        record = object.__new__(cls)
-        _set_record(record, pub_id, pub_year, country, affiliations, categories, citations_by_year)
-        return record
 
 
 _set_record = _fields_setter(PublicationRecord)
@@ -585,25 +585,36 @@ def _plain(text: str) -> bool:
     return text.isascii() and "_" not in text
 
 
-class _Ints(dict):
-    """A number cell -> its ``int``, parsed once; a malformed cell raises ``ValueError``."""
+class _Parsed(dict):
+    """A cell -> ``parse(cell)``, parsed once per distinct cell, so that equal
+    cells share one value; an error from ``parse`` is raised as it is."""
 
-    def __missing__(self, cell: str) -> int:
-        if not _plain(cell):
-            raise ValueError(cell)
-        value = self[cell] = int(cell)
+    def __init__(self, parse: Callable[[str], object]):
+        self.parse = parse
+
+    def __missing__(self, cell: str):
+        value = self[cell] = self.parse(cell)
         return value
 
 
-class _Sets(dict):
-    """A ``;``-separated cell -> the frozenset of its stripped, non-blank items, made once."""
+def _int_cell(cell: str) -> int:
+    """A number cell's ``int``; ``ValueError`` unless it is :func:`_plain`."""
+    if not _plain(cell):
+        raise ValueError(cell)
+    return int(cell)
 
-    def __missing__(self, cell: str) -> frozenset[str]:
-        value = self[cell] = _stripped_set(cell.split(";"))
-        return value
+
+def _labels_cell(cell: str) -> frozenset[str]:
+    """A ``;``-separated cell's stripped, non-blank items."""
+    return _stripped_set(cell.split(";"))
 
 
-def _get_set(raw, key: str, where: tuple[str, int], violations: list[str], interned: _Sets):
+def _country_cell(cell: str) -> str | None:
+    """A country cell stripped and interned, ``None`` when blank."""
+    return sys.intern(country) if (country := cell.strip()) else None
+
+
+def _get_set(raw, key: str, where: tuple[str, int], violations: list[str], interned: _Parsed):
     """A ``;``-separated string or a JSON list of strings as a shared frozenset;
     ``None``, flagged, when a JSON value or list item is not a string."""
     if raw is None or isinstance(raw, str):
@@ -646,9 +657,13 @@ def load_publications(
     not exactly the expected one, a row of another width, a record that
     spans lines or a CSV error.  On giving up, and for JSON input, the
     per-row validator reads both files anew; it alone writes messages,
-    each at its ``file:line``.  Equal list cells share one
-    frozenset, saving time and memory where cells repeat: categories come
-    from a fixed classification, and a group names few institutions.
+    each at its ``file:line``.  The clean pass parses each distinct year,
+    count, label-list and country cell once, and both readers parse label
+    lists and countries so, through one table per kind of cell: equal cells
+    give one shared value (a frozenset, or an interned country string,
+    whatever the padding), saving time and memory where cells repeat:
+    categories come from a fixed classification, a group names few
+    institutions and a corpus few countries.
 
     What the load skips, and why that is safe: the cyclic garbage collector
     is paused while it runs (see :func:`collector_paused`).  A record's
@@ -711,7 +726,7 @@ def _cells(text: str, width: int) -> tuple[list[list[str]], bool]:
 
 def _load_clean(pub_path: Path, cite_path: Path) -> tuple[PublicationRecord, ...]:
     """The records of a clean pair of CSV files; raises at the first doubt."""
-    interned, ints = _Sets(), _Ints()
+    interned, ints, countries = _Parsed(_labels_cell), _Parsed(_int_cell), _Parsed(_country_cell)
     records: dict[str, PublicationRecord] = {}
     for chunk, _ in _regular_chunks(pub_path, PUBLICATIONS_HEADER):
         for pub_id, pub_year, country, affiliations, categories in chunk:
@@ -720,8 +735,8 @@ def _load_clean(pub_path: Path, cite_path: Path) -> tuple[PublicationRecord, ...
                 if pub_id or any(map(str.strip, (pub_year, country, affiliations, categories))):
                     raise ValueError("a blank or duplicate pub_id")
                 continue  # a blank row
-            records[pub_id] = PublicationRecord._loaded(
-                pub_id, ints[pub_year], country.strip() or None, interned[affiliations], interned[categories], {})
+            records[pub_id] = _set_record(object.__new__(PublicationRecord), pub_id, ints[pub_year],
+                                          countries[country], interned[affiliations], interned[categories], {})
     if not all(interned.values()):  # every set here is a loaded record's
         raise ValueError("an empty affiliation or category set")
     # ``ordered`` while each record's rows are one run of rows in ascending year order;
@@ -757,7 +772,7 @@ def _load_clean(pub_path: Path, cite_path: Path) -> tuple[PublicationRecord, ...
 def _validate_publications(pub_path: Path, cite_path: Path) -> tuple[tuple[PublicationRecord, ...], list[str]]:
     pub_name, cite_name = pub_path.name, cite_path.name
     violations: list[str] = []
-    interned = _Sets()
+    interned, countries = _Parsed(_labels_cell), _Parsed(_country_cell)
     # pub_id -> (line_no, pub_year, country, affiliations, categories, citations)
     parsed: dict[str, tuple] = {}
     for line_no, row in _read_rows(pub_path, PUBLICATIONS_HEADER, violations):
@@ -778,7 +793,7 @@ def _validate_publications(pub_path: Path, cite_path: Path) -> tuple[tuple[Publi
         affiliations = _get_set(affiliations, "affiliations", where, violations, interned)
         categories = _get_set(categories, "categories", where, violations, interned)
         if None not in (country, affiliations, categories):
-            parsed[pub_id] = (line_no, pub_year, country or None, affiliations, categories, {})
+            parsed[pub_id] = (line_no, pub_year, countries[country], affiliations, categories, {})
 
     for line_no, row in _read_rows(cite_path, CITATIONS_HEADER, violations):
         pub_id, citing_year, count = row
@@ -811,9 +826,8 @@ def _validate_publications(pub_path: Path, cite_path: Path) -> tuple[tuple[Publi
         if problem := _empty_list(pub_id, affiliations, categories):
             _flag(violations, (pub_name, line_no), problem)
             continue
-        records.append(PublicationRecord._loaded(
-            pub_id, pub_year, country, affiliations, categories, _in_year_order(citations)
-        ))
+        records.append(_set_record(object.__new__(PublicationRecord), pub_id, pub_year, country,
+                                   affiliations, categories, _in_year_order(citations)))
     return tuple(records), violations
 
 

@@ -120,6 +120,22 @@ class SynthConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """What :func:`generate` draws; construction refuses a field out of its
+    range with a :class:`SynthConfigError` naming it.
+
+    - ``seed``: the ``random.Random`` seed, in [0, 2**64).
+    - ``n_institutions``: the number of groups, at least 1.
+    - ``papers_per_institution``: ``(LO, HI)``, each group's paper count drawn
+      from LO..HI; 1 <= LO <= HI < 2**63, and ``n_institutions * HI`` is at
+      most ``MAX_RECORDS``.
+    - ``window``: the publication window, its years in [-2**63, 2**63).
+    - ``citation_model``: a :class:`Lognormal` or :class:`PowerLaw`, which
+      checks its own parameters.
+    - ``accrual``: the geometric per-year citation decay, in (0, 1).
+    - ``quality_link``: how strongly latent quality drives citations and
+      profiles, in [0, 1].
+    """
+
     seed: int
     n_institutions: int
     papers_per_institution: tuple[int, int]

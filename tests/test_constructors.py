@@ -5,15 +5,18 @@ frozen dataclasses that set each field once in their own ``__init__``.  These
 tests pin what the generated dataclass constructors gave callers: keyword and
 positional calls, defaults, ``dataclasses.replace`` running the checks,
 ``asdict`` (the ``rank --format json`` path), equality, hashing, pickling and
-every refusal message.
+every refusal message.  Every dataclass in ``refh`` has its own docstring.
 """
 
+import importlib
 import math
 import pickle
-from dataclasses import FrozenInstanceError, asdict, fields, replace
+import pkgutil
+from dataclasses import FrozenInstanceError, asdict, fields, is_dataclass, replace
 
 import pytest
 
+import refh
 from refh.corpus import QualityProfile
 from refh.metrics import ScoreSet
 from refh.ranking import RankEntry, RankMove
@@ -123,3 +126,13 @@ def test_checks_accept_their_bounds():
     assert build(QualityProfile, nci=0.0, staff_fte=1e-300).nci == 0.0
     assert build(QualityProfile, staff_fte=1e300).staff_fte == 1e300
     assert RankMove(None, 1, "new").old_rank is None  # RankMove checks nothing
+
+
+def test_every_refh_dataclass_has_its_own_docstring():
+    # dataclasses gives a class with no docstring its signature as one
+    modules = [importlib.import_module(f"refh.{m.name}") for m in pkgutil.iter_modules(refh.__path__)
+               if not m.name.startswith("_")]
+    classes = [cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and is_dataclass(cls) and cls.__module__ == module.__name__]
+    assert len(classes) == 16
+    assert [cls.__name__ for cls in classes if cls.__doc__.startswith(f"{cls.__name__}(")] == []

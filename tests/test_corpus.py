@@ -85,6 +85,16 @@ class TestRecordInvariants:
          "P1: country must be a string or None, got 5"),
         (lambda: PublicationRecord("P1", 2004, 5, [], ["c"]),
          "P1: affiliations must be non-empty"),
+        (lambda: PublicationRecord("P1", 2004, "GB", frozenset({"Alpha", 5}), ["c"]),
+         "P1: affiliations must be an iterable of strings"),
+        (lambda: PublicationRecord("P1", 2004, 5, ["A"], ["c", None]),
+         "P1: categories must be an iterable of strings"),
+        (lambda: PublicationRecord("P1", 2004, "GB", 5, []),
+         "P1: affiliations must be an iterable of strings"),
+        (lambda: PublicationRecord("P1", 2004, "GB", ["A"], ["c"], [(2004, 1)]),
+         "P1: citations_by_year must be a mapping, got [(2004, 1)]"),
+        (lambda: PublicationRecord("P1", 2004, 5, ["A"], ["c"], [(2004, 1)]),
+         "P1: country must be a string or None, got 5"),
         (lambda: PublicationRecord("P1", 2004, "GB", ["A"], ["c"], {2005.9: 1.7}),
          "P1: citations_by_year must map integer years to integer counts, got 2005.9: 1.7"),
         (lambda: PublicationRecord("P1", 2004, "GB", ["A"], ["c"], {2005: "3"}),
@@ -104,7 +114,9 @@ class TestRecordInvariants:
         (lambda: record("P1", 2003, citations={2002: 0}),
          "P1: citing year 2002 precedes publication year 2003"),
     ], ids=["blank_pub_id", "empty_category_set", "string_pub_year", "float_pub_year",
-            "pub_year_before_labels", "int_country", "labels_before_country", "float_citation",
+            "pub_year_before_labels", "int_country", "labels_before_country",
+            "non_string_label_in_a_frozenset", "label_types_before_country", "labels_not_iterable",
+            "citations_not_a_mapping", "country_before_citations", "float_citation",
             "string_count", "string_year_before_negative_count", "float_count_after_ordered",
             "negative_before_early_year", "negative_early_year", "negative_after_unordered",
             "early_year_after_ordered", "early_year_zero_count"])
@@ -174,10 +186,6 @@ class TestLabelSets:
         r = PublicationRecord("P1", 2003, "GB", labels, ["c"])
         assert r.affiliations is not labels and r.affiliations == {"Alpha"}
         assert all(type(label) is str for label in r.affiliations)
-
-    def test_a_frozenset_holding_a_non_string_is_refused_as_before(self):
-        with pytest.raises(TypeError):
-            PublicationRecord("P1", 2003, "GB", frozenset({"Alpha", 5}), ["c"])
 
 
 class TestProfileInvariants:

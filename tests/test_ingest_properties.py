@@ -1020,18 +1020,26 @@ def test_loader_never_runs_record_checks(tmp_path, monkeypatch):
                           "publications.csv:3: P2: affiliations must be non-empty"]
 
 
-def test_equal_list_cells_share_one_frozenset(tmp_path):
-    paths = tmp_path / "publications.csv", tmp_path / "citations.csv"
-    write_table(paths[0], PUBLICATIONS_HEADER, [
-        pub("P1", affiliations="Alpha;Beta"), pub("P2", affiliations="Alpha;Beta"),
-        pub("P3", affiliations="Gamma"),
-    ])
-    write_table(paths[1], CITATIONS_HEADER, [])
-    (p1, p2, p3), violations = load_publications(*paths)
-    assert violations == []
-    assert p1.affiliations is p2.affiliations
-    assert p1.categories is p2.categories is p3.categories
-    assert p3.affiliations == frozenset({"Gamma"})
+def test_equal_list_cells_share_one_frozenset(tmp_path, monkeypatch):
+    # and equal country cells, padded or not, share one string; the CSV files
+    # take the clean pass, their JSON copies the validator
+    rows = [pub("P1", affiliations="Alpha;Beta"), pub("P2", affiliations="Alpha;Beta", country=" GB "),
+            pub("P3", affiliations="Gamma"), pub("P4", country="  ")]
+    for fmt in ("csv", "json"):
+        paths = tmp_path / f"publications.{fmt}", tmp_path / f"citations.{fmt}"
+        write_table(paths[0], PUBLICATIONS_HEADER, rows)
+        write_table(paths[1], CITATIONS_HEADER, [])
+        if fmt == "csv":
+            loaded, violations = clean_load(monkeypatch, *paths)
+            p1, p2, p3, p4 = (r for r, _ in loaded)
+        else:
+            (p1, p2, p3, p4), violations = load_publications(*paths)
+        assert violations == []
+        assert p1.affiliations is p2.affiliations
+        assert p1.categories is p2.categories is p3.categories is p4.categories
+        assert p3.affiliations == frozenset({"Gamma"})
+        assert p1.country == "GB" and p1.country is p2.country is p3.country
+        assert p4.country is None
 
 
 # ---------------------------------------------------------------------------

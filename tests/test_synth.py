@@ -12,7 +12,7 @@ import pytest
 
 from refh import synth as synth_module
 from refh.cli import main
-from refh.corpus import PublicationRecord, PublicationWindow, write_corpus
+from refh.corpus import PublicationRecord, PublicationWindow, load_publications, write_corpus
 from refh.metrics import compute_h, group_metrics, score_profile
 from refh.stats import pearson, spearman
 from refh.synth import (
@@ -502,6 +502,24 @@ def test_generated_records_retain_few_bytes():
     finally:
         tracemalloc.stop()
     assert retained / len(corpus.publications) < 700
+
+
+def test_loaded_records_retain_few_bytes(tmp_path):
+    """The bytes a loaded corpus holds per record, as tracemalloc counts them:
+    454 B when each record held its own copy of its country string, 403 B
+    when records with one country share one string."""
+    shape = config(seed=7, n_institutions=12, papers_per_institution=(200, 300),
+                  citation_model=Lognormal(1.8, 0.6), accrual=0.35, quality_link=0.7)
+    paths = write_corpus(generate(shape), tmp_path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records, violations = load_publications(paths["publications"], paths["citations"])
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert violations == [] and len(records) > 2000
+    assert retained / len(records) < 425
 
 
 @pytest.mark.parametrize("function, hints", [
