@@ -88,12 +88,19 @@ def log_info(logger: str, message: str, *args) -> None:
 
 @dataclass(frozen=True)
 class PublicationWindow:
-    """Inclusive range of publication years, e.g. 2001:2007."""
+    """Inclusive range of publication years, e.g. 2001:2007.  Each year must be
+    an integer (``int`` or a type with ``__index__``, stored as ``int``)."""
 
     start_year: int
     end_year: int
 
     def __post_init__(self):
+        for name in ("start_year", "end_year"):
+            year = getattr(self, name)
+            try:
+                object.__setattr__(self, name, index(year))
+            except TypeError:
+                raise ValueError(f"window {name} must be an integer, got {year!r}") from None
         if self.start_year > self.end_year:
             raise ValueError(
                 f"window start {self.start_year} after end {self.end_year}"
@@ -150,11 +157,11 @@ class PublicationRecord:
     ``frozenset`` of stripped, non-blank labels is kept rather than copied,
     so records built from one set share it.
 
-    A record built in the library is checked and normalised here, in
-    ``__init__``, which sets each field once.  File input is checked by
-    :func:`load_publications`, which reports each violation at its
-    ``file:line`` and sets the fields of each record itself, without running
-    these checks a second time.
+    Every record is checked and normalised here, in ``__init__``, which sets
+    each field once, save those of :func:`load_publications`' clean pass: it
+    reads only CSV files that break no rule, and sets each record's fields
+    itself.  The per-row validator, which reads the other files, flags each
+    violation at its ``file:line`` and builds its records here.
     """
 
     pub_id: str
@@ -175,14 +182,16 @@ class PublicationRecord:
             raise ValueError(f"{pub_id}: pub_year must be an integer, got {pub_year!r}") from None
         try:
             affiliations = _stripped_set(affiliations)
-        except TypeError:  # a label that is not a string, or labels that are not iterable
+        except TypeError:  # a string, a label that is not a string, or labels that are not iterable
             raise ValueError(f"{pub_id}: affiliations must be an iterable of strings") from None
         try:
             categories = _stripped_set(categories)
         except TypeError:
             raise ValueError(f"{pub_id}: categories must be an iterable of strings") from None
-        if problem := _empty_list(pub_id, affiliations, categories):
-            raise ValueError(problem)
+        if not affiliations:
+            raise ValueError(f"{pub_id}: affiliations must be non-empty")
+        if not categories:
+            raise ValueError(f"{pub_id}: categories must be non-empty")
         if isinstance(country, str):
             country = country.strip()
         elif country is not None:
@@ -226,6 +235,8 @@ def _stripped_set(labels: Iterable[str]) -> frozenset[str]:
     An exact ``frozenset`` whose labels are all exact, stripped, non-blank
     strings is returned itself rather than copied; any other input (a list,
     a set, a ``frozenset`` subclass, padded or blank labels) gets a new set.
+    A string raises ``TypeError``, as a label that is not a string does:
+    it would give the set of its characters.
     """
     if type(labels) is frozenset:
         for label in labels:
@@ -233,6 +244,8 @@ def _stripped_set(labels: Iterable[str]) -> frozenset[str]:
                 break
         else:
             return labels
+    elif isinstance(labels, str):
+        raise TypeError("a string, not a collection of labels")
     stripped = frozenset(map(str.strip, labels))
     return stripped - {""} if "" in stripped else stripped
 
@@ -240,15 +253,6 @@ def _stripped_set(labels: Iterable[str]) -> frozenset[str]:
 def _in_year_order(citations: dict[int, int]) -> dict[int, int]:
     """``citations`` itself when its years ascend, else a copy sorted by year."""
     return citations if [*citations] == sorted(citations) else dict(sorted(citations.items()))
-
-
-def _empty_list(pub_id: str, affiliations: frozenset[str], categories: frozenset[str]) -> str | None:
-    """The violation of a record with no affiliations or no categories."""
-    if not affiliations:
-        return f"{pub_id}: affiliations must be non-empty"
-    if not categories:
-        return f"{pub_id}: categories must be non-empty"
-    return None
 
 
 @dataclass(frozen=True)
@@ -259,6 +263,9 @@ class DisciplineMap:
     categories: frozenset[str]
 
     def __post_init__(self):
+        if isinstance(self.categories, str):  # not the set of its characters
+            raise ValueError(f"discipline {self.discipline!r}: categories must be a collection of labels, "
+                             f"not the string {self.categories!r}")
         object.__setattr__(self, "categories", frozenset(self.categories))
         if not self.categories:
             raise ValueError(f"discipline {self.discipline!r}: empty category set")
@@ -528,8 +535,9 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
 def _breaks_line(value) -> bool:
     """Whether a CSV cell, a JSON string or a string in a JSON list holds a line
     break or a NUL; either would reach an output row, which a line break splits."""
-    return any(isinstance(s, str) and ("\n" in s or "\r" in s or "\0" in s)
-               for s in (value if isinstance(value, list) else [value]))
+    if isinstance(value, str):
+        return "\n" in value or "\r" in value or "\0" in value
+    return isinstance(value, list) and any(isinstance(s, str) and _breaks_line(s) for s in value)
 
 
 def _not_utf8(path: Path) -> ValueError:
@@ -649,21 +657,22 @@ def load_publications(
 ) -> tuple[tuple[PublicationRecord, ...], list[str]]:
     """Parse the publication and citation files into records plus violations.
 
-    This is the validator for file input: it applies every rule of
-    ``PublicationRecord.__init__`` and builds the records without
-    running that method.  Clean CSV files take one tight pass each, which
+    Clean CSV files take one tight pass each, the only code that sets a
+    record's fields without running ``PublicationRecord.__init__``.  It
     reads the file once, in blocks (see :func:`_regular_chunks`), skips
     blank rows and gives up at a breach of any rule, a NUL byte, a header
     not exactly the expected one, a row of another width, a record that
     spans lines or a CSV error.  On giving up, and for JSON input, the
     per-row validator reads both files anew; it alone writes messages,
-    each at its ``file:line``.  The clean pass parses each distinct year,
-    count, label-list and country cell once, and both readers parse label
-    lists and countries so, through one table per kind of cell: equal cells
-    give one shared value (a frozenset, or an interned country string,
-    whatever the padding), saving time and memory where cells repeat:
-    categories come from a fixed classification, a group names few
-    institutions and a corpus few countries.
+    each at its ``file:line``, and it builds each record with ``__init__``,
+    flagging a record that method refuses at the record's line.  The clean
+    pass parses each distinct year, count, label-list and country cell
+    once, and both readers parse label lists and countries so, through one
+    table per kind of cell: equal cells give one shared value (a frozenset,
+    or an interned country string, whatever the padding), saving time and
+    memory where cells repeat: categories come from a fixed classification,
+    a group names few institutions and a corpus few countries.  Equal years
+    share one ``int`` in both readers.
 
     What the load skips, and why that is safe: the cyclic garbage collector
     is paused while it runs (see :func:`collector_paused`).  A record's
@@ -770,9 +779,10 @@ def _load_clean(pub_path: Path, cite_path: Path) -> tuple[PublicationRecord, ...
 
 
 def _validate_publications(pub_path: Path, cite_path: Path) -> tuple[tuple[PublicationRecord, ...], list[str]]:
+    """The per-row validator; unlike the clean pass, it builds each record with ``PublicationRecord.__init__``."""
     pub_name, cite_name = pub_path.name, cite_path.name
     violations: list[str] = []
-    interned, countries = _Parsed(_labels_cell), _Parsed(_country_cell)
+    interned, countries, years = _Parsed(_labels_cell), _Parsed(_country_cell), {}
     # pub_id -> (line_no, pub_year, country, affiliations, categories, citations)
     parsed: dict[str, tuple] = {}
     for line_no, row in _read_rows(pub_path, PUBLICATIONS_HEADER, violations):
@@ -793,7 +803,8 @@ def _validate_publications(pub_path: Path, cite_path: Path) -> tuple[tuple[Publi
         affiliations = _get_set(affiliations, "affiliations", where, violations, interned)
         categories = _get_set(categories, "categories", where, violations, interned)
         if None not in (country, affiliations, categories):
-            parsed[pub_id] = (line_no, pub_year, countries[country], affiliations, categories, {})
+            parsed[pub_id] = (line_no, years.setdefault(pub_year, pub_year), countries[country],
+                              affiliations, categories, {})
 
     for line_no, row in _read_rows(cite_path, CITATIONS_HEADER, violations):
         pub_id, citing_year, count = row
@@ -818,16 +829,15 @@ def _validate_publications(pub_path: Path, cite_path: Path) -> tuple[tuple[Publi
                 f"{pub_id}: citing year {citing_year} precedes publication year {pub_year}",
             )
             continue
-        if count:
-            citations[citing_year] = citations.get(citing_year, 0) + count
+        citing_year = years.setdefault(citing_year, citing_year)
+        citations[citing_year] = citations.get(citing_year, 0) + count
 
     records = []
-    for pub_id, (line_no, pub_year, country, affiliations, categories, citations) in parsed.items():
-        if problem := _empty_list(pub_id, affiliations, categories):
-            _flag(violations, (pub_name, line_no), problem)
-            continue
-        records.append(_set_record(object.__new__(PublicationRecord), pub_id, pub_year, country,
-                                   affiliations, categories, _in_year_order(citations)))
+    for pub_id, (line_no, *fields) in parsed.items():
+        try:
+            records.append(PublicationRecord(pub_id, *fields))
+        except ValueError as exc:  # an empty label list
+            _flag(violations, (pub_name, line_no), str(exc))
     return tuple(records), violations
 
 

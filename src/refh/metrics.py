@@ -17,7 +17,7 @@ Quality scores come from graded profiles:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, index
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -65,6 +65,8 @@ class GroupMetrics:
     With a fixed window, citations only accumulate, so h must be
     non-decreasing across adjacent measurement years, a skipped year
     between them or not; construction rejects a series violating that.
+    Years and h must be integers (``int`` or a type with ``__index__``,
+    stored as ``int``); a string or a float is refused, not coerced.
     """
 
     institution: str
@@ -73,7 +75,14 @@ class GroupMetrics:
     h_by_year: Mapping[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        values = dict(sorted({int(y): int(h) for y, h in self.h_by_year.items()}.items()))
+        values = {}
+        for year, h in self.h_by_year.items():
+            try:
+                values[index(year)] = index(h)
+            except TypeError:
+                raise ValueError(f"{self.institution}: h_by_year must map integer years to integer h, "
+                                 f"got {year!r}: {h!r}") from None
+        values = dict(sorted(values.items()))
         earlier = None  # the (year, h) before this one
         for year, h in values.items():
             if earlier and h < earlier[1]:

@@ -41,6 +41,22 @@ class TestPublicationWindow:
         with pytest.raises(ValueError):
             PublicationWindow.parse("2008-2013")
 
+    @pytest.mark.parametrize("start, end, message", [
+        (2001.5, 2007, "window start_year must be an integer, got 2001.5"),
+        ("2001", "2007", "window start_year must be an integer, got '2001'"),
+        (2001, 2007.0, "window end_year must be an integer, got 2007.0"),
+        (2007, 2001, "window start 2007 after end 2001"),
+    ], ids=["float_start", "strings", "float_end", "reversed"])
+    def test_years_must_be_integers(self, start, end, message):
+        with pytest.raises(ValueError) as err:
+            PublicationWindow(start, end)
+        assert str(err.value) == message
+
+    def test_integer_types_are_taken_as_int(self):
+        window = PublicationWindow(np.int64(2001), np.int32(2007))
+        assert window == WINDOW and str(window) == "2001:2007"
+        assert type(window.start_year) is int and type(window.end_year) is int
+
 
 class TestRecordInvariants:
     def test_citing_year_before_pub_year_rejected(self):
@@ -91,6 +107,12 @@ class TestRecordInvariants:
          "P1: categories must be an iterable of strings"),
         (lambda: PublicationRecord("P1", 2004, "GB", 5, []),
          "P1: affiliations must be an iterable of strings"),
+        (lambda: PublicationRecord("P1", 2004, "GB", "Alpha", "Chemistry"),
+         "P1: affiliations must be an iterable of strings"),
+        (lambda: PublicationRecord("P1", 2004, 5, ["Alpha"], "Chemistry"),
+         "P1: categories must be an iterable of strings"),
+        (lambda: PublicationRecord("P1", "2004", "GB", "Alpha", ["c"]),
+         "P1: pub_year must be an integer, got '2004'"),
         (lambda: PublicationRecord("P1", 2004, "GB", ["A"], ["c"], [(2004, 1)]),
          "P1: citations_by_year must be a mapping, got [(2004, 1)]"),
         (lambda: PublicationRecord("P1", 2004, 5, ["A"], ["c"], [(2004, 1)]),
@@ -116,6 +138,7 @@ class TestRecordInvariants:
     ], ids=["blank_pub_id", "empty_category_set", "string_pub_year", "float_pub_year",
             "pub_year_before_labels", "int_country", "labels_before_country",
             "non_string_label_in_a_frozenset", "label_types_before_country", "labels_not_iterable",
+            "string_affiliations", "string_categories_before_country", "pub_year_before_string_labels",
             "citations_not_a_mapping", "country_before_citations", "float_citation",
             "string_count", "string_year_before_negative_count", "float_count_after_ordered",
             "negative_before_early_year", "negative_early_year", "negative_after_unordered",
@@ -186,6 +209,13 @@ class TestLabelSets:
         r = PublicationRecord("P1", 2003, "GB", labels, ["c"])
         assert r.affiliations is not labels and r.affiliations == {"Alpha"}
         assert all(type(label) is str for label in r.affiliations)
+
+
+class TestDisciplineMap:
+    def test_a_string_is_refused_as_a_category_set(self):
+        with pytest.raises(ValueError) as err:
+            DisciplineMap("d", "abc")
+        assert str(err.value) == "discipline 'd': categories must be a collection of labels, not the string 'abc'"
 
 
 class TestProfileInvariants:

@@ -6,13 +6,13 @@ byte-identical command outputs; renaming an institution must only rename
 it in the outputs; one more citation row must never lower an h; cutting a
 file short must give exit 0 or a ``file:line`` error, never a traceback.
 A malformed corpus or profile file gives one exact violation list, in
-order, from CSV and JSON alike; the loaders check file input themselves,
-and library-built records keep their own checks.  Padded or JSON profiles,
-which take the per-row validator, load equal to the clean CSV, which takes
-the clean pass.  Publications and profiles load through a clean pass or the
-validator: both give equal records and violations on seeded corpora
-rewritten without changing their meaning, and the benchmark's corpus shapes
-never need the validator.  The clean reader gives ``csv.reader``'s rows or
+order, from CSV and JSON alike; the validator builds each record through
+the record's own checks, which the clean pass alone does without.  Padded
+or JSON profiles, which take the per-row validator, load equal to the clean
+CSV, which takes the clean pass.  Publications and profiles load through a
+clean pass or the validator: both give equal records and violations on
+seeded corpora rewritten without changing their meaning, and the
+benchmark's corpus shapes never need the validator.  The clean reader gives ``csv.reader``'s rows or
 gives up, and holds a chunk of a file in memory, not the file.
 """
 
@@ -992,7 +992,8 @@ def test_load_leaves_the_garbage_collector_as_it_was(tmp_path, enabled):
 
 
 # ---------------------------------------------------------------------------
-# Two validation paths: the loader checks file input, __init__ the rest
+# __init__ checks every record but the clean pass's, which sets the fields
+# itself; the validator builds with __init__ and flags its refusals
 # ---------------------------------------------------------------------------
 
 
@@ -1006,29 +1007,46 @@ def test_library_built_record_is_still_checked(kwargs, message):
         record("P1", **kwargs)
 
 
-def test_loader_never_runs_record_checks(tmp_path, monkeypatch):
+def test_clean_pass_never_runs_record_checks(tmp_path, monkeypatch):
     def refuse(self, *args, **kwargs):
-        raise AssertionError("PublicationRecord.__init__ ran on the load path")
+        raise AssertionError("PublicationRecord.__init__ ran in the clean pass")
 
     monkeypatch.setattr(PublicationRecord, "__init__", refuse)
+    paths = tmp_path / "publications.csv", tmp_path / "citations.csv"
+    write_table(paths[0], PUBLICATIONS_HEADER, [pub("P1"), pub("P2")])
+    write_table(paths[1], CITATIONS_HEADER, [["P1", "2004", "3"], ["P2", "2005", "1"]])
+    records, violations = load_publications(*paths)
+    assert violations == []
+    assert [(r.pub_id, r.citations_by_year) for r in records] == [("P1", {2004: 3}), ("P2", {2005: 1})]
+
+
+def test_validator_builds_each_record_with_init(tmp_path, monkeypatch):
+    init, built = PublicationRecord.__init__, []
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PublicationRecord, "__init__", counted)
     paths = tmp_path / "publications.csv", tmp_path / "citations.csv"
     write_table(paths[0], PUBLICATIONS_HEADER, [pub("P1"), pub("P2", affiliations=";")])
     write_table(paths[1], CITATIONS_HEADER, [["P1", "2004", "3"], ["P1", "2002", "1"]])
     records, violations = load_publications(*paths)
     assert [r.pub_id for r in records] == ["P1"]
+    assert len(built) == 2 and built[0] is records[0]  # P2's call raised
     assert violations == ["citations.csv:3: P1: citing year 2002 precedes publication year 2003",
                           "publications.csv:3: P2: affiliations must be non-empty"]
 
 
 def test_equal_list_cells_share_one_frozenset(tmp_path, monkeypatch):
-    # and equal country cells, padded or not, share one string; the CSV files
-    # take the clean pass, their JSON copies the validator
+    # and equal country cells, padded or not, share one string, and equal
+    # years one int; the CSV files take the clean pass, their JSON copies the validator
     rows = [pub("P1", affiliations="Alpha;Beta"), pub("P2", affiliations="Alpha;Beta", country=" GB "),
             pub("P3", affiliations="Gamma"), pub("P4", country="  ")]
     for fmt in ("csv", "json"):
         paths = tmp_path / f"publications.{fmt}", tmp_path / f"citations.{fmt}"
         write_table(paths[0], PUBLICATIONS_HEADER, rows)
-        write_table(paths[1], CITATIONS_HEADER, [])
+        write_table(paths[1], CITATIONS_HEADER, [["P1", "2004", "1"], ["P2", "2004", "2"], ["P3", "2003", "1"]])
         if fmt == "csv":
             loaded, violations = clean_load(monkeypatch, *paths)
             p1, p2, p3, p4 = (r for r, _ in loaded)
@@ -1040,6 +1058,8 @@ def test_equal_list_cells_share_one_frozenset(tmp_path, monkeypatch):
         assert p3.affiliations == frozenset({"Gamma"})
         assert p1.country == "GB" and p1.country is p2.country is p3.country
         assert p4.country is None
+        assert p1.pub_year == 2003 and p1.pub_year is p2.pub_year is [*p3.citations_by_year][0]
+        assert [*p1.citations_by_year][0] == 2004 and [*p1.citations_by_year][0] is [*p2.citations_by_year][0]
 
 
 # ---------------------------------------------------------------------------

@@ -210,6 +210,22 @@ class TestHSeries:
             GroupMetrics("A", "x", WINDOW, {2008: -1})
         assert str(err.value) == "negative h -1 at 2008"
 
+    @pytest.mark.parametrize("h_by_year, message", [
+        ({2008.7: 3.9}, "A: h_by_year must map integer years to integer h, got 2008.7: 3.9"),
+        ({"2008": "3"}, "A: h_by_year must map integer years to integer h, got '2008': '3'"),
+        ({2008: 3.0}, "A: h_by_year must map integer years to integer h, got 2008: 3.0"),
+        ({2008: 3, 2009: "2"}, "A: h_by_year must map integer years to integer h, got 2009: '2'"),
+    ], ids=["floats", "strings", "float_h", "string_h_before_decrease"])
+    def test_series_type_refuses_non_integers(self, h_by_year, message):
+        with pytest.raises(ValueError) as err:
+            GroupMetrics("A", "x", WINDOW, h_by_year)
+        assert str(err.value) == message
+
+    def test_series_type_takes_integer_types_as_int(self):
+        m = GroupMetrics("A", "x", WINDOW, {np.int64(2009): np.int32(4), 2008: True})
+        assert list(m.h_by_year.items()) == [(2008, 1), (2009, 4)]
+        assert all(type(v) is int for item in m.h_by_year.items() for v in item)
+
 
 def exact_s(bands):
     p4, p3, p2, _, _ = (Fraction(str(b)) for b in bands)
