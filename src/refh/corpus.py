@@ -35,7 +35,7 @@ import itertools
 import math
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from operator import attrgetter, index
 from pathlib import Path
@@ -161,7 +161,8 @@ class PublicationRecord:
     each field once, save those of :func:`load_publications`' clean pass: it
     reads only CSV files that break no rule, and sets each record's fields
     itself.  The per-row validator, which reads the other files, flags each
-    violation at its ``file:line`` and builds its records here.
+    violation at its ``file:line`` and builds its records here.  Records
+    compare by value but are unhashable, as their citation ``dict`` is.
     """
 
     pub_id: str
@@ -169,7 +170,9 @@ class PublicationRecord:
     country: str | None
     affiliations: frozenset[str]
     categories: frozenset[str]
-    citations_by_year: Mapping[int, int] = field(default_factory=dict)
+    citations_by_year: Mapping[int, int]
+
+    __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, pub_id: str, pub_year: int, country: str | None,
                  affiliations: Iterable[str], categories: Iterable[str],
@@ -257,7 +260,9 @@ def _in_year_order(citations: dict[int, int]) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class DisciplineMap:
-    """A discipline defined as the union of subject-category labels."""
+    """A discipline defined as the union of subject-category labels, read by
+    the record label rule (:func:`_stripped_set`): strings only, stored
+    stripped, blanks dropped; a string, or a set with no label left, is refused."""
 
     discipline: str
     categories: frozenset[str]
@@ -266,16 +271,16 @@ class DisciplineMap:
         if isinstance(self.categories, str):  # not the set of its characters
             raise ValueError(f"discipline {self.discipline!r}: categories must be a collection of labels, "
                              f"not the string {self.categories!r}")
-        object.__setattr__(self, "categories", frozenset(self.categories))
+        try:
+            object.__setattr__(self, "categories", _stripped_set(self.categories))
+        except TypeError:
+            raise ValueError(f"discipline {self.discipline!r}: categories must be strings") from None
         if not self.categories:
             raise ValueError(f"discipline {self.discipline!r}: empty category set")
-        object.__setattr__(
-            self, "_normalized", frozenset(normalize_label(c) for c in self.categories)
-        )
 
     def matches(self, categories: Iterable[str]) -> bool:
         """True when any of ``categories`` belongs to this discipline."""
-        normalized: frozenset[str] = self._normalized  # type: ignore[attr-defined]
+        normalized = {normalize_label(c) for c in self.categories}
         return any(normalize_label(c) in normalized for c in categories)
 
 
@@ -475,11 +480,11 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
 
         try:
             data = json.loads(path.read_text(encoding="utf-8-sig"))
-        except json.JSONDecodeError as exc:
+        except UnicodeDecodeError:  # a ValueError too, but not this file's violation
+            raise _not_utf8(path) from None
+        except (ValueError, RecursionError) as exc:  # also an integer too long, or nesting too deep
             violations.append(f"{path.name}: invalid JSON: {exc}")
             return
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
         if not isinstance(data, list):
             violations.append(f"{path.name}: expected a JSON list of objects")
             return

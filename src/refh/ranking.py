@@ -96,19 +96,13 @@ def rank_table(values: Mapping[str, float], measure: str, discipline: str = "") 
     return RankedTable(discipline=discipline, measure=measure, entries=tuple(entries))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class RankMove:
     """One institution's ranks in a baseline and a comparison table; unchecked."""
 
     old_rank: int | None
     new_rank: int | None
     movement: str
-
-    def __init__(self, old_rank: int | None, new_rank: int | None, movement: str):
-        _set_move(self, old_rank, new_rank, movement)
-
-
-_set_move = _fields_setter(RankMove)
 
 
 @dataclass(frozen=True)

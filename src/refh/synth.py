@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate
 from operator import itemgetter
 from random import Random
@@ -32,7 +32,6 @@ from refh.corpus import (
     PublicationRecord,
     PublicationWindow,
     QualityProfile,
-    collector_paused,
 )
 
 SYNTH_DISCIPLINE = "synthetic"
@@ -168,19 +167,10 @@ class SynthConfig:
             )
 
     def to_dict(self) -> dict:
-        model: dict[str, float | str]
-        if isinstance(self.citation_model, Lognormal):
-            model = {"kind": "lognormal", "mu": self.citation_model.mu, "sigma": self.citation_model.sigma}
-        else:
-            model = {"kind": "power_law", "alpha": self.citation_model.alpha, "x_min": self.citation_model.x_min}
-        return {
-            "seed": self.seed,
-            "n_institutions": self.n_institutions,
-            "papers_per_institution": list(self.papers_per_institution),
+        kind = "lognormal" if isinstance(self.citation_model, Lognormal) else "power_law"
+        return asdict(self) | {
             "window": [self.window.start_year, self.window.end_year],
-            "citation_model": model,
-            "accrual": self.accrual,
-            "quality_link": self.quality_link,
+            "citation_model": {"kind": kind, **asdict(self.citation_model)},
         }
 
 
@@ -231,7 +221,6 @@ def _accrual_weights(accrual: float) -> list[float]:
     return [x / total for x in w]
 
 
-@collector_paused()
 def generate(config: SynthConfig) -> Corpus:
     """Generate a corpus; the same config always yields the same corpus.
 

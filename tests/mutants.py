@@ -5,10 +5,11 @@ replacement, the tests that must fail once the replacement is made, and why
 the mutant matters.  ``EQUIVALENT`` holds the mutants no test can kill, each
 with its reason; they are never run.
 
-    python tests/mutants.py [--only ID]
+    python tests/mutants.py [--only ID ...]
 
 first runs the chosen mutants' tests on an unmutated copy of the tree, which
-must pass; then applies each mutant (or only mutant ``ID``) to a fresh copy,
+must pass; then applies each mutant (or only the mutants named by ``--only``,
+which may be repeated) to a fresh copy,
 runs its tests there with pytest, and exits 1 if any mutant survives or its
 tests cannot run.  It uses the standard library only.  Tier-1 checks only
 that each snippet occurs exactly once in its file
@@ -30,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS, SYNTH, CLI, METRICS = "src/refh/corpus.py", "src/refh/synth.py", "src/refh/cli.py", "src/refh/metrics.py"
+STATS, RANKING = "src/refh/stats.py", "src/refh/ranking.py"
 INGEST = "tests/test_ingest_properties.py"
 
 
@@ -63,6 +65,16 @@ MUTANTS = [
            "elif isinstance(labels, str):", "elif isinstance(labels, bytes):",
            ("tests/test_corpus.py::TestRecordInvariants::test_constructor_refusals_keep_their_messages",),
            "PublicationRecord('P1', 2004, 'GB', 'Alpha', ...) would hold the affiliations A, l, p, h, a"),
+    Mutant("json-reader-catches-only-decode-errors", CORPUS,
+           "except (ValueError, RecursionError) as exc:", "except json.JSONDecodeError as exc:",
+           ("tests/test_cli.py::TestIngestCommand::test_json_that_json_cannot_read_is_the_files_violation",),
+           "a JSON integer over 4,300 digits would be reported with no file name, and deep nesting "
+           "would end the run with a traceback"),
+    Mutant("map-categories-not-stripped", CORPUS,
+           "_stripped_set(self.categories)", "frozenset(self.categories)",
+           ("tests/test_corpus.py::TestDisciplineMap",),
+           "DisciplineMap('d', [' ']) would build a map that matches nothing, and a non-string "
+           "category would raise AttributeError on the first match"),
     Mutant("string-categories-split-into-characters", CORPUS,
            "if isinstance(self.categories, str):", "if isinstance(self.categories, bytes):",
            ("tests/test_corpus.py::TestDisciplineMap",),
@@ -89,6 +101,47 @@ MUTANTS = [
            "values[index(year)] = index(h)", "values[int(year)] = int(h)",
            ("tests/test_metrics.py::TestHSeries::test_series_type_refuses_non_integers",),
            "GroupMetrics would read {2008.7: 3.9} as {2008: 3} and '3' as 3"),
+    # the paper's quantities: h, its cutoff, the profile scores, ranks and correlations
+    Mutant("h-takes-counts-below-rank", METRICS,
+           "if count >= i:", "if count > i:",
+           ("tests/test_metrics.py::TestComputeH",),
+           "h would need n papers cited more than n times, not at least n"),
+    Mutant("cutoff-drops-its-own-year", METRICS,
+           "if y > year:", "if y >= year:",
+           ("tests/test_metrics.py::TestCitationsToEndOf",),
+           "citations to the end of year Y would leave out year Y itself"),
+    Mutant("h-counts-the-measurement-year", METRICS,
+           "citations_to_end_of(r, year - 1)", "citations_to_end_of(r, year)",
+           ("tests/test_metrics.py::TestDepartmentalH::test_agrees_with_oracle_on_synthetic_corpora",),
+           "h measured in year Y would count citations to the end of Y, not of Y-1"),
+    Mutant("s-weighs-3-star-by-3-8ths", METRICS,
+           "(3.0 * p3) / 7.0", "(3.0 * p3) / 8.0",
+           ("tests/test_metrics.py::TestScores",),
+           "s would weigh 3* work 3/8, not 3/7"),
+    Mutant("s-weighs-2-star-by-1-8th", METRICS,
+           "p2 / 7.0", "p2 / 8.0",
+           ("tests/test_metrics.py::TestScores",),
+           "s would weigh 2* work 1/8, not 1/7"),
+    Mutant("s-prime-weighs-3-star-by-a-quarter", METRICS,
+           "profile.p3 / 3.0", "profile.p3 / 4.0",
+           ("tests/test_metrics.py::TestScores",),
+           "s' would weigh 3* work 1/4, not 1/3"),
+    Mutant("dense-ranks", RANKING,
+           "rank, last = position, value", "rank, last = rank + 1, value",
+           ("tests/test_ranking.py::TestRankTable::test_published_tie_pattern",),
+           "a table would rank 1223, not the published 1224 of competition ranking"),
+    Mutant("movement-up-reversed", RANKING,
+           "elif e.rank < old:", "elif e.rank > old:",
+           ("tests/test_ranking.py::TestMovement::test_published_examples",),
+           "an institution that fell would be marked up, and one that rose none"),
+    Mutant("tied-ranks-take-the-lowest-position", STATS,
+           "rank = start + 0.5 * (len(tied) + 1)", "rank = start + 1.0",
+           ("tests/test_stats.py::TestFractionalRanks",),
+           "Spearman's rho would rank ties at their first position, not the mean of their positions"),
+    Mutant("t-tail-one-more-degree-of-freedom", STATS,
+           "df = n - 2", "df = n - 1",
+           ("tests/test_stats.py::TestSignificance",),
+           "the p-value of r over n pairs would read the t tail at n-1 degrees of freedom, not n-2"),
     # the clean CSV pass and its reader
     Mutant("clean-reader-not-strict", CORPUS,
            'csv.reader(io.StringIO(text, newline=""), strict=True)', 'csv.reader(io.StringIO(text, newline=""))',
@@ -184,10 +237,10 @@ def _control(chosen: list[Mutant]) -> Mutant:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--only", metavar="ID", choices=[m.id for m in MUTANTS],
-                        help="run this mutant alone")
+    parser.add_argument("--only", metavar="ID", action="append", choices=[m.id for m in MUTANTS],
+                        help="run only this mutant; repeat to run several")
     args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if args.only in (None, m.id)]
+    chosen = [m for m in MUTANTS if args.only is None or m.id in args.only]
     failures = 0
     start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="refh-mutants-") as scratch:

@@ -3,11 +3,32 @@ library's own code is checked against, never called by it."""
 
 import csv
 import io
+import math
 from dataclasses import replace
 from typing import Iterable
 
 from refh.corpus import Corpus, PublicationRecord, PublicationWindow
 from refh.ranking import RANK_TABLE_HEADER, MovementReport, RankedTable, RankEntry
+
+
+def naive_pearson(x, y):
+    """Definitional recomputation in pure Python."""
+    n = len(x)
+    mx = sum(x) / n
+    my = sum(y) / n
+    cov = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    vx = sum((a - mx) ** 2 for a in x)
+    vy = sum((b - my) ** 2 for b in y)
+    return cov / math.sqrt(vx * vy)
+
+
+def naive_ranks(x):
+    """Mean of 1-based positions among equal values."""
+    return [
+        sum(i + 1 for i, v in enumerate(sorted(x)) if v == value)
+        / sum(1 for v in x if v == value)
+        for value in x
+    ]
 
 
 def oracle_h(records: Iterable[PublicationRecord], cutoff_year: int) -> int:

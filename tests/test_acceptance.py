@@ -4,7 +4,6 @@
 
 import csv
 import io
-import math
 import time
 from fractions import Fraction
 
@@ -26,7 +25,7 @@ from refh.stats import fractional_ranks, pearson, spearman
 from refh.synth import Lognormal, PowerLaw, SynthConfig, generate
 
 from conftest import profile
-from oracles import oracle_filter, oracle_h
+from oracles import naive_pearson, naive_ranks, oracle_filter, oracle_h
 
 WINDOW = PublicationWindow(2001, 2007)
 
@@ -141,24 +140,6 @@ def test_criterion_3_score_formulas_match_rational_oracle():
     )
 
 
-def _naive_pearson(x, y):
-    n = len(x)
-    mx = sum(x) / n
-    my = sum(y) / n
-    cov = sum((a - mx) * (b - my) for a, b in zip(x, y))
-    vx = sum((a - mx) ** 2 for a in x)
-    vy = sum((b - my) ** 2 for b in y)
-    return cov / math.sqrt(vx * vy)
-
-
-def _naive_ranks(x):
-    return [
-        sum(i + 1 for i, v in enumerate(sorted(x)) if v == value)
-        / sum(1 for v in x if v == value)
-        for value in x
-    ]
-
-
 def test_criterion_4_correlation_oracles():
     rng = np.random.default_rng(1004)
     worst_pearson = worst_spearman = worst_classical = 0.0
@@ -172,8 +153,8 @@ def test_criterion_4_correlation_oracles():
         else:  # continuous, tie-free almost surely
             x = rng.normal(size=n)
             y = rng.normal(size=n)
-        worst_pearson = max(worst_pearson, abs(pearson(x, y) - _naive_pearson(x.tolist(), y.tolist())))
-        naive_rho = _naive_pearson(_naive_ranks(x.tolist()), _naive_ranks(y.tolist()))
+        worst_pearson = max(worst_pearson, abs(pearson(x, y) - naive_pearson(x.tolist(), y.tolist())))
+        naive_rho = naive_pearson(naive_ranks(x.tolist()), naive_ranks(y.tolist()))
         worst_spearman = max(worst_spearman, abs(spearman(x, y) - naive_rho))
         if k % 2 == 0:
             rx = np.asarray(fractional_ranks(x))

@@ -18,7 +18,7 @@ from refh.cli import main, parse_pairs, parse_years
 from refh.corpus import Corpus, PublicationWindow, ingest_corpus
 
 from conftest import write_files
-from oracles import oracle_filter, oracle_h
+from oracles import naive_pearson, naive_ranks, oracle_filter, oracle_h
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -464,6 +464,23 @@ class TestIngestCommand:
         code, out, err = run(["ingest", *corpus_args(paths)], capsys)
         assert (code, out, err) == (1, "", "refh: discipline_map.json:3: not valid UTF-8\n")
 
+    @pytest.mark.parametrize("text", [
+        '[{"pub_id": "P1", "pub_year": ' + "1" * 5000 + "}]",
+        "[" * 100_000,
+    ], ids=["integer_too_long", "nesting_too_deep"])
+    def test_json_that_json_cannot_read_is_the_files_violation(self, synth_dir, tmp_path, text):
+        paths = synth_paths(synth_dir)
+        paths["publications"] = tmp_path / "publications.json"
+        paths["publications"].write_text(text, encoding="utf-8")
+        paths["citations"] = tmp_path / "citations.json"
+        paths["citations"].write_text("[]", encoding="utf-8")
+        with pytest.raises((ValueError, RecursionError)) as exc:
+            json.loads(text)
+        code, out, err = run_fresh(["ingest", *corpus_args(paths)], tmp_path)
+        assert (code, out) == (1, "")
+        assert err.splitlines()[0] == f"refh: publications.json: invalid JSON: {exc.value}"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_a_leading_byte_order_mark_is_dropped(self, synth_dir, tmp_path, capsys, monkeypatch, fmt):
         # a copy of each file that starts with a UTF-8 BOM reads as the file
@@ -685,26 +702,11 @@ class TestCorrelateCommand:
         xs = [s_by_inst[i] for i in insts]
         ys = [h_by_inst[i] for i in insts]
 
-        def naive_pearson(x, y):
-            n = len(x)
-            mx, my = sum(x) / n, sum(y) / n
-            cov = sum((a - mx) * (b - my) for a, b in zip(x, y))
-            vx = sum((a - mx) ** 2 for a in x)
-            vy = sum((b - my) ** 2 for b in y)
-            return cov / (vx * vy) ** 0.5
-
-        def positions(v):
-            return [
-                sum(i + 1 for i, w in enumerate(sorted(v)) if w == value)
-                / sum(1 for w in v if w == value)
-                for value in v
-            ]
-
         (row,) = list(csv.DictReader(io.StringIO((out / "correlations.csv").read_text())))
         assert int(row["n"]) == len(insts)
         assert float(row["pearson_r"]) == pytest.approx(naive_pearson(xs, ys), abs=1e-6)
         assert float(row["spearman_rho"]) == pytest.approx(
-            naive_pearson(positions(xs), positions(ys)), abs=1e-6
+            naive_pearson(naive_ranks(xs), naive_ranks(ys)), abs=1e-6
         )
 
     def test_missing_nci_column_is_explicit_error(self, tmp_path, capsys):

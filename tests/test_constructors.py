@@ -1,7 +1,8 @@
 """The checked value classes whose ``__init__`` is written by hand.
 
-``QualityProfile``, ``ScoreSet``, ``RankEntry`` and ``RankMove`` are slotted,
-frozen dataclasses that set each field once in their own ``__init__``.  These
+``QualityProfile``, ``ScoreSet`` and ``RankEntry`` are slotted, frozen
+dataclasses that set each field once in their own ``__init__``; ``RankMove``,
+slotted and frozen too, takes the one dataclasses writes.  These
 tests pin what the generated dataclass constructors gave callers: keyword and
 positional calls, defaults, ``dataclasses.replace`` running the checks,
 ``asdict`` (the ``rank --format json`` path), equality, hashing, pickling and

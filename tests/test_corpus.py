@@ -176,6 +176,12 @@ class TestRecordInvariants:
         r = PublicationRecord("P1", 2003, "GB", ["A"], ["c"], Pairs())
         assert list(r.citations_by_year.items()) == [(2004, 2), (2005, 4)]
 
+    def test_records_are_unhashable_by_their_own_name(self):
+        # the citation history is a plain dict, so a record's hash could not last
+        with pytest.raises(TypeError) as err:
+            hash(record("P1"))
+        assert str(err.value) == "unhashable type: 'PublicationRecord'"
+
 
 class TestLabelSets:
     def test_clean_frozensets_are_kept(self):
@@ -216,6 +222,25 @@ class TestDisciplineMap:
         with pytest.raises(ValueError) as err:
             DisciplineMap("d", "abc")
         assert str(err.value) == "discipline 'd': categories must be a collection of labels, not the string 'abc'"
+
+    @pytest.mark.parametrize("categories", [[5], ["Chemistry", None], [b"Chemistry"]],
+                             ids=["int", "none", "bytes"])
+    def test_a_category_that_is_not_a_string_is_refused(self, categories):
+        with pytest.raises(ValueError) as err:
+            DisciplineMap("d", categories)
+        assert str(err.value) == "discipline 'd': categories must be strings"
+
+    def test_categories_follow_the_record_label_rule(self):
+        dmap = DisciplineMap("d", [" Chemistry ", "", "  ", "Physics"])
+        assert dmap.categories == frozenset({"Chemistry", "Physics"})
+        assert dmap == DisciplineMap("d", frozenset({"Chemistry", "Physics"}))
+        assert dmap.matches(["chemistry "]) and not dmap.matches(["Biology"])
+
+    @pytest.mark.parametrize("categories", [[" "], ["", " \t "]], ids=["blank", "blanks"])
+    def test_an_all_blank_category_set_is_refused(self, categories):
+        with pytest.raises(ValueError) as err:
+            DisciplineMap("d", categories)
+        assert str(err.value) == "discipline 'd': empty category set"
 
 
 class TestProfileInvariants:

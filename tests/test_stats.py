@@ -23,27 +23,9 @@ from refh.stats import (
     write_fig_points_csv,
 )
 
+from oracles import naive_pearson, naive_ranks
+
 WINDOW = PublicationWindow(2001, 2007)
-
-
-def naive_pearson(x, y):
-    """Definitional recomputation in pure Python."""
-    n = len(x)
-    mx = sum(x) / n
-    my = sum(y) / n
-    cov = sum((a - mx) * (b - my) for a, b in zip(x, y))
-    vx = sum((a - mx) ** 2 for a in x)
-    vy = sum((b - my) ** 2 for b in y)
-    return cov / math.sqrt(vx * vy)
-
-
-def naive_ranks(x):
-    """Mean of 1-based positions among equal values."""
-    return [
-        sum(i + 1 for i, v in enumerate(sorted(x)) if v == value)
-        / sum(1 for v in x if v == value)
-        for value in x
-    ]
 
 
 class TestPearson:
