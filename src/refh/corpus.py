@@ -35,7 +35,6 @@ import itertools
 import math
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass
 from functools import cache
 from operator import attrgetter, index
 from pathlib import Path
@@ -86,8 +85,75 @@ def log_info(logger: str, message: str, *args) -> None:
         logging.getLogger(logger).info(message, *args)
 
 
-@dataclass(frozen=True)
-class PublicationWindow:
+_EMPTY: Mapping = MappingProxyType({})  # the default of every mapping field
+
+
+class _DataclassFields:
+    """A value class's ``__dataclass_fields__``, for ``dataclasses.fields``, ``replace`` and
+    ``asdict``: made on first read from a dataclass twin of the class, then stored on it."""
+
+    def __get__(self, obj, cls):
+        if cls is _Frozen:  # the base is not a dataclass
+            raise AttributeError("__dataclass_fields__")
+        from dataclasses import dataclass
+        twin = type(cls.__name__, (), {"__module__": cls.__module__, "__qualname__": cls.__qualname__,
+                                        "__doc__": cls.__doc__, "__annotations__": cls.__annotations__})
+        cls.__dataclass_fields__ = fields = dataclass(frozen=True)(twin).__dataclass_fields__
+        return fields
+
+
+class _Frozen:
+    """A frozen dataclass's behaviour without importing ``dataclasses`` at start-up.  A subclass's
+    fields are its own annotated names, in order; a class attribute is a field's default, save in a
+    slotted class, whose own ``__init__`` keeps any defaults.  Instances of one class compare, hash,
+    ``repr``, pickle and copy by their field values, and refuse assignment and deletion."""
+
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = names = tuple(cls.__annotations__)
+        cls._values = attrgetter(*names)  # a tuple, in C: every subclass has two fields or more
+        cls._defaults = {} if "__slots__" in vars(cls) else {n: vars(cls)[n] for n in names if n in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):  # bind the arguments as a dataclass's __init__ does
+            bound = self._defaults | dict(zip(names, args)) | kwargs
+            if len(args) > len(names) or kwargs.keys() & names[:len(args)] or bound.keys() != set(names):
+                raise TypeError(f"{type(self).__qualname__}() takes each of {names} once, or its default; "
+                                f"got {len(args)} positional arguments and the keywords {sorted(kwargs)}")
+            args = [bound[n] for n in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+        self.__post_init__()  # looked up on each call, so a wrapper set on the class runs
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        return self._values(self) == other._values(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__match_args__, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class PublicationWindow(_Frozen):
     """Inclusive range of publication years, e.g. 2001:2007.  Each year must be
     an integer (``int`` or a type with ``__index__``, stored as ``int``)."""
 
@@ -125,12 +191,9 @@ class PublicationWindow:
         return cls(start, end)
 
 
-_NO_CITATIONS: Mapping[int, int] = MappingProxyType({})
-
-
 def _fields_setter(cls: type) -> Callable[..., object]:
     """``set_fields(obj, *values)``, which sets each field of the slotted
-    dataclass ``cls`` once, in field order, through the slot descriptors that
+    value class ``cls`` once, in field order, through the slot descriptors that
     a frozen class's ``__setattr__`` does not guard, and returns ``obj``.  It
     is written out one call per field, as dataclasses writes an ``__init__``:
     a loop over the descriptors would cost each object more than its checks do."""
@@ -141,8 +204,7 @@ def _fields_setter(cls: type) -> Callable[..., object]:
     return namespace["set_fields"]
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class PublicationRecord:
+class PublicationRecord(_Frozen):
     """One publication with its per-citing-year citation counts.
 
     ``citations_by_year`` maps citing calendar year to a positive count;
@@ -172,11 +234,12 @@ class PublicationRecord:
     categories: frozenset[str]
     citations_by_year: Mapping[int, int]
 
+    __slots__ = ("pub_id", "pub_year", "country", "affiliations", "categories", "citations_by_year")
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, pub_id: str, pub_year: int, country: str | None,
                  affiliations: Iterable[str], categories: Iterable[str],
-                 citations_by_year: Mapping[int, int] = _NO_CITATIONS):
+                 citations_by_year: Mapping[int, int] = _EMPTY):
         if not isinstance(pub_id, str) or not (pub_id := pub_id.strip()):
             raise ValueError("pub_id must be a non-empty string")
         try:
@@ -258,8 +321,7 @@ def _in_year_order(citations: dict[int, int]) -> dict[int, int]:
     return citations if [*citations] == sorted(citations) else dict(sorted(citations.items()))
 
 
-@dataclass(frozen=True)
-class DisciplineMap:
+class DisciplineMap(_Frozen):
     """A discipline defined as the union of subject-category labels, read by
     the record label rule (:func:`_stripped_set`): strings only, stored
     stripped, blanks dropped; a string, or a set with no label left, is refused."""
@@ -284,8 +346,7 @@ class DisciplineMap:
         return any(normalize_label(c) in normalized for c in categories)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class QualityProfile:
+class QualityProfile(_Frozen):
     """Graded quality profile for one (institution, discipline) group.
 
     ``p4 .. pu`` are the percentages of work rated 4*, 3*, 2*, 1* and
@@ -308,12 +369,14 @@ class QualityProfile:
     p1: float
     pu: float
     staff_fte: float
-    p4_out: float | None = None
-    p3_out: float | None = None
-    p2_out: float | None = None
-    p1_out: float | None = None
-    pu_out: float | None = None
-    nci: float | None = None
+    p4_out: float | None
+    p3_out: float | None
+    p2_out: float | None
+    p1_out: float | None
+    pu_out: float | None
+    nci: float | None
+    __slots__ = ("institution", "discipline", "p4", "p3", "p2", "p1", "pu", "staff_fte",
+                 "p4_out", "p3_out", "p2_out", "p1_out", "pu_out", "nci")
 
     def __init__(self, institution: str, discipline: str, p4: float, p3: float, p2: float, p1: float,
                  pu: float, staff_fte: float, p4_out: float | None = None, p3_out: float | None = None,
@@ -362,8 +425,7 @@ class QualityProfile:
 _set_profile = _fields_setter(QualityProfile)
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(_Frozen):
     """Immutable bundle of publications, profiles, and discipline maps.
 
     Collections are stored in canonical sorted order (publications by

@@ -16,7 +16,6 @@ Quality scores come from graded profiles:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import attrgetter, index
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -26,7 +25,9 @@ from refh.corpus import (
     PublicationRecord,
     PublicationWindow,
     QualityProfile,
+    _EMPTY,
     _fields_setter,
+    _Frozen,
     matching_publications,
     write_csv,
 )
@@ -57,8 +58,7 @@ def compute_h(citation_counts: Iterable[int]) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class GroupMetrics:
+class GroupMetrics(_Frozen):
     """Departmental h by measurement year for one (institution, discipline)
     group.
 
@@ -72,7 +72,7 @@ class GroupMetrics:
     institution: str
     discipline: str
     window: PublicationWindow
-    h_by_year: Mapping[int, int] = field(default_factory=dict)
+    h_by_year: Mapping[int, int] = _EMPTY
 
     def __post_init__(self):
         values = {}
@@ -195,8 +195,7 @@ def strength(profile: QualityProfile) -> float:
     return score_s(profile) * profile.staff_fte
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ScoreSet:
+class ScoreSet(_Frozen):
     """The profile-side measures of one group: the four scores and the
     supplied nci.  ``__init__`` checks that s, s_prime and s_output, where
     present, lie in [0, 100] and sets each field once; ``dataclasses.replace``
@@ -206,9 +205,10 @@ class ScoreSet:
     discipline: str
     s: float
     s_prime: float
-    s_output: float | None = None
-    strength: float | None = None
-    nci: float | None = None
+    s_output: float | None
+    strength: float | None
+    nci: float | None
+    __slots__ = ("institution", "discipline", "s", "s_prime", "s_output", "strength", "nci")
 
     def __init__(self, institution: str, discipline: str, s: float, s_prime: float,
                  s_output: float | None = None, strength: float | None = None,

@@ -13,11 +13,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
 from typing import Mapping
 
-from refh.corpus import _fields_setter
+from refh.corpus import _EMPTY, _fields_setter, _Frozen
 from refh.metrics import _fmt6
 
 RANK_TABLE_HEADER = ["rank", "institution", "value", "movement"]
@@ -29,15 +28,15 @@ _ESCAPED_PIPE = "\\|"  # a "|" in a name, which would otherwise end its markdown
 VALUE_DECIMALS = 6
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class RankEntry:
+class RankEntry(_Frozen):
     """One row of a ranked table.  ``__init__`` checks the rank (at least 1) and
     the movement (one of ``MOVEMENT_TOKENS``); ``dataclasses.replace`` runs it too."""
 
     rank: int
     institution: str
     value: float | None
-    movement: str = "none"
+    movement: str
+    __slots__ = ("rank", "institution", "value", "movement")
 
     def __init__(self, rank: int, institution: str, value: float | None, movement: str = "none"):
         if rank < 1:
@@ -50,8 +49,7 @@ class RankEntry:
 _set_entry = _fields_setter(RankEntry)
 
 
-@dataclass(frozen=True)
-class RankedTable:
+class RankedTable(_Frozen):
     """Ordered ranking of institutions by one measure.
 
     Entries are sorted by value descending with ties broken for display
@@ -96,17 +94,16 @@ def rank_table(values: Mapping[str, float], measure: str, discipline: str = "") 
     return RankedTable(discipline=discipline, measure=measure, entries=tuple(entries))
 
 
-@dataclass(frozen=True, slots=True)
-class RankMove:
+class RankMove(_Frozen):
     """One institution's ranks in a baseline and a comparison table; unchecked."""
 
     old_rank: int | None
     new_rank: int | None
     movement: str
+    __slots__ = ("old_rank", "new_rank", "movement")
 
 
-@dataclass(frozen=True)
-class MovementReport:
+class MovementReport(_Frozen):
     """Per-institution rank shifts between a baseline and a comparison table.
 
     ``moves`` covers every institution in the comparison table;
@@ -115,7 +112,7 @@ class MovementReport:
 
     baseline_measure: str
     comparison_measure: str
-    moves: Mapping[str, RankMove] = field(default_factory=dict)
+    moves: Mapping[str, RankMove] = _EMPTY
     dropped: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -194,6 +191,7 @@ def render_table(table: RankedTable, format: str = "csv") -> str:
         return "\n".join(lines) + "\n"
     if format == "json":
         import json
+        from dataclasses import asdict
 
         return json.dumps(asdict(table), indent=2, sort_keys=True) + "\n"
     raise ValueError(f"unknown format: {format!r}")

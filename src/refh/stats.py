@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from refh.corpus import log_info, normalize_label, write_csv
+from refh.corpus import _EMPTY, _Frozen, log_info, normalize_label, write_csv
 from refh.metrics import GroupMetrics, ScoreSet, _fmt6
 
 ALPHA = 0.05
@@ -196,8 +195,7 @@ def significance(r: float, n: int) -> tuple[float, bool]:
     return p, p < ALPHA
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(_Frozen):
     """Correlation of one measure pair over the joined sample."""
 
     discipline: str
@@ -220,14 +218,13 @@ class CorrelationReport:
                 raise ValueError(f"{name} outside [-1, 1]")
 
 
-@dataclass(frozen=True)
-class CorrelationSeries:
+class CorrelationSeries(_Frozen):
     """One measure correlated against h over successive measurement years,
     with the optional x-vs-nci report as a fixed comparison line."""
 
     measure_x: str
     baseline: CorrelationReport | None = None
-    by_year: Mapping[int, CorrelationReport] = field(default_factory=dict)
+    by_year: Mapping[int, CorrelationReport] = _EMPTY
 
     def __post_init__(self):
         years = sorted(self.by_year)

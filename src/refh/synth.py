@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from bisect import bisect
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
 from itertools import accumulate
 from operator import itemgetter
 from random import Random
@@ -32,6 +31,7 @@ from refh.corpus import (
     PublicationRecord,
     PublicationWindow,
     QualityProfile,
+    _Frozen,
 )
 
 SYNTH_DISCIPLINE = "synthetic"
@@ -67,8 +67,7 @@ def _normal(random: Callable[[], float]) -> float:
     return math.sqrt(-2.0 * math.log(1.0 - random())) * math.cos(2.0 * math.pi * random())
 
 
-@dataclass(frozen=True)
-class Lognormal:
+class Lognormal(_Frozen):
     """Per-paper total citations ~ floor(lognormal(mu, sigma) * quality factor)."""
 
     mu: float
@@ -85,8 +84,7 @@ class Lognormal:
             return math.inf
 
 
-@dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(_Frozen):
     """Per-paper total citations from a Pareto tail with density ~ x^-alpha."""
 
     alpha: float
@@ -117,8 +115,7 @@ class SynthConfigError(ValueError):
         self.problem = problem
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(_Frozen):
     """What :func:`generate` draws; construction refuses a field out of its
     range with a :class:`SynthConfigError` naming it.
 
@@ -168,9 +165,9 @@ class SynthConfig:
 
     def to_dict(self) -> dict:
         kind = "lognormal" if isinstance(self.citation_model, Lognormal) else "power_law"
-        return asdict(self) | {
+        return vars(self) | {
             "window": [self.window.start_year, self.window.end_year],
-            "citation_model": {"kind": kind, **asdict(self.citation_model)},
+            "citation_model": {"kind": kind, **vars(self.citation_model)},
         }
 
 

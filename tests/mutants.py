@@ -112,7 +112,8 @@ MUTANTS = [
            "citations to the end of year Y would leave out year Y itself"),
     Mutant("h-counts-the-measurement-year", METRICS,
            "citations_to_end_of(r, year - 1)", "citations_to_end_of(r, year)",
-           ("tests/test_metrics.py::TestDepartmentalH::test_agrees_with_oracle_on_synthetic_corpora",),
+           ("tests/test_metrics.py::TestDepartmentalH::test_three_paper_fixture_cutoff_2007",
+            "tests/test_metrics.py::TestDepartmentalH::test_agrees_with_oracle_on_synthetic_corpora"),
            "h measured in year Y would count citations to the end of Y, not of Y-1"),
     Mutant("s-weighs-3-star-by-3-8ths", METRICS,
            "(3.0 * p3) / 7.0", "(3.0 * p3) / 8.0",
@@ -186,6 +187,24 @@ MUTANTS = [
            'command("score", cmd_score,', 'command("score", cmd_ingest,',
            ("tests/test_cli.py::TestParsing::test_each_command_dispatches_to_its_own_handler_and_parser",),
            "refh score would validate files and write no scores"),
+    # the frozen base of the value classes
+    Mutant("equal-across-value-classes", CORPUS,
+           "if other.__class__ is self.__class__ else NotImplemented",
+           "if isinstance(other, _Frozen) else NotImplemented",
+           ("tests/test_constructors.py::test_equal_fields_of_two_classes_are_not_equal",),
+           "Lognormal(2.0, 3.0) would equal PowerLaw(2.0, 3.0), as two field tuples do"),
+    Mutant("frozen-field-assigned", CORPUS,
+           'raise FrozenInstanceError(f"cannot assign to field {name!r}")', "object.__setattr__(self, name, value)",
+           ("tests/test_constructors.py::test_value_class_contract",),
+           "a value class would take an assignment that skips its checks and changes its hash"),
+    Mutant("shared-init-skips-post-init", CORPUS,
+           "        self.__post_init__()  #", "        pass  #",
+           ("tests/test_corpus.py::TestPublicationWindow::test_reversed_window_rejected",),
+           "every class without its own __init__ would construct unchecked, e.g. the window 2007:2001"),
+    Mutant("pickle-reverses-fields", CORPUS,
+           "return type(self), self._values(self)", "return type(self), self._values(self)[::-1]",
+           ("tests/test_constructors.py::test_value_class_contract",),
+           "a pickled or copied value would come back with its fields in the wrong places"),
     # synthetic corpora
     Mutant("grid-profile-wrong-exponent", SYNTH,
            "round(4 * mix * rest**3 * 100 * _MICRO)", "round(4 * mix * rest**2 * 100 * _MICRO)",

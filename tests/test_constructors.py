@@ -1,26 +1,34 @@
-"""The checked value classes whose ``__init__`` is written by hand.
+"""The value classes, and the checked ones whose ``__init__`` is written by hand.
 
-``QualityProfile``, ``ScoreSet`` and ``RankEntry`` are slotted, frozen
-dataclasses that set each field once in their own ``__init__``; ``RankMove``,
-slotted and frozen too, takes the one dataclasses writes.  These
-tests pin what the generated dataclass constructors gave callers: keyword and
-positional calls, defaults, ``dataclasses.replace`` running the checks,
-``asdict`` (the ``rank --format json`` path), equality, hashing, pickling and
-every refusal message.  Every dataclass in ``refh`` has its own docstring.
+Every value class in ``refh`` derives from one private frozen base in
+``refh.corpus``, which gives it what ``@dataclass(frozen=True)`` gave before:
+``dataclasses.fields``, ``replace``, ``asdict`` and ``is_dataclass`` work on
+it, and instances compare, hash, ``repr``, pickle and copy by their fields and
+refuse assignment.  ``QualityProfile``, ``ScoreSet`` and ``RankEntry`` are
+slotted and set each field once in their own ``__init__``; ``RankMove``,
+slotted too, takes the base's shared one.  These tests pin what the generated
+dataclass constructors gave callers: keyword and positional calls, defaults,
+``dataclasses.replace`` running the checks, ``asdict`` (the
+``rank --format json`` path), equality, hashing, pickling and every refusal
+message; and, for all 16 classes, the contract of the frozen base.  Every
+value class in ``refh`` has its own docstring.
 """
 
+import copy
 import importlib
 import math
 import pickle
 import pkgutil
-from dataclasses import FrozenInstanceError, asdict, fields, is_dataclass, replace
+from dataclasses import FrozenInstanceError, asdict, astuple, fields, is_dataclass, replace
 
 import pytest
 
 import refh
-from refh.corpus import QualityProfile
-from refh.metrics import ScoreSet
-from refh.ranking import RankEntry, RankMove
+from refh.corpus import Corpus, DisciplineMap, PublicationRecord, PublicationWindow, QualityProfile
+from refh.metrics import GroupMetrics, ScoreSet
+from refh.ranking import MovementReport, RankedTable, RankEntry, RankMove
+from refh.stats import CorrelationReport, CorrelationSeries
+from refh.synth import Lognormal, PowerLaw, SynthConfig
 
 # class -> (one valid value of every field in field order, the defaulted fields' defaults)
 CASES = {
@@ -137,3 +145,64 @@ def test_every_refh_dataclass_has_its_own_docstring():
                if isinstance(cls, type) and is_dataclass(cls) and cls.__module__ == module.__name__]
     assert len(classes) == 16
     assert [cls.__name__ for cls in classes if cls.__doc__.startswith(f"{cls.__name__}(")] == []
+
+
+WINDOW = PublicationWindow(2001, 2007)
+RECORD = PublicationRecord("P1", 2003, "GB", {"Alpha"}, {"Chemistry"}, {2004: 2, 2006: 1})
+REPORT = CorrelationReport("chemistry", "s", "h_2008", 5, 0.5, 0.4, 0.2, 0.3, False, False, 1)
+ENTRY = build(RankEntry)
+
+# class -> one valid instance, and its field names as @dataclass listed them
+VALUE_CLASSES = {
+    PublicationWindow: (WINDOW, ["start_year", "end_year"]),
+    PublicationRecord: (RECORD, ["pub_id", "pub_year", "country", "affiliations", "categories",
+                                 "citations_by_year"]),
+    DisciplineMap: (DisciplineMap("chemistry", {"Chemistry"}), ["discipline", "categories"]),
+    QualityProfile: (build(QualityProfile), list(CASES[QualityProfile][0])),
+    Corpus: (Corpus((RECORD,), (build(QualityProfile),), (DisciplineMap("chemistry", {"Chemistry"}),)),
+             ["publications", "profiles", "discipline_maps"]),
+    GroupMetrics: (GroupMetrics("Alpha", "chemistry", WINDOW, {2008: 1, 2009: 2}),
+                   ["institution", "discipline", "window", "h_by_year"]),
+    ScoreSet: (build(ScoreSet), list(CASES[ScoreSet][0])),
+    CorrelationReport: (REPORT, ["discipline", "measure_x", "measure_y", "n", "pearson_r", "spearman_rho",
+                                 "p_pearson", "p_spearman", "significant_pearson", "significant_spearman",
+                                 "n_dropped"]),
+    CorrelationSeries: (CorrelationSeries("s", REPORT, {2008: REPORT}), ["measure_x", "baseline", "by_year"]),
+    RankEntry: (ENTRY, ["rank", "institution", "value", "movement"]),
+    RankedTable: (RankedTable("chemistry", "s", (ENTRY,)), ["discipline", "measure", "entries"]),
+    RankMove: (build(RankMove), ["old_rank", "new_rank", "movement"]),
+    MovementReport: (MovementReport("h_2008", "h_2014", {"Alpha": build(RankMove)}, ("Beta",)),
+                     ["baseline_measure", "comparison_measure", "moves", "dropped"]),
+    Lognormal: (Lognormal(2.0, 3.0), ["mu", "sigma"]),
+    PowerLaw: (PowerLaw(2.0, 3.0), ["alpha", "x_min"]),
+    SynthConfig: (SynthConfig(7, 4, (2, 3), WINDOW, PowerLaw(2.0, 3.0), 0.4, 0.5),
+                  ["seed", "n_institutions", "papers_per_institution", "window", "citation_model",
+                   "accrual", "quality_link"]),
+}
+# a field holds a dict, or a record, which holds one
+UNHASHABLE = {PublicationRecord, Corpus, GroupMetrics, CorrelationSeries, MovementReport}
+
+
+@pytest.mark.parametrize("cls", list(VALUE_CLASSES), ids=lambda cls: cls.__name__)
+def test_value_class_contract(cls):
+    obj, names = VALUE_CLASSES[cls]
+    assert is_dataclass(cls) and is_dataclass(obj)
+    assert [f.name for f in fields(cls)] == [f.name for f in fields(obj)] == names
+    assert cls.__match_args__ == tuple(names)
+    assert replace(obj) == obj and len(astuple(obj)) == len(asdict(obj)) == len(names)
+    assert pickle.loads(pickle.dumps(obj)) == obj
+    assert copy.copy(obj) == obj
+    assert repr(obj) == f"{cls.__qualname__}({', '.join(f'{n}={getattr(obj, n)!r}' for n in names)})"
+    for attempt in (lambda: setattr(obj, names[0], None), lambda: delattr(obj, names[0])):
+        with pytest.raises(FrozenInstanceError):
+            attempt()
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(obj)
+    else:
+        assert hash(replace(obj)) == hash(obj)
+
+
+def test_equal_fields_of_two_classes_are_not_equal():
+    assert Lognormal(2.0, 3.0) != PowerLaw(2.0, 3.0)
+    assert Lognormal(2.0, 3.0) == Lognormal(2.0, 3.0)

@@ -348,8 +348,8 @@ def test_every_command_runs_without_numpy(tmp_path):
 
 
 # prints, on its last line, the exit code, the lazily registered refh modules that ran
-# and whichever of json and logging is loaded; a module that has run is a plain
-# ModuleType again, and type() reads that without loading it
+# and whichever of json, logging, dataclasses and inspect is loaded; a module that has
+# run is a plain ModuleType again, and type() reads that without loading it
 RAN = """
 import sys
 import types
@@ -360,7 +360,7 @@ except SystemExit as exc:  # --help
     code = exc.code
 print(code, *(m for m in ("refh.metrics", "refh.ranking", "refh.stats", "refh.synth")
               if type(sys.modules[m]) is types.ModuleType),
-      *(m for m in ("json", "logging") if m in sys.modules))
+      *(m for m in ("json", "logging", "dataclasses", "inspect") if m in sys.modules))
 """
 
 
@@ -380,6 +380,9 @@ def ran(argv, cwd):
     ("correlate", ["refh.metrics", "refh.stats"]),
     ("rank", ["refh.metrics", "refh.ranking", "refh.stats"]),
     ("synth", ["refh.synth", "json"]),  # json writes manifest.json
+    ("rank-markdown", ["refh.metrics", "refh.ranking", "refh.stats"]),
+    # asdict writes the json table, the one command that imports dataclasses
+    ("rank-json", ["refh.metrics", "refh.ranking", "refh.stats", "json", "dataclasses", "inspect"]),
 ])
 def test_each_command_loads_only_its_modules(base, tmp_path, command, loaded):
     # one fresh interpreter per command, as for numpy above
@@ -387,6 +390,8 @@ def test_each_command_loads_only_its_modules(base, tmp_path, command, loaded):
         "ingest": ["ingest", *corpus_args(base)],
         "score": ["score", "--profiles", str(base / FILES[2])],
         "synth": ["synth", "--seed", "5", "--institutions", "6"],
+        "rank-markdown": ["rank", *corpus_args(base), *COMMANDS["rank"], "--format", "markdown"],
+        "rank-json": ["rank", *corpus_args(base), *COMMANDS["rank"], "--format", "json"],
     }.get(command) or [command, *corpus_args(base), *COMMANDS[command]]
     if command != "ingest":
         argv += ["--out", str(tmp_path / "out")]

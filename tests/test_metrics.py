@@ -119,18 +119,31 @@ def three_paper_corpus():
     return Corpus(publications=records, discipline_maps=(dmap,))
 
 
+def cutoff_corpus():
+    # citations to end of 2007: [2, 1, 1], h = 1; to end of 2008: [4, 3, 3], h = 3
+    records = (
+        record("P1", 2003, citations={2004: 2, 2008: 2}),
+        record("P2", 2004, citations={2005: 1, 2008: 2}),
+        record("P3", 2005, citations={2006: 1, 2008: 2}),
+    )
+    dmap = DisciplineMap("chemistry", frozenset({"Chemistry"}))
+    return Corpus(publications=records, discipline_maps=(dmap,))
+
+
 class TestDepartmentalH:
     def test_no_matching_publications(self, small_corpus):
         assert departmental_h(small_corpus, "FR", WINDOW, "chemistry", "Alpha", 2008) == 0
 
     def test_three_paper_fixture_cutoff_2007(self):
-        corpus = three_paper_corpus()
+        # h in 2008 counts citations to the end of 2007, not of 2008
+        corpus = cutoff_corpus()
         counts = [
             citations_to_end_of(r, 2007) for r in corpus.publications
         ]
-        assert sorted(counts, reverse=True) == [2, 2, 1]
-        assert brute_force_h(counts) == 2
-        assert departmental_h(corpus, "GB", WINDOW, "chemistry", "Alpha", 2008) == 2
+        assert sorted(counts, reverse=True) == [2, 1, 1]
+        assert brute_force_h(counts) == 1
+        assert brute_force_h([citations_to_end_of(r, 2008) for r in corpus.publications]) == 3
+        assert departmental_h(corpus, "GB", WINDOW, "chemistry", "Alpha", 2008) == 1
 
     def test_next_measurement_year_same_h(self):
         corpus = three_paper_corpus()
