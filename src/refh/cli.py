@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import re
 import sys
+from collections import Counter
 from functools import cache, partial
 from pathlib import Path
 from typing import Callable
@@ -44,6 +46,11 @@ RANK_SUFFIXES = {"csv": "csv", "markdown": "md", "json": "json"}
 
 # --years takes at most this many years, each of four digits as in an h_YYYY label
 MAX_YEARS = 50
+
+# a rejected corpus prints its first 50 violations, then how many more each file and field has
+_SHOWN = 50
+# a violation's file (up to its line number and ": ") and its field, if it names one
+_FILE_AND_FIELD = re.compile(r"(?:(.*?)(?::\d+)?: )?(field '\w+')?")
 
 
 def parse_years(text: str) -> list[int]:
@@ -471,6 +478,13 @@ def main(argv: list[str] | None = None) -> int:
             args.parser.error(str(exc))
     try:
         return args.func(args)
+    except CorpusValidationError as exc:
+        print("refh: " + "\n".join(exc.violations[:_SHOWN]), file=sys.stderr)
+        more = Counter(_FILE_AND_FIELD.match(v).groups() for v in exc.violations[_SHOWN:])  # in first-seen order
+        for (name, field), n in more.items():
+            of_field = f" of {field}" if field else ""
+            print(f"refh: {name}: {n:,} more violation{'s' * (n > 1)}{of_field}", file=sys.stderr)
+        return 1
     except (UnknownDisciplineError, ValueError, OSError) as exc:
         print(f"refh: {exc}", file=sys.stderr)
         return 1

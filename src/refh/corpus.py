@@ -31,7 +31,6 @@ from __future__ import annotations
 import csv
 import gc
 import io
-import itertools
 import math
 import sys
 from contextlib import contextmanager, suppress
@@ -39,7 +38,7 @@ from functools import cache
 from operator import attrgetter, index
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 PERCENT_SUM_TOL = 1e-9
 MAX_STAFF_FTE = 1e300  # keeps strength = s * staff_fte finite, s being at most 100
@@ -1031,20 +1030,37 @@ def ingest_corpus(
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    r"""Write a header and rows as UTF-8 CSV with ``\n`` line endings; every
-    CSV file except a rank table (see :func:`refh.ranking.render_table`)."""
+    r"""Write a header and rows through ``csv.writer`` as UTF-8 CSV with ``\n`` line endings:
+    every CSV file but a rank table (:func:`refh.ranking.render_table`) and :func:`write_corpus`' blocks."""
+    with _csv_file(path, header) as (_, writer):
+        writer.writerows(rows)
+
+
+@contextmanager
+def _csv_file(path: str | Path, header: Sequence[str]) -> Iterator[tuple[TextIO, Any]]:
+    """``path`` open to write UTF-8 with no newline translation, its header written; yields it and its writer."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        yield fh, writer
+
+
+def _cell(text: str) -> str:
+    r"""``text`` as a cell of :func:`write_csv`: as it is if it holds none of ``,`` ``"`` ``\r`` ``\n``, else
+    as csv renders it, for csv decides which of these it quotes (a lone ``\r`` from Python 3.13 on)."""
+    if "," not in text and '"' not in text and "\r" not in text and "\n" not in text:
+        return text
+    csv.writer(buffer := io.StringIO(), lineterminator="\n").writerow([text])
+    return buffer.getvalue()[:-1]
 
 
 def write_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
     """Write the four corpus CSVs into ``out_dir``; returns the paths.
 
-    Output is canonical (sorted rows, ``;``-joined sorted lists), so the
-    same corpus always produces byte-identical files and re-ingesting them
-    yields an equal corpus.
+    Output is canonical (sorted rows, ``;``-joined sorted lists), so the same corpus always
+    produces byte-identical files and re-ingesting them yields an equal corpus.  Publications
+    and citations go out as text, one write per block of ``_CHUNK_ROWS`` records, in
+    :func:`write_csv`'s bytes: integers as ``str`` gives them, text through :func:`_cell`.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -1055,16 +1071,21 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
         "discipline_map": out / "discipline_map.csv",
     }
 
-    joined = cache(lambda labels: ";".join(sorted(labels)))  # records share equal sets
-    write_csv(paths["publications"], PUBLICATIONS_HEADER, (
-        [r.pub_id, r.pub_year, r.country or "", joined(r.affiliations), joined(r.categories)]
-        for r in corpus.publications
-    ))
-    write_csv(paths["citations"], CITATIONS_HEADER, itertools.chain.from_iterable(
-        # years ascend on every record
-        zip(itertools.repeat(r.pub_id), r.citations_by_year, r.citations_by_year.values())
-        for r in corpus.publications
-    ))
+    joined = cache(lambda labels: _cell(";".join(sorted(labels))))  # records share equal sets
+    records = corpus.publications
+    with (_csv_file(paths["publications"], PUBLICATIONS_HEADER) as (pubs, _),
+          _csv_file(paths["citations"], CITATIONS_HEADER) as (cites, _)):
+        for start in range(0, len(records), _CHUNK_ROWS):
+            pub_lines = []
+            cite_lines = []
+            for r in records[start:start + _CHUNK_ROWS]:
+                pub_id = _cell(r.pub_id)
+                pub_lines.append(f"{pub_id},{r.pub_year},{_cell(r.country or '')},"
+                                 f"{joined(r.affiliations)},{joined(r.categories)}\n")
+                for year, count in r.citations_by_year.items():  # years ascend on every record
+                    cite_lines.append(f"{pub_id},{year},{count}\n")
+            pubs.write("".join(pub_lines))
+            cites.write("".join(cite_lines))
     # csv writes a float as its repr, the shortest exact form, and None as an empty cell
     write_csv(paths["profiles"], PROFILES_HEADER, map(attrgetter(*PROFILES_HEADER), corpus.profiles))
     write_csv(paths["discipline_map"], DISCIPLINE_MAP_HEADER, (

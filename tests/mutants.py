@@ -178,6 +178,16 @@ MUTANTS = [
            '    for fh in [path.open(newline="", encoding="utf-8-sig")]:\n        if _cells(',
            (f"{INGEST}::test_clean_path_equals_the_validator",),
            "each clean load would leave its file open until the collector found it"),
+    # the corpus writer
+    Mutant("cell-ignores-quotes", CORPUS,
+           "'\"' not in text and ", "",
+           ("tests/test_corpus.py::TestQuoting::test_written_files_equal_plain_csv_writers",),
+           "a cell holding a \" but none of , \\r \\n would be written unquoted; "
+           "one that starts with \" reads back as other text"),
+    Mutant("block-drops-its-last-record", CORPUS,
+           "records[start:start + _CHUNK_ROWS]", "records[start:start + _CHUNK_ROWS][:-1]",
+           ("tests/test_synth.py::test_synth_writes_pinned_bytes[multi-block]", "tests/test_corpus.py::TestRoundTrip"),
+           "each block of written records would lose its last, with no error"),
     # the command line
     Mutant("parser-drops-argv", CLI,
            "args = build_parser().parse_args(argv)", "args = build_parser().parse_args(argv or [])",

@@ -7,7 +7,8 @@ import math
 from dataclasses import replace
 from typing import Iterable
 
-from refh.corpus import Corpus, PublicationRecord, PublicationWindow
+from refh.corpus import (CITATIONS_HEADER, DISCIPLINE_MAP_HEADER, PROFILES_HEADER, PUBLICATIONS_HEADER, Corpus,
+                         PublicationRecord, PublicationWindow)
 from refh.ranking import RANK_TABLE_HEADER, MovementReport, RankedTable, RankEntry
 
 
@@ -89,6 +90,32 @@ def h_core_boundary(
                     if c == h:
                         return r
     raise AssertionError("no record at an h-core boundary")
+
+
+def csv_writer_files(corpus: Corpus) -> dict[str, bytes]:
+    """The four corpus files as one plain ``csv.writer`` per file renders them,
+    keyed as ``write_corpus`` keys its paths: the rows that function documents
+    (records in corpus order, citations in year order, ``;``-joined sorted
+    labels, categories of each map sorted), every cell of them through csv."""
+    rows = {
+        "publications": [PUBLICATIONS_HEADER] + [
+            [r.pub_id, r.pub_year, r.country or "", ";".join(sorted(r.affiliations)), ";".join(sorted(r.categories))]
+            for r in corpus.publications
+        ],
+        "citations": [CITATIONS_HEADER] + [
+            [r.pub_id, year, count] for r in corpus.publications for year, count in sorted(r.citations_by_year.items())
+        ],
+        "profiles": [PROFILES_HEADER] + [[getattr(p, name) for name in PROFILES_HEADER] for p in corpus.profiles],
+        "discipline_map": [DISCIPLINE_MAP_HEADER] + [
+            [m.discipline, category] for m in corpus.discipline_maps for category in sorted(m.categories)
+        ],
+    }
+    files = {}
+    for name, table in rows.items():
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(table)
+        files[name] = buffer.getvalue().encode("utf-8")
+    return files
 
 
 def parse_table_csv(text: str, discipline: str = "", measure: str = "") -> RankedTable:

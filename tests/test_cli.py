@@ -445,6 +445,46 @@ class TestIngestCommand:
         assert code == 1
         assert err == f"refh: publications.csv:2: field larger than field limit ({limit})\n"
 
+    def test_a_flood_of_violations_prints_50_then_a_count_per_file_and_field(self, tmp_path, capsys):
+        # every fourth row names an unknown pub_id, the others spoil the citing
+        # year and every other one the count too: 5 violations per 4 rows
+        rows = ["Q9,2004,1" if i % 4 == 3 else f"P1,x2004,{'y' if i % 2 else 1}" for i in range(2000)]
+        paths = write_files(tmp_path, publications="P1,2003,GB,Alpha,Chemistry", citations="\n".join(rows))
+        with pytest.raises(corpus_module.CorpusValidationError) as exc:
+            ingest_corpus(*paths.values())
+        assert len(exc.value.violations) == 2500
+        code, out, err = run(["ingest", *corpus_args(paths)], capsys)
+        assert (code, out) == (1, "")
+        lines = err.splitlines()
+        assert lines[:50] == ["refh: " + exc.value.violations[0], *exc.value.violations[1:50]]
+        assert lines[49] == "citations.csv:41: unknown pub_id 'Q9'"  # the 40th row's
+        assert lines[50:] == [
+            "refh: citations.csv: 1,470 more violations of field 'citing_year'",
+            "refh: citations.csv: 490 more violations of field 'count'",
+            "refh: citations.csv: 490 more violations",
+        ]
+
+    @pytest.mark.parametrize("rows, more", [
+        (50, []), (51, ["refh: citations.csv: 1 more violation of field 'citing_year'"])])
+    def test_fifty_violations_are_printed_in_full(self, tmp_path, capsys, rows, more):
+        paths = write_files(tmp_path, publications="P1,2003,GB,Alpha,Chemistry",
+                            citations="\n".join(["P1,x2004,1"] * rows))
+        code, _, err = run(["ingest", *corpus_args(paths)], capsys)
+        assert code == 1
+        assert err.splitlines()[1:] == [f"citations.csv:{line}: field 'citing_year': not an integer: 'x2004'"
+                                        for line in range(3, 52)] + more
+
+    def test_count_lines_keep_a_file_name_holding_a_colon(self, tmp_path, capsys):
+        paths = write_files(tmp_path, publications="P1,2003,GB,Alpha,Chemistry",
+                            citations="\n".join(["P1,x2004,1"] * 51 + ["Q9,2004,1"]))
+        paths["citations"] = paths["citations"].rename(tmp_path / "cites:v2.csv")
+        code, _, err = run(["ingest", *corpus_args(paths)], capsys)
+        assert code == 1
+        lines = err.splitlines()
+        assert lines[49] == "cites:v2.csv:51: field 'citing_year': not an integer: 'x2004'"
+        assert lines[50:] == ["refh: cites:v2.csv: 1 more violation of field 'citing_year'",
+                              "refh: cites:v2.csv: 1 more violation"]
+
     @pytest.mark.parametrize("name", ["publications", "citations", "profiles", "discipline_map"])
     def test_non_utf8_file_is_located(self, synth_dir, capsys, name):
         paths = synth_paths(synth_dir)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from refh import corpus as corpus_module
 from refh.corpus import (
     Corpus,
     CorpusValidationError,
@@ -23,6 +24,7 @@ from refh.corpus import (
 from refh.synth import Lognormal, SynthConfig, generate
 
 from conftest import profile, record, write_files
+from oracles import csv_writer_files
 
 WINDOW = PublicationWindow(2001, 2007)
 
@@ -688,6 +690,45 @@ class TestRoundTrip:
         p2 = write_corpus(corpus, tmp_path / "b")
         for key in p1:
             assert p1[key].read_bytes() == p2[key].read_bytes()
+
+
+# cells that csv quotes, or quotes on some Python versions and not others
+# (a lone \r from 3.13 on), and cells it writes as they are but a careless
+# writer might not: the text None, non-ASCII letters, a doubled quote
+AWKWARD = ["a,b", 'say "hi"', '"', '""', ",", "line\nbreak", "carriage\rreturn", "both\r\nends",
+           "None", "Zürich", "Ελληνικά", "plain"]
+
+
+def awkward_corpus(texts):
+    """One record per text, which is in its pub_id, country, affiliations and
+    categories, and in a profile's institution and discipline and a map's names."""
+    return Corpus(
+        publications=tuple(
+            record(f"{text}#{i}", 2003 + i % 3, text, (text, "Alpha"), (text, "Chemistry"), {2006: i + 1, 2008: 2})
+            for i, text in enumerate(texts)
+        ),
+        profiles=tuple(profile(institution=text, discipline=f"d {text}", out_bands=(20.0, 20.0, 20.0, 20.0, 20.0),
+                               nci=1.5) for text in texts),
+        discipline_maps=tuple(DisciplineMap(f"d {text}", frozenset({text, "Chemistry"})) for text in texts),
+    )
+
+
+class TestQuoting:
+    @pytest.mark.parametrize("chunk_rows", [5, 4096])
+    def test_written_files_equal_plain_csv_writers(self, tmp_path, monkeypatch, chunk_rows):
+        # a differential check of write_corpus' text blocks, which leave to
+        # csv only the cells that hold , " \r or \n, against csv.writer itself
+        monkeypatch.setattr(corpus_module, "_CHUNK_ROWS", chunk_rows)
+        corpus = awkward_corpus(AWKWARD)
+        paths = write_corpus(corpus, tmp_path)
+        written = {name: path.read_bytes() for name, path in paths.items()}
+        assert written == csv_writer_files(corpus)
+        assert b'"say ""hi"""' in written["publications"] and b"None#8,2006,9\n" in written["citations"]
+
+    def test_cells_the_loader_accepts_round_trip(self, tmp_path):
+        corpus = awkward_corpus([text for text in AWKWARD if "\n" not in text and "\r" not in text])
+        paths = write_corpus(corpus, tmp_path)
+        assert ingest_corpus(*paths.values()) == corpus
 
 
 def test_every_public_name_resolves():

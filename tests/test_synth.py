@@ -242,7 +242,8 @@ class TestQualityLink:
 # one build, which a change to the draw sequence would pass.  The cases reach
 # every branch of generate: both citation models, quality_link 0, 0.7 and 1,
 # a single institution (no second affiliation), a profile whose rounded bands
-# overshoot 100, and the three benchmark workload shapes at reduced sizes.
+# overshoot 100, the three benchmark workload shapes at reduced sizes, and a
+# corpus of more records than write_corpus writes in one block.
 # ---------------------------------------------------------------------------
 
 # the digests are the generator's own output: a change to the draw sequence
@@ -340,6 +341,18 @@ PINNED_CORPORA = {
             "aa2ee359f46c69b248c70c94aee04c4946369ef21cc2922392f8feaf248d7e3b",
             DISCIPLINE_MAP_SHA256,
             "96088ba120784730faf6e81e9d8bbeb333de018e09fe95e30731959041748566",
+        ),
+    ),
+    # 10,000 publications and 37,295 citation rows: write_corpus writes blocks of
+    # 4,096 records, so both files span three blocks, the last one partial
+    "multi-block": (
+        "--seed 7 --institutions 40 --papers 250:250 --window 2001:2007",
+        (
+            "1ff7943017918ea3d79259be73c7a3f8e18bd8625a663bd72390a0bfb2d28ab1",
+            "9656856c0d4ce58e68097f533f036c4b84fd0163e16322f8df5590395330989c",
+            "a948ed5ec93f9d74d33d2c5ac2eca02c2d634c0b4f818ac644032fca353cc5bf",
+            DISCIPLINE_MAP_SHA256,
+            "e3439628515fa31bc969165ada1d917fb0e9683e8368b7c7778d19839bd22394",
         ),
     ),
 }
