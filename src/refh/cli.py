@@ -175,7 +175,9 @@ def parse_pairs(text: str) -> list[tuple[str, str]]:
         if ":" not in part:
             raise ValueError(f"pair must be X:Y, got {part!r}")
         x, y = part.split(":", 1)
-        pairs.append((x.strip(), y.strip()))
+        if (pair := (x.strip(), y.strip())) in pairs:
+            raise ValueError(f"pair {':'.join(pair)!r} is given twice")
+        pairs.append(pair)
     if not pairs:
         raise ValueError(f"no measure pairs in {text!r}")
     return pairs
@@ -333,6 +335,8 @@ def _resolve_correlate(args: argparse.Namespace) -> None:
 def _resolve_rank(args: argparse.Namespace) -> None:
     if args.preset:
         args.window = args.window or PRESETS[args.preset][0]
+    if args.baseline_window and not args.baseline:
+        raise ValueError("argument --baseline-window: needs --baseline")
     args.baseline_window = args.baseline_window or args.window
     for flag, label, window in (
         ("--measure", args.measure, args.window),

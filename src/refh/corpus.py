@@ -355,7 +355,8 @@ class QualityProfile(_Frozen):
     ``nci`` is an externally supplied normalized citation impact; it
     is ingested, never computed, and must be non-negative and finite.
     ``institution`` is stripped of surrounding whitespace, as affiliations
-    are, and must not be blank.  ``__init__`` checks every profile, loaded or
+    are, and must not be blank; ``discipline`` is kept as given, and must be
+    a non-blank string.  ``__init__`` checks every profile, loaded or
     built, in that order and sets each field once; ``dataclasses.replace``
     runs it too.
     """
@@ -381,8 +382,12 @@ class QualityProfile(_Frozen):
                  pu: float, staff_fte: float, p4_out: float | None = None, p3_out: float | None = None,
                  p2_out: float | None = None, p1_out: float | None = None,
                  pu_out: float | None = None, nci: float | None = None):
+        if not isinstance(institution, str):
+            raise ValueError(f"profile for {discipline!r}: institution must be a string, got {institution!r}")
         if not (institution := institution.strip()):
             raise ValueError(f"profile for {discipline!r}: institution must be non-empty")
+        if not isinstance(discipline, str) or not discipline.strip():
+            raise ValueError(f"{institution}: discipline must be a non-blank string, got {discipline!r}")
         who = f"{institution}/{discipline}"
         self._check_bands(who, (p4, p3, p2, p1, pu))
         outs = (p4_out, p3_out, p2_out, p1_out, pu_out)

@@ -197,6 +197,11 @@ MUTANTS = [
            'command("score", cmd_score,', 'command("score", cmd_ingest,',
            ("tests/test_cli.py::TestParsing::test_each_command_dispatches_to_its_own_handler_and_parser",),
            "refh score would validate files and write no scores"),
+    # the import footprint
+    Mutant("stats-imports-json", STATS,
+           "import math\nimport re\n", "import json\nimport math\nimport re\n",
+           (f"{INGEST}::test_each_command_loads_only_its_modules",),
+           "correlate and rank would load json at start-up, though only synth and rank --format json use it"),
     # the frozen base of the value classes
     Mutant("equal-across-value-classes", CORPUS,
            "if other.__class__ is self.__class__ else NotImplemented",

@@ -177,6 +177,13 @@ USAGE_ERRORS = {
         lambda c, out: ["hindex", *c, "--discipline", "synthetic", "--window", "2001:2007",
                         "--years", ",", "--out", out],
         "refh hindex: error: argument --years: no measurement years in ','"),
+    "correlate repeated --pairs entry": (
+        lambda c, out: ["correlate", *c, *RAE2008, "--pairs", "s:h_2008, s : h_2008", "--out", out],
+        "refh correlate: error: argument --pairs: pair 's:h_2008' is given twice"),
+    "rank --baseline-window without --baseline": (
+        lambda c, out: ["rank", *c, "--discipline", "synthetic", "--window", "2001:2007",
+                        "--measure", "h_2008", "--baseline-window", "2001:2005", "--out", out],
+        "refh rank: error: argument --baseline-window: needs --baseline"),
     "correlate --pairs with no pair": (
         lambda c, out: ["correlate", *c, *RAE2008, "--pairs", ",", "--out", out],
         "refh correlate: error: argument --pairs: no measure pairs in ','"),

@@ -96,6 +96,9 @@ def test_profile_institution_is_stripped_by_every_call():
 # (class, changes, the exact message); each was the message of the generated constructor too
 REFUSALS = [
     (QualityProfile, dict(institution="  "), "profile for 'chemistry': institution must be non-empty"),
+    (QualityProfile, dict(institution=5), "profile for 'chemistry': institution must be a string, got 5"),
+    (QualityProfile, dict(discipline=5), "Alpha: discipline must be a non-blank string, got 5"),
+    (QualityProfile, dict(discipline=" "), "Alpha: discipline must be a non-blank string, got ' '"),
     (QualityProfile, dict(p4=101.0, p3=-1.0), "Alpha/chemistry: profile percentage 101.0 outside [0, 100]"),
     (QualityProfile, dict(p4=math.nan), "Alpha/chemistry: profile percentage nan outside [0, 100]"),
     (QualityProfile, dict(p1=24.0), "Alpha/chemistry: profile sum 99.0 != 100"),

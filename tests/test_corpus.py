@@ -735,3 +735,26 @@ def test_every_public_name_resolves():
     import refh
 
     assert [name for name in refh.__all__ if not hasattr(refh, name)] == []
+
+
+# the package's public names, by the module that defines each
+PUBLIC_NAMES = {
+    "corpus": "Corpus CorpusValidationError DisciplineMap PublicationRecord PublicationWindow "
+              "QualityProfile UnknownDisciplineError filter_documents ingest_corpus write_corpus",
+    "metrics": "GroupMetrics ScoreSet citations_to_end_of compute_h departmental_h group_metrics "
+               "h_series score_profile score_s score_s_output score_s_prime strength",
+    "ranking": "MovementReport RankedTable RankEntry movement rank_table render_table with_movement",
+    "stats": "CorrelationReport CorrelationSeries InsufficientDataError correlation_series "
+             "correlation_table fractional_ranks pearson significance spearman",
+    "synth": "Lognormal PowerLaw SynthConfig generate",
+}
+
+
+def test_public_names_are_pinned_to_their_defining_modules():
+    import refh
+
+    assert refh.__all__ == sorted(name for names in PUBLIC_NAMES.values() for name in names.split())
+    for module, names in PUBLIC_NAMES.items():
+        for name in names.split():
+            obj = getattr(refh, name)
+            assert (obj, obj.__module__) == (getattr(getattr(refh, module), name), f"refh.{module}")
