@@ -262,6 +262,13 @@ def _flag_type(parse):
     return convert
 
 
+def _name(text: str) -> str:
+    """A name flag's value (a discipline or a measure label), stripped as ``--pairs`` entries are."""
+    if not (name := text.strip()):
+        raise ValueError("must not be blank")
+    return name
+
+
 def _add_corpus_options(p: argparse.ArgumentParser, profiles_only: bool = False) -> None:
     p.add_argument("--profiles", required=True, type=Path, help="profiles CSV/JSON file")
     if not profiles_only:
@@ -272,7 +279,7 @@ def _add_corpus_options(p: argparse.ArgumentParser, profiles_only: bool = False)
 
 def _add_run_options(p: argparse.ArgumentParser, with_years: bool = True) -> None:
     p.add_argument("--country", default="GB", help="country code filter (default GB)")
-    p.add_argument("--discipline", required=True, help="discipline label")
+    p.add_argument("--discipline", required=True, type=_flag_type(_name), help="discipline label")
     p.add_argument(
         "--window", type=_flag_type(PublicationWindow.parse), help="publication window START:END"
     )
@@ -401,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("score", cmd_score, help="write quality scores per profile (scores.csv)")
     _add_corpus_options(p, profiles_only=True)
-    p.add_argument("--discipline", help="restrict to one discipline")
+    p.add_argument("--discipline", type=_flag_type(_name), help="restrict to one discipline")
     _add_out_option(p)
 
     p = command(
@@ -426,8 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_options(p, with_years=False)
     _add_out_option(p)
     p.add_argument("--format", choices=list(RANK_SUFFIXES), default="csv")
-    p.add_argument("--measure", required=True, help="s | s_prime | s_output | strength | i | h_YYYY | h_hat_YYYY")
-    p.add_argument("--baseline", help="baseline measure for movement markers")
+    p.add_argument("--measure", required=True, type=_flag_type(_name),
+                   help="s | s_prime | s_output | strength | i | h_YYYY | h_hat_YYYY")
+    p.add_argument("--baseline", type=_flag_type(_name), help="baseline measure for movement markers")
     p.add_argument(
         "--baseline-window",
         type=_flag_type(PublicationWindow.parse),

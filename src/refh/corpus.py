@@ -101,6 +101,19 @@ class _DataclassFields:
         return fields
 
 
+def _fields_setter(cls: type) -> Callable[..., object]:
+    """``set_fields(obj, *values)``, the ``_set_fields`` that :class:`_Frozen` gives a slotted class
+    ``cls`` with its own ``__init__``: it sets each field once, in field order, through the slot
+    descriptors that a frozen class's ``__setattr__`` does not guard, and returns ``obj``.  It is
+    written out one call per field, as dataclasses writes an ``__init__``: a loop over the
+    descriptors would cost each object more than its checks do."""
+    names = cls.__slots__
+    namespace = {f"set_{name}": cls.__dict__[name].__set__ for name in names}
+    exec(f"def set_fields(obj, {', '.join(names)}):\n"
+         + "".join(f"    set_{name}(obj, {name})\n" for name in names) + "    return obj\n", namespace)
+    return namespace["set_fields"]
+
+
 class _Frozen:
     """A frozen dataclass's behaviour without importing ``dataclasses`` at start-up.  A subclass's
     fields are its own annotated names, in order; a class attribute is a field's default, save in a
@@ -114,6 +127,8 @@ class _Frozen:
         cls.__match_args__ = names = tuple(cls.__annotations__)
         cls._values = attrgetter(*names)  # a tuple, in C: every subclass has two fields or more
         cls._defaults = {} if "__slots__" in vars(cls) else {n: vars(cls)[n] for n in names if n in vars(cls)}
+        if "__slots__" in vars(cls) and "__init__" in vars(cls):  # that __init__ sets the fields through it
+            cls._set_fields = _fields_setter(cls)
 
     def __init__(self, *args, **kwargs):
         names = self.__match_args__
@@ -190,19 +205,6 @@ class PublicationWindow(_Frozen):
         return cls(start, end)
 
 
-def _fields_setter(cls: type) -> Callable[..., object]:
-    """``set_fields(obj, *values)``, which sets each field of the slotted
-    value class ``cls`` once, in field order, through the slot descriptors that
-    a frozen class's ``__setattr__`` does not guard, and returns ``obj``.  It
-    is written out one call per field, as dataclasses writes an ``__init__``:
-    a loop over the descriptors would cost each object more than its checks do."""
-    names = cls.__slots__
-    namespace = {f"set_{name}": cls.__dict__[name].__set__ for name in names}
-    exec(f"def set_fields(obj, {', '.join(names)}):\n"
-         + "".join(f"    set_{name}(obj, {name})\n" for name in names) + "    return obj\n", namespace)
-    return namespace["set_fields"]
-
-
 class PublicationRecord(_Frozen):
     """One publication with its per-citing-year citation counts.
 
@@ -221,9 +223,10 @@ class PublicationRecord(_Frozen):
     Every record is checked and normalised here, in ``__init__``, which sets
     each field once, save those of :func:`load_publications`' clean pass: it
     reads only CSV files that break no rule, and sets each record's fields
-    itself.  The per-row validator, which reads the other files, flags each
-    violation at its ``file:line`` and builds its records here.  Records
-    compare by value but are unhashable, as their citation ``dict`` is.
+    itself with ``_set_fields``.  The per-row validator, which reads the other
+    files, flags each violation at its ``file:line`` and builds its records
+    here.  Records compare by value but are unhashable, as their citation
+    ``dict`` is.
     """
 
     pub_id: str
@@ -287,11 +290,8 @@ class PublicationRecord(_Frozen):
                 ordered = False
             if count:
                 cleaned[year] = cleaned.get(year, 0) + count
-        _set_record(self, pub_id, pub_year, country or None, affiliations, categories,
-                    cleaned if ordered else _in_year_order(cleaned))
-
-
-_set_record = _fields_setter(PublicationRecord)
+        self._set_fields(pub_id, pub_year, country or None, affiliations, categories,
+                         cleaned if ordered else _in_year_order(cleaned))
 
 
 def _stripped_set(labels: Iterable[str]) -> frozenset[str]:
@@ -401,8 +401,8 @@ class QualityProfile(_Frozen):
             raise ValueError(f"{who}: staff_fte must be {rule}, got {staff_fte}")
         if nci is not None and not 0 <= nci < math.inf:
             raise ValueError(f"{who}: nci must be {'non-negative' if nci < 0 else 'finite'}, got {nci}")
-        _set_profile(self, institution, discipline, p4, p3, p2, p1, pu, staff_fte,
-                     p4_out, p3_out, p2_out, p1_out, pu_out, nci)
+        self._set_fields(institution, discipline, p4, p3, p2, p1, pu, staff_fte,
+                         p4_out, p3_out, p2_out, p1_out, pu_out, nci)
 
     @staticmethod
     def _check_bands(who, bands, kind="profile"):
@@ -424,9 +424,6 @@ class QualityProfile(_Frozen):
         if not self.has_output_profile:
             return None
         return (self.p4_out, self.p3_out, self.p2_out, self.p1_out, self.pu_out)
-
-
-_set_profile = _fields_setter(QualityProfile)
 
 
 class Corpus(_Frozen):
@@ -808,6 +805,7 @@ def _load_clean(pub_path: Path, cite_path: Path) -> tuple[PublicationRecord, ...
     """The records of a clean pair of CSV files; raises at the first doubt."""
     interned, ints, countries = _Parsed(_labels_cell), _Parsed(_int_cell), _Parsed(_country_cell)
     records: dict[str, PublicationRecord] = {}
+    set_fields = PublicationRecord._set_fields
     for chunk, _ in _regular_chunks(pub_path, PUBLICATIONS_HEADER):
         for pub_id, pub_year, country, affiliations, categories in chunk:
             pub_id = pub_id.strip()
@@ -815,8 +813,8 @@ def _load_clean(pub_path: Path, cite_path: Path) -> tuple[PublicationRecord, ...
                 if pub_id or any(map(str.strip, (pub_year, country, affiliations, categories))):
                     raise ValueError("a blank or duplicate pub_id")
                 continue  # a blank row
-            records[pub_id] = _set_record(object.__new__(PublicationRecord), pub_id, ints[pub_year],
-                                          countries[country], interned[affiliations], interned[categories], {})
+            records[pub_id] = set_fields(object.__new__(PublicationRecord), pub_id, ints[pub_year],
+                                         countries[country], interned[affiliations], interned[categories], {})
     if not all(interned.values()):  # every set here is a loaded record's
         raise ValueError("an empty affiliation or category set")
     # ``ordered`` while each record's rows are one run of rows in ascending year order;
@@ -1035,8 +1033,8 @@ def ingest_corpus(
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    r"""Write a header and rows through ``csv.writer`` as UTF-8 CSV with ``\n`` line endings:
-    every CSV file but a rank table (:func:`refh.ranking.render_table`) and :func:`write_corpus`' blocks."""
+    r"""Write a header and rows through ``csv.writer`` as UTF-8 CSV with ``\n`` line endings.  A rank table
+    (:func:`refh.ranking.render_table`) and :func:`write_corpus`' blocks are these bytes, made as text."""
     with _csv_file(path, header) as (_, writer):
         writer.writerows(rows)
 

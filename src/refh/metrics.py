@@ -26,7 +26,6 @@ from refh.corpus import (
     PublicationWindow,
     QualityProfile,
     _EMPTY,
-    _fields_setter,
     _Frozen,
     matching_publications,
     write_csv,
@@ -216,10 +215,7 @@ class ScoreSet(_Frozen):
         for name, v in (("s", s), ("s_prime", s_prime), ("s_output", s_output)):
             if v is not None and not 0.0 <= v <= 100.0 + 1e-9:
                 raise ValueError(f"{institution}: {name} = {v} outside [0, 100]")
-        _set_scores(self, institution, discipline, s, s_prime, s_output, strength, nci)
-
-
-_set_scores = _fields_setter(ScoreSet)
+        self._set_fields(institution, discipline, s, s_prime, s_output, strength, nci)
 
 
 def score_profile(profile: QualityProfile) -> ScoreSet:

@@ -10,13 +10,11 @@ held, and ``new`` when it is absent from the baseline.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from itertools import zip_longest
 from typing import Mapping
 
-from refh.corpus import _EMPTY, _fields_setter, _Frozen
+from refh.corpus import _EMPTY, _cell, _Frozen
 from refh.metrics import _fmt6
 
 RANK_TABLE_HEADER = ["rank", "institution", "value", "movement"]
@@ -43,10 +41,7 @@ class RankEntry(_Frozen):
             raise ValueError(f"rank must be >= 1, got {rank}")
         if movement not in MOVEMENT_TOKENS:
             raise ValueError(f"movement must be one of {MOVEMENT_TOKENS}, got {movement!r}")
-        _set_entry(self, rank, institution, value, movement)
-
-
-_set_entry = _fields_setter(RankEntry)
+        self._set_fields(rank, institution, value, movement)
 
 
 class RankedTable(_Frozen):
@@ -169,15 +164,12 @@ def _fmt_value_markdown(value: float | None) -> str:
 
 
 def render_table(table: RankedTable, format: str = "csv") -> str:
-    """Deterministic text form of a table; ``format`` is ``csv``, ``markdown``
-    or ``json`` (the table's fields, keys sorted, two-space indent)."""
+    """Deterministic text form of a table; ``format`` is ``csv`` (the bytes of
+    :func:`refh.corpus.write_csv`), ``markdown`` or ``json`` (the table's fields,
+    keys sorted, two-space indent).  Institution names must be strings but in ``json``."""
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(RANK_TABLE_HEADER)
-        for e in table.entries:
-            writer.writerow([e.rank, e.institution, _fmt6(e.value), e.movement])
-        return buf.getvalue()
+        return ",".join(RANK_TABLE_HEADER) + "\n" + "".join(
+            f"{e.rank},{_cell(e.institution)},{_fmt6(e.value)},{e.movement}\n" for e in table.entries)
     if format == "markdown":
         lines = [
             "| rank | institution | movement | value |",

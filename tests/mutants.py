@@ -49,7 +49,7 @@ MUTANTS = [
     # the record builders
     Mutant("validator-trusted-build", CORPUS,
            "records.append(PublicationRecord(pub_id, *fields))",
-           "records.append(_set_record(object.__new__(PublicationRecord), pub_id, *fields))",
+           "records.append(PublicationRecord._set_fields(object.__new__(PublicationRecord), pub_id, *fields))",
            (f"{INGEST}::test_validator_builds_each_record_with_init",),
            "JSON input and faulty CSV would skip the record rules of __init__ again"),
     Mutant("validator-shares-no-pub-year", CORPUS,
@@ -181,13 +181,18 @@ MUTANTS = [
     # the corpus writer
     Mutant("cell-ignores-quotes", CORPUS,
            "'\"' not in text and ", "",
-           ("tests/test_corpus.py::TestQuoting::test_written_files_equal_plain_csv_writers",),
+           ("tests/test_corpus.py::TestQuoting::test_written_files_equal_plain_csv_writers",
+            "tests/test_ranking.py::TestRendering::test_csv_quotes_names_as_csv_writer_does"),
            "a cell holding a \" but none of , \\r \\n would be written unquoted; "
            "one that starts with \" reads back as other text"),
     Mutant("block-drops-its-last-record", CORPUS,
            "records[start:start + _CHUNK_ROWS]", "records[start:start + _CHUNK_ROWS][:-1]",
            ("tests/test_synth.py::test_synth_writes_pinned_bytes[multi-block]", "tests/test_corpus.py::TestRoundTrip"),
            "each block of written records would lose its last, with no error"),
+    Mutant("rank-csv-bypasses-cell", RANKING,
+           "{_cell(e.institution)}", "{e.institution}",
+           ("tests/test_ranking.py::TestRendering::test_csv_quotes_names_as_csv_writer_does",),
+           "a rank table would write a name holding , or \" unquoted, and read back as other columns"),
     # the command line
     Mutant("parser-drops-argv", CLI,
            "args = build_parser().parse_args(argv)", "args = build_parser().parse_args(argv or [])",
@@ -216,6 +221,10 @@ MUTANTS = [
            "        self.__post_init__()  #", "        pass  #",
            ("tests/test_corpus.py::TestPublicationWindow::test_reversed_window_rejected",),
            "every class without its own __init__ would construct unchecked, e.g. the window 2007:2001"),
+    Mutant("fields-setter-skips-a-slot", CORPUS,
+           "for name in names) + \"    return obj\\n\"", "for name in names[:-1]) + \"    return obj\\n\"",
+           ("tests/test_constructors.py::test_value_class_contract",),
+           "each slotted class would leave its last field unset, e.g. a record with no citations_by_year"),
     Mutant("pickle-reverses-fields", CORPUS,
            "return type(self), self._values(self)", "return type(self), self._values(self)[::-1]",
            ("tests/test_constructors.py::test_value_class_contract",),

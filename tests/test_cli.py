@@ -184,6 +184,14 @@ USAGE_ERRORS = {
         lambda c, out: ["rank", *c, "--discipline", "synthetic", "--window", "2001:2007",
                         "--measure", "h_2008", "--baseline-window", "2001:2005", "--out", out],
         "refh rank: error: argument --baseline-window: needs --baseline"),
+    # a name flag is read stripped, so a blank one names nothing (rank's labels: TestRankCommand)
+    "score blank --discipline": (
+        lambda c, out: ["score", "--profiles", c[c.index("--profiles") + 1], "--discipline", " ",
+                        "--out", out],
+        "refh score: error: argument --discipline: must not be blank"),
+    "hindex blank --discipline": (
+        lambda c, out: ["hindex", *c, "--discipline", "\t", "--preset", "rae2008", "--out", out],
+        "refh hindex: error: argument --discipline: must not be blank"),
     "correlate --pairs with no pair": (
         lambda c, out: ["correlate", *c, *RAE2008, "--pairs", ",", "--out", out],
         "refh correlate: error: argument --pairs: no measure pairs in ','"),
@@ -409,6 +417,29 @@ class TestParsing:
         assert p.get_default("func") is getattr(cli, f"cmd_{name}")
         assert p.get_default("parser") is p
         assert p.format_usage() != f"usage: refh {name} [-h]\n"
+
+    # each command's flags before --out, its name flags padded; the test runs them padded and stripped
+    PADDED = {
+        "hindex": ["hindex", "--discipline", " synthetic ", "--preset", "rae2008"],
+        "score": ["score", "--discipline", "\tsynthetic"],
+        "correlate": ["correlate", "--discipline", "synthetic  ", "--preset", "rae2008", "--pairs", "s:h_2008"],
+        "rank": ["rank", "--discipline", " synthetic", "--window", "2001:2007", "--measure", " h_2008 ",
+                 "--baseline", "s "],
+    }
+
+    @pytest.mark.parametrize("name", list(PADDED))
+    def test_padded_name_flags_write_what_the_stripped_ones_write(self, name, synth_dir, tmp_path):
+        # no padding reaches a discipline cell or a file name
+        paths = synth_paths(synth_dir)
+        args = corpus_args(paths) if name != "score" else ["--profiles", str(paths["profiles"])]
+        written = []
+        for flags in (self.PADDED[name], [flag.strip() for flag in self.PADDED[name]]):
+            out = tmp_path / f"out{len(written)}"
+            assert main([*flags, *args, "--out", str(out)]) == 0
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert written[0] == written[1]
+        if name == "rank":
+            assert list(written[0]) == ["rank_synthetic_h_2008.csv"]
 
     TEXT_CASES = {"--help": ["--help"],
                   **{f"{name} --help": [name, "--help"]
@@ -1043,10 +1074,10 @@ class TestRankCommand:
         (["--measure", "h_2008", "--baseline", "h_2008", "--baseline-window", "2008:2013"],
          "--baseline", "h_2008 measures 2008, which must come after window start 2008"),
         (["--measure", "bogus"], "--measure", f"unknown measure label 'bogus' {LABELS}"),
-        (["--measure", "s", "--baseline", "h_2008\n"], "--baseline",
-         f"unknown measure label 'h_2008\\n' {LABELS}"),
-        (["--measure", ""], "--measure", f"unknown measure label '' {LABELS}"),
-        (["--measure", "s", "--baseline", ""], "--baseline", f"unknown measure label '' {LABELS}"),
+        (["--measure", "s", "--baseline", "h_2008\ns"], "--baseline",
+         f"unknown measure label 'h_2008\\ns' {LABELS}"),
+        (["--measure", ""], "--measure", "must not be blank"),
+        (["--measure", "s", "--baseline", "\n"], "--baseline", "must not be blank"),
     ], ids=["baseline-at-start", "both-before", "profile-measure", "own-window",
             "unknown-measure", "unknown-baseline", "empty-measure", "empty-baseline"])
     def test_bad_label_exits_2_before_any_read(self, tmp_path, monkeypatch, capsys,

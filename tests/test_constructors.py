@@ -206,6 +206,12 @@ def test_value_class_contract(cls):
         assert hash(replace(obj)) == hash(obj)
 
 
+def test_only_slotted_classes_with_their_own_init_get_a_fields_setter():
+    # each of these __init__s sets its fields through it; RankMove is slotted but takes the shared __init__
+    assert [cls for cls in VALUE_CLASSES if hasattr(cls, "_set_fields")] == [
+        PublicationRecord, QualityProfile, ScoreSet, RankEntry]
+
+
 def test_equal_fields_of_two_classes_are_not_equal():
     assert Lognormal(2.0, 3.0) != PowerLaw(2.0, 3.0)
     assert Lognormal(2.0, 3.0) == Lognormal(2.0, 3.0)

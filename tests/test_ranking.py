@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -205,6 +208,24 @@ class TestRendering:
             "| 1. A\\|B (2) | 1. C ↑ (2) |",
             "| 2. C (1) | 2. A\\|B ↓ (1) |",
         ]
+
+    # names csv must quote, names it must not, and names of other scripts
+    AWKWARD_NAMES = ["a,b", 'say "hi"', '""', '"', " lead", "trail ", "Zürich École", "Ελλάδα",
+                     "line\nbreak", "cr\rlf\r\n", "lone\rcr", "", "plain"]
+
+    def test_csv_quotes_names_as_csv_writer_does(self):
+        table = rank_table({name: i / 8 for i, name in enumerate(self.AWKWARD_NAMES)}, "m", "d")
+        table = with_movement(table, movement(rank_table({"plain": 1.0, "a,b": 0.0}, "b"), table))
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["rank", "institution", "value", "movement"])
+        writer.writerows([e.rank, e.institution, f"{e.value:.6f}", e.movement] for e in table.entries)
+        text = render_table(table, "csv")
+        assert text == buffer.getvalue()
+        assert '"say ""hi"""' in text and ", lead," in text and ",trail ," in text
+        # csv before Python 3.13 writes a lone \r unquoted, and its reader cannot read that back
+        kept = [e for e in table.entries if e.institution != "lone\rcr"]
+        assert parse_table_csv(render_table(RankedTable("d", "m", kept), "csv"), "d", "m").entries == tuple(kept)
 
     def test_csv_movement_tokens(self):
         entries = (RankEntry(1, "A", 5.0, "up"),)
