@@ -35,7 +35,7 @@ import math
 import sys
 from contextlib import contextmanager, suppress
 from functools import cache
-from operator import attrgetter, index
+from operator import attrgetter, call, index
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
@@ -323,12 +323,16 @@ def _in_year_order(citations: dict[int, int]) -> dict[int, int]:
 class DisciplineMap(_Frozen):
     """A discipline defined as the union of subject-category labels, read by
     the record label rule (:func:`_stripped_set`): strings only, stored
-    stripped, blanks dropped; a string, or a set with no label left, is refused."""
+    stripped, blanks dropped; a string, or a set with no label left, is refused.
+    The discipline is a non-blank string, stored stripped."""
 
     discipline: str
     categories: frozenset[str]
 
     def __post_init__(self):
+        if not isinstance(self.discipline, str) or not self.discipline.strip():
+            raise ValueError(f"discipline must be a non-blank string, got {self.discipline!r}")
+        object.__setattr__(self, "discipline", self.discipline.strip())
         if isinstance(self.categories, str):  # not the set of its characters
             raise ValueError(f"discipline {self.discipline!r}: categories must be a collection of labels, "
                              f"not the string {self.categories!r}")
@@ -354,11 +358,10 @@ class QualityProfile(_Frozen):
     ``staff_fte`` is the submitted staff count, in (0, ``MAX_STAFF_FTE``].
     ``nci`` is an externally supplied normalized citation impact; it
     is ingested, never computed, and must be non-negative and finite.
-    ``institution`` is stripped of surrounding whitespace, as affiliations
-    are, and must not be blank; ``discipline`` is kept as given, and must be
-    a non-blank string.  ``__init__`` checks every profile, loaded or
-    built, in that order and sets each field once; ``dataclasses.replace``
-    runs it too.
+    ``institution`` and ``discipline`` are stripped of surrounding
+    whitespace, as affiliations are, and each must be a non-blank string.
+    ``__init__`` checks every profile, loaded or built, in that order and
+    sets each field once; ``dataclasses.replace`` runs it too.
     """
 
     institution: str
@@ -388,6 +391,7 @@ class QualityProfile(_Frozen):
             raise ValueError(f"profile for {discipline!r}: institution must be non-empty")
         if not isinstance(discipline, str) or not discipline.strip():
             raise ValueError(f"{institution}: discipline must be a non-blank string, got {discipline!r}")
+        discipline = discipline.strip()
         who = f"{institution}/{discipline}"
         self._check_bands(who, (p4, p3, p2, p1, pu))
         outs = (p4_out, p3_out, p2_out, p1_out, pu_out)
@@ -521,46 +525,66 @@ def filter_documents(
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator[tuple[int, tuple]]:
-    """Yield CSV or JSON rows as (line_number, cells) pairs, cells in header order.
+def _read_rows(path: Path, rules: Mapping[str, Callable[[Any], Any]],
+               violations: list[str]) -> Iterator[tuple[tuple[str, int], list]]:
+    """Yield CSV or JSON rows as ((file name, line number), values), values in header order.
 
     This is the validators' reader: a loader reads a CSV file here only once
-    its own clean pass has given up on it.  CSV cells come stripped, JSON
-    values as they are, ``None`` for a missing key or null.  CSV line numbers
-    are physical lines.  A row with a line break in a cell (a CSV record
-    that spans lines), a NUL in a CSV cell or a line break or NUL in a JSON
-    string is refused.
-    A blank row is skipped.
-    The header must match ``header`` exactly for CSV; JSON objects may omit optional keys.
-    Violations of the file's shape are added to ``violations`` once the
-    rows are exhausted, ahead of any the caller added while reading them.
-    A leading UTF-8 byte-order mark is dropped.  A file that is not valid
-    UTF-8 raises ``ValueError`` at its ``file:line``.
+    its own clean pass has given up on it.  ``rules`` maps each field of the
+    header, in order, to its cell rule: a function of the raw cell (a CSV
+    cell stripped, a JSON value as it is, ``None`` for a missing key or null)
+    that returns the value or raises ``ValueError`` saying what is wrong.
+    Each refused cell is flagged as ``field 'x': <what>`` at its row's
+    ``file:line``, and that row is dropped.  Breaches of :func:`_shaped_rows`
+    are added to ``violations`` once the rows are exhausted, ahead of any
+    added while reading them.
     """
+    header, name, cell_rules = list(rules), path.name, tuple(rules.values())
     start, shape = len(violations), []
+    for line_no, cells in _shaped_rows(path, header, shape):
+        try:
+            values = list(map(call, cell_rules, cells))
+        except ValueError:  # read the row again, to flag each refused cell
+            for field, rule, cell in zip(header, cell_rules, cells):
+                try:
+                    rule(cell)
+                except ValueError as exc:
+                    violations.append(f"{name}:{line_no}: field {field!r}: {exc}")
+        else:
+            yield (name, line_no), values
+    violations[start:start] = shape
+
+
+def _shaped_rows(path: Path, header: list[str], shape: list[str]) -> Iterator[tuple[int, tuple]]:
+    """(line number, cells) of each row that has the file's shape, cells in header order, each breach added to
+    ``shape``.  CSV line numbers are physical lines.  A blank row is skipped.  A row with a line break in a cell
+    (a CSV record that spans lines), a NUL in a CSV cell or a line break or NUL in a JSON string is refused.
+    The header must match ``header`` exactly for CSV; JSON objects may omit optional keys.  A leading UTF-8
+    byte-order mark is dropped.  A file that is not valid UTF-8 raises ``ValueError`` at its ``file:line``."""
     if path.suffix.lower() == ".json":
         import json
 
         try:
-            data = json.loads(path.read_text(encoding="utf-8-sig"))
+            data = json.loads(text := path.read_text(encoding="utf-8-sig"))
         except UnicodeDecodeError:  # a ValueError too, but not this file's violation
             raise _not_utf8(path) from None
         except (ValueError, RecursionError) as exc:  # also an integer too long, or nesting too deep
-            violations.append(f"{path.name}: invalid JSON: {exc}")
+            shape.append(f"{path.name}: invalid JSON: {exc}")
             return
         if not isinstance(data, list):
-            violations.append(f"{path.name}: expected a JSON list of objects")
+            shape.append(f"{path.name}: expected a JSON list of objects")
             return
+        # json refuses a control character in a string, so a string holds a line break or NUL only as an escape
+        fields, escaped = set(header), "\\" in text
         for i, obj in enumerate(data, start=1):
             if not isinstance(obj, dict):
                 shape.append(f"{path.name}:{i}: expected an object")
-            elif unknown := set(obj) - set(header):
-                shape.append(f"{path.name}:{i}: unknown field(s) {sorted(unknown)}")
-            elif broken := [k for k, v in obj.items() if _breaks_line(v)]:
+            elif not obj.keys() <= fields:
+                shape.append(f"{path.name}:{i}: unknown field(s) {sorted(obj.keys() - fields)}")
+            elif escaped and (broken := [k for k, v in obj.items() if _breaks_line(v)]):
                 shape.extend(f"{path.name}:{i}: field {k!r}: line break or NUL in {obj[k]!r}" for k in broken)
             else:
-                yield i, tuple(map(obj.get, header))
-        violations[start:start] = shape
+                yield i, tuple(map(obj.get, header))  # a tuple: a refused row is read twice
         return
 
     with path.open(newline="", encoding="utf-8-sig") as fh:
@@ -568,13 +592,10 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
         try:
             got_header = next(reader, None)
             if got_header is None:
-                violations.append(f"{path.name}: empty file, expected header {','.join(header)}")
+                shape.append(f"{path.name}: empty file, expected header {','.join(header)}")
                 return
             if [h.strip() for h in got_header] != header:
-                violations.append(
-                    f"{path.name}:1: bad header {','.join(got_header)!r}, "
-                    f"expected {','.join(header)!r}"
-                )
+                shape.append(f"{path.name}:1: bad header {','.join(got_header)!r}, expected {','.join(header)!r}")
                 return
             # number records by physical line; a record spans more than one
             # only when a quoted cell holds a line break, which no field may
@@ -588,16 +609,15 @@ def _read_rows(path: Path, header: list[str], violations: list[str]) -> Iterator
                     continue  # a blank row is skipped
                 elif len(cells) != width:
                     shape.append(f"{path.name}:{line_no}: expected {width} fields, got {len(row)}")
-                elif broken := [(k, c) for k, c in zip(header, row) if _breaks_line(c)]:
+                elif _breaks_line("".join(row)):  # one test of the row, then one of each cell
                     shape.extend(f"{path.name}:{line_no}: field {k!r}: line break or NUL in {c!r}"
-                                 for k, c in broken)
+                                 for k, c in zip(header, row) if _breaks_line(c))
                 else:
                     yield line_no, cells
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit(); the read stops here
             shape.append(f"{path.name}:{reader.line_num}: {exc}")
         except UnicodeDecodeError:
             raise _not_utf8(path) from None
-    violations[start:start] = shape
 
 
 def _breaks_line(value) -> bool:
@@ -624,35 +644,41 @@ def _flag(violations: list[str], where: tuple[str, int], message: str) -> None:
     violations.append(f"{where[0]}:{where[1]}: {message}")
 
 
-def _get_str(raw, key: str, where: tuple[str, int], violations: list[str]) -> str | None:
-    """A text cell stripped, ``""`` if null; ``None``, flagged, if a JSON value is not a string."""
+def _text(raw) -> str:
+    """The rule of a text cell: stripped, ``""`` if null."""
     if raw is None or isinstance(raw, str):
         return (raw or "").strip()
-    _flag(violations, where, f"field {key!r}: not a string: {raw!r}")
-    return None
+    raise ValueError(f"not a string: {raw!r}")
 
 
-def _get_number(
-    raw, key: str, where: tuple[str, int], violations: list[str], parse: type = int, optional: bool = False
-) -> int | float | None:
-    """A number cell read by ``parse``, ``int`` or ``float``; ``None`` when it is
-    missing (flagged unless ``optional``), malformed or not finite (flagged)."""
-    text = "" if raw is None else str(raw).strip()
-    if not text:
-        if not optional:
-            _flag(violations, where, f"field {key!r}: missing value")
-        return None
-    try:
+def _name(raw) -> str:
+    """The rule of a name cell: a text cell that is not blank."""
+    if text := _text(raw):
+        return text
+    raise ValueError("missing value")
+
+
+def _number(parse: type, optional: bool = False) -> Callable[[Any], int | float | None]:
+    """The rule of a number cell read by ``parse``, ``int`` or ``float``: a blank
+    cell is ``None`` if ``optional`` and refused if not, as is a malformed or
+    (for ``float``) an infinite or NaN one."""
+    kind = "an integer" if parse is int else "a number"
+
+    def number(raw):
+        if not (text := "" if raw is None else str(raw).strip()):
+            if optional:
+                return None
+            raise ValueError("missing value")
         if not _plain(text):
-            raise ValueError(text)
-        value = parse(text)
-    except ValueError:
-        _flag(violations, where, f"field {key!r}: not {'an integer' if parse is int else 'a number'}: {raw!r}")
-        return None
-    if parse is float and not math.isfinite(value):
-        _flag(violations, where, f"field {key!r}: not a finite number: {raw!r}")
-        return None
-    return value
+            raise ValueError(f"not {kind}: {raw!r}")
+        try:
+            value = parse(text)
+        except ValueError:
+            raise ValueError(f"not {kind}: {raw!r}") from None
+        if parse is float and not math.isfinite(value):
+            raise ValueError(f"not a finite number: {raw!r}")
+        return value
+    return number
 
 
 def _plain(text: str) -> bool:
@@ -690,17 +716,18 @@ def _country_cell(cell: str) -> str | None:
     return sys.intern(country) if (country := cell.strip()) else None
 
 
-def _get_set(raw, key: str, where: tuple[str, int], violations: list[str], interned: _Parsed):
-    """A ``;``-separated string or a JSON list of strings as a shared frozenset;
-    ``None``, flagged, when a JSON value or list item is not a string."""
-    if raw is None or isinstance(raw, str):
-        return interned[raw or ""]
-    for item in raw if isinstance(raw, list) else [raw]:
-        if not isinstance(item, str):
-            _flag(violations, where, f"field {key!r}: not a string: {item!r}")
-            return None
-    items = _stripped_set(raw)
-    return interned.setdefault(items, items)
+def _labels(interned: _Parsed) -> Callable[[Any], frozenset[str]]:
+    """The rule of a list cell, a ``;``-separated string or a JSON list of strings:
+    its labels as a frozenset that every equal cell shares through ``interned``."""
+    def labels(raw):
+        if raw is None or isinstance(raw, str):
+            return interned[raw or ""]
+        for item in raw if isinstance(raw, list) else [raw]:
+            if not isinstance(item, str):
+                raise ValueError(f"not a string: {item!r}")
+        items = _stripped_set(raw)
+        return interned.setdefault(items, items)
+    return labels
 
 
 @contextmanager
@@ -732,8 +759,9 @@ def load_publications(
     not exactly the expected one, a row of another width, a record that
     spans lines or a CSV error.  On giving up, and for JSON input, the
     per-row validator reads both files anew; it alone writes messages,
-    each at its ``file:line``, and it builds each record with ``__init__``,
-    flagging a record that method refuses at the record's line.  The clean
+    each at its ``file:line``: the cells its rules refuse (see :func:`_read_rows`), a
+    duplicate or unknown pub_id, a negative count, a citing year before the publication year,
+    and a record that ``__init__``, which builds each record, refuses.  The clean
     pass parses each distinct year, count, label-list and country cell
     once, and both readers parse label lists and countries so, through one
     table per kind of cell: equal cells give one shared value (a frozenset,
@@ -849,68 +877,40 @@ def _load_clean(pub_path: Path, cite_path: Path) -> tuple[PublicationRecord, ...
 
 def _validate_publications(pub_path: Path, cite_path: Path) -> tuple[tuple[PublicationRecord, ...], list[str]]:
     """The per-row validator; unlike the clean pass, it builds each record with ``PublicationRecord.__init__``."""
-    pub_name, cite_name = pub_path.name, cite_path.name
     violations: list[str] = []
-    interned, countries, years = _Parsed(_labels_cell), _Parsed(_country_cell), {}
-    # pub_id -> (line_no, pub_year, country, affiliations, categories, citations)
+    labels, countries, years = _labels(_Parsed(_labels_cell)), _Parsed(_country_cell), {}
+    pub_rules = {"pub_id": _name, "pub_year": _number(int), "country": lambda raw: countries[_text(raw)],
+                 "affiliations": labels, "categories": labels}
+    # pub_id -> (where, pub_year, country, affiliations, categories, citations)
     parsed: dict[str, tuple] = {}
-    for line_no, row in _read_rows(pub_path, PUBLICATIONS_HEADER, violations):
-        pub_id, pub_year, country, affiliations, categories = row
-        where = (pub_name, line_no)
-        pub_id = _get_str(pub_id, "pub_id", where, violations)
-        if not pub_id:
-            if pub_id is not None:
-                _flag(violations, where, "field 'pub_id': missing value")
-            continue
+    for where, (pub_id, pub_year, country, affiliations, categories) in _read_rows(pub_path, pub_rules, violations):
         if pub_id in parsed:
             _flag(violations, where, f"duplicate pub_id {pub_id!r}")
-            continue
-        pub_year = _get_number(pub_year, "pub_year", where, violations)
-        if pub_year is None:
-            continue
-        country = _get_str(country, "country", where, violations)
-        affiliations = _get_set(affiliations, "affiliations", where, violations, interned)
-        categories = _get_set(categories, "categories", where, violations, interned)
-        if None not in (country, affiliations, categories):
-            parsed[pub_id] = (line_no, years.setdefault(pub_year, pub_year), countries[country],
-                              affiliations, categories, {})
+        else:
+            parsed[pub_id] = (where, years.setdefault(pub_year, pub_year), country, affiliations, categories, {})
 
-    for line_no, row in _read_rows(cite_path, CITATIONS_HEADER, violations):
-        pub_id, citing_year, count = row
-        where = (cite_name, line_no)
-        pub_id = _get_str(pub_id, "pub_id", where, violations)
-        entry = parsed.get(pub_id)
-        if entry is None:
-            if pub_id is not None:
-                _flag(violations, where, f"unknown pub_id {pub_id!r}")
-            continue
-        citing_year = _get_number(citing_year, "citing_year", where, violations)
-        count = _get_number(count, "count", where, violations)
-        if citing_year is None or count is None:
-            continue
-        pub_year, citations = entry[1], entry[5]
-        if count < 0:
+    cite_rules = {"pub_id": _text, "citing_year": _number(int), "count": _number(int)}
+    for where, (pub_id, citing_year, count) in _read_rows(cite_path, cite_rules, violations):
+        if (entry := parsed.get(pub_id)) is None:
+            _flag(violations, where, f"unknown pub_id {pub_id!r}")
+        elif count < 0:
             _flag(violations, where, f"{pub_id}: negative citation count {count}")
-            continue
-        if citing_year < pub_year:
-            _flag(
-                violations, where,
-                f"{pub_id}: citing year {citing_year} precedes publication year {pub_year}",
-            )
-            continue
-        citing_year = years.setdefault(citing_year, citing_year)
-        citations[citing_year] = citations.get(citing_year, 0) + count
+        elif citing_year < (pub_year := entry[1]):
+            _flag(violations, where, f"{pub_id}: citing year {citing_year} precedes publication year {pub_year}")
+        else:
+            citations = entry[5]
+            citing_year = years.setdefault(citing_year, citing_year)
+            citations[citing_year] = citations.get(citing_year, 0) + count
 
     records = []
-    for pub_id, (line_no, *fields) in parsed.items():
+    for pub_id, (where, *fields) in parsed.items():
         try:
             records.append(PublicationRecord(pub_id, *fields))
         except ValueError as exc:  # an empty label list
-            _flag(violations, (pub_name, line_no), str(exc))
+            _flag(violations, where, str(exc))
     return tuple(records), violations
 
 
-_OPTIONAL_PROFILE_FIELDS = frozenset(["p4_out", "p3_out", "p2_out", "p1_out", "pu_out", "nci"])
 _NO_OUTPUT = (None,) * 5
 
 
@@ -921,15 +921,25 @@ def _clean_profiles(path: Path) -> tuple[QualityProfile, ...]:
         if not plain and not all(_plain(cell) for row in chunk for cell in row[2:]):
             raise ValueError("a number cell that is not ASCII or holds a '_'")
         for institution, discipline, p4, p3, p2, p1, pu, *outs, staff_fte, nci in chunk:
-            key = (institution, discipline.casefold())  # normalize_label of an unpadded label
-            if (len(outs) != 5 or not institution or institution != institution.strip()
-                    or not discipline or discipline != discipline.strip() or key in profiles):
-                raise ValueError("a row of another width, or a blank, padded or duplicate name")
-            profiles[key] = QualityProfile(
+            if len(outs) != 5:
+                raise ValueError("a row of another width")
+            profile = QualityProfile(
                 institution, discipline, float(p4), float(p3), float(p2), float(p1), float(pu),
-                float(staff_fte), *(map(float, outs) if any(outs) else _NO_OUTPUT),
-                float(nci) if nci else None)
+                float(staff_fte), *(map(float, outs) if "".join(outs).strip() else _NO_OUTPUT),
+                float(nci) if nci.strip() else None)
+            if (key := (profile.institution, profile.discipline.casefold())) in profiles:  # names come stripped
+                raise ValueError("a duplicate profile")
+            profiles[key] = profile
     return tuple(profiles.values())
+
+
+# profiles.csv's cell rules; the numbers are QualityProfile's fields of the same names
+_PROFILE_RULES = {
+    "institution": _name, "discipline": _name,
+    **dict.fromkeys(["p4", "p3", "p2", "p1", "pu"], _number(float)),
+    **dict.fromkeys(["p4_out", "p3_out", "p2_out", "p1_out", "pu_out"], _number(float, optional=True)),
+    "staff_fte": _number(float), "nci": _number(float, optional=True),
+}
 
 
 def load_profiles(profile_file: str | Path) -> tuple[tuple[QualityProfile, ...], list[str]]:
@@ -938,71 +948,40 @@ def load_profiles(profile_file: str | Path) -> tuple[tuple[QualityProfile, ...],
 
     Profiles load as publications do (see :func:`load_publications`): a
     clean CSV file is read once, in blocks (see :func:`_regular_chunks`), and
-    the pass builds each profile with one positional ``QualityProfile`` call.
-    It gives up at the first doubt, such as a blank, padded or duplicate
-    name, a number cell that is not ASCII or holds a ``_`` (looked for cell
-    by cell only in a chunk whose text is not plain), a cell ``float``
-    refuses or a profile that call refuses.  On giving up, and for JSON
-    input, the per-row validator below reads the file anew; it alone writes
-    messages.
+    the pass builds each profile with one positional ``QualityProfile`` call,
+    which strips the names.  It gives up at the first doubt, such as a
+    blank or duplicate name, a number cell that is not ASCII or holds a
+    ``_`` (looked for cell by cell only in a chunk whose text is not plain),
+    a cell ``float`` refuses or a profile that call refuses.  On giving up,
+    and for JSON input, the per-row validator below reads the file anew; it
+    alone writes messages: the cells its rules refuse (see :func:`_read_rows`),
+    a duplicate profile and a profile ``QualityProfile`` refuses.
     """
     path = Path(profile_file)
     with suppress(csv.Error, ValueError):  # not clean: the validator says where
         if path.suffix.lower() != ".json":
             return _clean_profiles(path), []
     violations: list[str] = []
-    profiles = []
-    seen: set[tuple[str, str]] = set()
-    for line_no, row in _read_rows(path, PROFILES_HEADER, violations):
-        institution, discipline, *cells = row
-        where = (path.name, line_no)
-        institution = _get_str(institution, "institution", where, violations)
-        discipline = _get_str(discipline, "discipline", where, violations)
-        if not institution or not discipline:
-            if institution is not None and discipline is not None:
-                _flag(violations, where, "institution and discipline are required")
-            continue
-        key = (institution, normalize_label(discipline))
-        if key in seen:
+    profiles: dict[tuple[str, str], QualityProfile] = {}
+    for where, values in _read_rows(path, _PROFILE_RULES, violations):
+        institution, discipline, p4, p3, p2, p1, pu, *outs, staff_fte, nci = values
+        if (key := (institution, normalize_label(discipline))) in profiles:
             _flag(violations, where, f"duplicate profile for {institution}/{discipline}")
             continue
-        # the remaining columns are named after QualityProfile's fields
-        flagged = len(violations)
-        numbers = {
-            k: _get_number(raw, k, where, violations, float, optional=k in _OPTIONAL_PROFILE_FIELDS)
-            for k, raw in zip(PROFILES_HEADER[2:], cells)
-        }
-        if len(violations) > flagged:  # a row with a flagged cell stops there
-            continue
         try:
-            profiles.append(QualityProfile(institution=institution, discipline=discipline, **numbers))
+            profiles[key] = QualityProfile(institution, discipline, p4, p3, p2, p1, pu, staff_fte, *outs, nci)
         except ValueError as exc:
             _flag(violations, where, f"profile sum/shape error: {exc}")
-        else:
-            seen.add(key)
-    return tuple(profiles), violations
+    return tuple(profiles.values()), violations
 
 
 def load_discipline_maps(map_file: str | Path) -> tuple[tuple[DisciplineMap, ...], list[str]]:
-    path = Path(map_file)
     violations: list[str] = []
-    categories: dict[str, set[str]] = {}
-    labels: dict[str, str] = {}
-    for line_no, row in _read_rows(path, DISCIPLINE_MAP_HEADER, violations):
-        where = (path.name, line_no)
-        discipline, category = (_get_str(c, k, where, violations) for c, k in zip(row, DISCIPLINE_MAP_HEADER))
-        if not discipline or not category:
-            if discipline is not None and category is not None:
-                _flag(violations, where, "discipline and category are required")
-            continue
-        key = normalize_label(discipline)
-        labels.setdefault(key, discipline)
-        categories.setdefault(key, set()).add(category)
-    maps = tuple(
-        DisciplineMap(discipline=labels[key], categories=frozenset(cats))
-        for key, cats in sorted(categories.items())
-    )
-    return maps, violations
+    maps: dict[str, tuple[str, set[str]]] = {}  # normalized discipline -> (its first spelling, its categories)
+    for _, (discipline, category) in _read_rows(Path(map_file), {"discipline": _name, "category": _name},
+                                                violations):
+        maps.setdefault(normalize_label(discipline), (discipline, set()))[1].add(category)
+    return tuple(DisciplineMap(*maps[key]) for key in sorted(maps)), violations
 
 
 def ingest_corpus(
@@ -1061,7 +1040,8 @@ def write_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
     """Write the four corpus CSVs into ``out_dir``; returns the paths.
 
     Output is canonical (sorted rows, ``;``-joined sorted lists), so the same corpus always
-    produces byte-identical files and re-ingesting them yields an equal corpus.  Publications
+    produces byte-identical files and re-ingesting them yields an equal corpus, a library-built one
+    too: the value classes store every name and label stripped, as the loaders read them.  Publications
     and citations go out as text, one write per block of ``_CHUNK_ROWS`` records, in
     :func:`write_csv`'s bytes: integers as ``str`` gives them, text through :func:`_cell`.
     """

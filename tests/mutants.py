@@ -61,6 +61,24 @@ MUTANTS = [
            (f"{INGEST}::test_equal_list_cells_share_one_frozenset",
             "tests/test_synth.py::test_json_loaded_records_retain_few_bytes"),
            "each JSON citation row would give its record its own int for the citing year"),
+    # the validators' row rule
+    Mutant("refused-row-still-yielded", CORPUS,
+           "        else:\n            yield (name, line_no), values\n",
+           "            values = cells\n        yield (name, line_no), values\n",
+           (f"{INGEST}::test_malformed_corpus_violations_in_order",
+            f"{INGEST}::test_malformed_profiles_violations_in_order"),
+           "a row with a refused cell would reach the validator's cross-row checks with its raw cells, "
+           "giving a second message or a record built from them"),
+    Mutant("optional-number-refuses-blank", CORPUS,
+           "            if optional:\n                return None\n",
+           "            if False:\n                return None\n",
+           (f"{INGEST}::test_malformed_profiles_violations_in_order",),
+           "a JSON or faulty CSV profile with no output sub-profile or no nci would be refused as a "
+           "missing value"),
+    Mutant("json-escapes-never-looked-for", CORPUS,
+           'escaped = set(header), "\\\\" in text', 'escaped = set(header), False',
+           (f"{INGEST}::test_malformed_corpus_violations_in_order",),
+           "a JSON string holding an escaped line break or NUL would reach a record and split an output row"),
     Mutant("string-labels-split-into-characters", CORPUS,
            "elif isinstance(labels, str):", "elif isinstance(labels, bytes):",
            ("tests/test_corpus.py::TestRecordInvariants::test_constructor_refusals_keep_their_messages",),

@@ -502,6 +502,14 @@ class TestIngestCommand:
             "refh: citations.csv: 490 more violations",
         ]
 
+    def test_a_flood_of_blank_names_is_counted_by_field(self, tmp_path, capsys):
+        paths = write_files(tmp_path, profiles="\n".join([",chemistry,25,25,25,25,0,,,,,,10,"] * 60))
+        code, out, err = run(["ingest", *corpus_args(paths)], capsys)
+        assert (code, out) == (1, "")
+        located = [f"profiles.csv:{line}: field 'institution': missing value" for line in range(2, 52)]
+        assert err.splitlines() == ["refh: " + located[0], *located[1:],
+                                    "refh: profiles.csv: 10 more violations of field 'institution'"]
+
     @pytest.mark.parametrize("rows, more", [
         (50, []), (51, ["refh: citations.csv: 1 more violation of field 'citing_year'"])])
     def test_fifty_violations_are_printed_in_full(self, tmp_path, capsys, rows, more):

@@ -93,6 +93,31 @@ def test_profile_institution_is_stripped_by_every_call():
     assert replace(padded, institution=" Beta").institution == "Beta"
 
 
+def test_disciplines_are_stripped_by_every_call():
+    padded = build(QualityProfile, discipline=" chemistry\t")
+    assert padded.discipline == "chemistry" and padded == build(QualityProfile)
+    assert replace(padded, discipline=" physics").discipline == "physics"
+    dmap = DisciplineMap("  chemistry ", {"Chemistry"})
+    assert dmap.discipline == "chemistry" and dmap == DisciplineMap("chemistry", {"Chemistry"})
+    assert replace(dmap, discipline="physics ").discipline == "physics"
+
+
+@pytest.mark.parametrize("discipline, message", [
+    (5, "discipline must be a non-blank string, got 5"),
+    (None, "discipline must be a non-blank string, got None"),
+    ("  ", "discipline must be a non-blank string, got '  '"),
+    ("", "discipline must be a non-blank string, got ''"),
+], ids=["int", "none", "blank", "empty"])
+def test_a_discipline_map_refuses_a_discipline_that_is_not_a_name(discipline, message):
+    # an int would break Corpus, and a blank name would write a file that its own loader refuses
+    dmap = DisciplineMap("chemistry", {"Chemistry"})
+    for attempt in (lambda: DisciplineMap(discipline, dmap.categories),
+                    lambda: replace(dmap, discipline=discipline)):
+        with pytest.raises(ValueError) as err:
+            attempt()
+        assert str(err.value) == message
+
+
 # (class, changes, the exact message); each was the message of the generated constructor too
 REFUSALS = [
     (QualityProfile, dict(institution="  "), "profile for 'chemistry': institution must be non-empty"),

@@ -661,10 +661,11 @@ class TestRoundTrip:
         corpus = Corpus(
             publications=(record(" P1 ", affiliations=(" Alpha ", " "), categories=(" Chemistry ", ""),
                                  citations={2005: 1, 2004: 2}),),
-            profiles=(profile(institution=" Alpha "),),
-            discipline_maps=(chem_map,),
+            profiles=(profile(institution=" Alpha ", discipline=" chemistry\t"),),
+            discipline_maps=(DisciplineMap("  chemistry ", chem_map.categories),),
         )
         assert corpus.publications == (record("P1", citations={2004: 2, 2005: 1}),)
+        assert (corpus.profiles, corpus.discipline_maps) == ((profile(),), (chem_map,))
         paths = write_corpus(corpus, tmp_path)
         again = ingest_corpus(
             paths["publications"], paths["citations"], paths["profiles"], paths["discipline_map"]

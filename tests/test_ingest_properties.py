@@ -504,10 +504,21 @@ OVER_LONG_MESSAGE = f"field larger than field limit ({csv.field_size_limit()})"
 # (formats, publication rows, citation rows, expected violations as
 # (file, data row, message), expected citations_by_year of the loaded records)
 MALFORMED = {
+    # a row with a refused cell is dropped before it is checked against the others
     "unknown_pub_id_with_bad_year": (
         BOTH, [pub("P1")], [["P9", "20x3", "1"], ["P1", "2004", "2"]],
-        [("citations", 1, "unknown pub_id 'P9'")],
+        [("citations", 1, "field 'citing_year': not an integer: '20x3'")],
         {"P1": {2004: 2}},
+    ),
+    # every refused cell of a row is flagged, and the row is not checked for a duplicate pub_id
+    "each_refused_cell_of_a_row": (
+        BOTH, [pub("", year="20x3", affiliations=""), pub("P1"), pub("P1", year="x")],
+        [["P1", "", "-1"], ["P1", "2004", "1"]],
+        [("publications", 1, "field 'pub_id': missing value"),
+         ("publications", 1, "field 'pub_year': not an integer: '20x3'"),
+         ("publications", 3, "field 'pub_year': not an integer: 'x'"),
+         ("citations", 1, "field 'citing_year': missing value")],
+        {"P1": {2004: 1}},
     ),
     "negative_count_and_early_citing_year": (
         BOTH, [pub("P1")], [["P1", "2004", "-2"], ["P1", "2001", "3"], ["P1", "2005", "1"]],
@@ -710,11 +721,22 @@ MALFORMED_PROFILES = {
     "blank_or_whitespace_names": (
         BOTH,
         [prof(""), prof("  "), prof("Beta", discipline=""), prof("Gamma", discipline=" \t"), prof("Delta")],
-        [(1, "institution and discipline are required"),
-         (2, "institution and discipline are required"),
-         (3, "institution and discipline are required"),
-         (4, "institution and discipline are required")],
+        [(1, "field 'institution': missing value"),
+         (2, "field 'institution': missing value"),
+         (3, "field 'discipline': missing value"),
+         (4, "field 'discipline': missing value")],
         [("Delta", "chemistry")],
+    ),
+    "each_refused_cell_of_a_row": (
+        BOTH,
+        [prof("", discipline=" ", staff_fte="x"), prof(), prof(bands=("25", "25", "25", "25", "")),
+         prof(nci="-")],
+        [(1, "field 'institution': missing value"),
+         (1, "field 'discipline': missing value"),
+         (1, "field 'staff_fte': not a number: 'x'"),
+         (3, "field 'pu': missing value"),
+         (4, "field 'nci': not a number: '-'")],
+        [("Alpha", "chemistry")],
     ),
     "blank_or_whitespace_required_numbers": (
         BOTH,
@@ -920,9 +942,8 @@ def test_profile_only_rank_reports_what_score_reports(tmp_path, capsys, case):
 
 @pytest.mark.parametrize("variant", ["padded", "json", "padded_header", "blank_row", "padded_discipline"])
 def test_profiles_load_equal_from_padded_csv_and_json(base, tmp_path, monkeypatch, variant):
-    # padded CSV cells, a padded header, a blank row, one padded name and
-    # JSON rows all take the per-row validator; the clean CSV takes the
-    # clean pass throughout
+    # a padded header, a blank row and JSON rows take the per-row validator;
+    # padded CSV cells, one padded name and the clean CSV take the clean pass
     header, *rows = read_rows(base / FILES[2])
     assert any("" in row for row in rows)  # blank optional cells, padded to blanks
     if variant == "padded":
@@ -943,17 +964,17 @@ def test_profiles_load_equal_from_padded_csv_and_json(base, tmp_path, monkeypatc
             {k: v if k in ("institution", "discipline") else float(v) for k, v in zip(header, row) if v}
             for row in rows
         ]), encoding="utf-8")
-    validated, get_str = [], corpus_module._get_str
+    validated, reader = [], corpus_module._read_rows
 
-    def counted(raw, key, *rest):
-        validated.append(key)
-        return get_str(raw, key, *rest)
+    def counted(path, *rest):
+        validated.append(path.name)
+        return reader(path, *rest)
 
-    monkeypatch.setattr(corpus_module, "_get_str", counted)
+    monkeypatch.setattr(corpus_module, "_read_rows", counted)
     expected = load_profiles(base / FILES[2])
     assert validated == [] and expected[1] == [] and len(expected[0]) == len(rows)
     assert load_profiles(path) == expected
-    assert validated == ["institution", "discipline"] * len(rows)
+    assert validated == ([] if variant in ("padded", "padded_discipline") else [path.name])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1133,10 +1154,10 @@ def test_workload_shaped_corpora_load_without_the_validator(shaped, shape, monke
     path, padded = shaped[shape] / FILES[2], tmp_path / FILES[2]
     header, *rows = read_rows(path)
     write_rows(padded, [header, *([f" {cell} " for cell in row] for row in rows)])
-    expected = load_profiles(padded)  # padded names take the validator
+    expected = validated_profiles(padded, monkeypatch)
     assert len(expected[0]) == len(rows) and expected[1] == []
     with monkeypatch.context() as m:
-        m.setattr(corpus_module, "_get_str", refuse("the validator"))
+        m.setattr(corpus_module, "_read_rows", refuse("the validator"))
         assert load_profiles(path) == expected
 
 
@@ -1381,7 +1402,7 @@ def test_a_late_profile_violation_gives_the_validators_messages(seeded, tmp_path
         last[:2] = rows[0][0], rows[0][1].upper()
         message = f"duplicate profile for {rows[0][0]}/{rows[0][1].upper()}"
     elif late == "blank_discipline":
-        last[1], message = "", "institution and discipline are required"
+        last[1], message = "", "field 'discipline': missing value"
     elif late == "bad_sum":
         last[2:7] = ["25", "25", "25", "24", "0"]
         message = f"profile sum/shape error: {who}: profile sum 99.0 != 100"
